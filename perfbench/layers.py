@@ -124,6 +124,23 @@ COUNTERS: dict[str, Callable] = {
 }
 
 
+def install(hooks, wrap: Callable, saved: list) -> None:
+    """Replace each hook's function by ``wrap(hook, original)``, appending
+    to ``saved`` what ``restore`` needs to put the original back."""
+    for hook in hooks:
+        module = importlib.import_module(hook.module)
+        original = getattr(module, hook.attr)
+        saved.append((module, hook.attr, original))
+        setattr(module, hook.attr, wrap(hook, original))
+
+
+def restore(saved: list) -> None:
+    """Put back the originals ``install`` replaced, last installed first."""
+    while saved:
+        module, attr, original = saved.pop()
+        setattr(module, attr, original)
+
+
 class Tracer:
     """Installs hooks, accumulates span self times, calls and counters.
 
@@ -131,8 +148,9 @@ class Tracer:
     the originals afterwards, also when the body raises.
     """
 
-    def __init__(self, hooks=HOOKS):
+    def __init__(self, hooks=HOOKS, clock: Callable[[], float] = time.perf_counter):
         self.hooks = hooks
+        self.clock = clock
         self.self_s: dict[str, float] = defaultdict(float)
         self.calls: dict[str, int] = defaultdict(int)  # by hook attribute
         self.counters: dict[str, float] = defaultdict(float)
@@ -142,7 +160,7 @@ class Tracer:
 
     def span(self, name: str, attr: str, fn: Callable, counter: Callable | None = None):
         stack, self_s, calls = self._stack, self.self_s, self.calls
-        counters, last, clock = self.counters, self.last, time.perf_counter
+        counters, last, clock = self.counters, self.last, self.clock
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
@@ -165,18 +183,12 @@ class Tracer:
         return wrapper
 
     def __enter__(self) -> "Tracer":
-        for hook in self.hooks:
-            module = importlib.import_module(hook.module)
-            original = getattr(module, hook.attr)
-            self._saved.append((module, hook.attr, original))
-            setattr(
-                module,
-                hook.attr,
-                self.span(hook.span, hook.attr, original, COUNTERS.get(hook.attr)),
-            )
+        install(
+            self.hooks,
+            lambda hook, fn: self.span(hook.span, hook.attr, fn, COUNTERS.get(hook.attr)),
+            self._saved,
+        )
         return self
 
     def __exit__(self, *exc) -> None:
-        while self._saved:
-            module, attr, original = self._saved.pop()
-            setattr(module, attr, original)
+        restore(self._saved)

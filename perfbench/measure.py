@@ -4,8 +4,10 @@ Started by ``run.py`` after it has written the inputs, so this process's
 peak resident memory belongs to the experiment alone.  It calls
 ``lsmkit.harness.run_experiment(cfg, threads=1)``, the call ``lsmkit run``
 makes, back to back until the time budget is spent, and writes one JSON
-record per call.  With ``--trace 1`` the last two thirds of the budget
-run with every layer hook installed.
+record per call.  Every call runs under a ``HostSampler``: its times leave
+out the sampler's blocks, and its record carries their mean time, which
+tells how fast the host ran during the call.  With ``--trace 1`` the last
+two thirds of the budget run with every layer hook installed.
 
     python3 perfbench/measure.py --config CFG.json --seconds 20 --trace 0 --out OUT.json
 """
@@ -13,6 +15,7 @@ run with every layer hook installed.
 from __future__ import annotations
 
 import argparse
+import faulthandler
 import hashlib
 import json
 import resource
@@ -20,6 +23,8 @@ import sys
 import time
 import traceback
 from pathlib import Path
+
+from hostspeed import HostSampler
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,14 +34,14 @@ def state_digest(state_hash: dict) -> str:
     return hashlib.sha256(json.dumps(state_hash, sort_keys=True).encode()).hexdigest()
 
 
-def one_run(cfg, tracer) -> dict:
+def one_run(cfg, host: HostSampler, make_tracer) -> dict:
     from lsmkit import harness
 
-    with tracer:
+    with host, make_tracer(host.clock) as tracer:
         run = tracer.span("harness.run_experiment", "run_experiment", harness.run_experiment)
-        start = time.perf_counter()
+        start = host.clock()
         report = run(cfg, threads=1)
-        total = time.perf_counter() - start
+        total = host.clock() - start
     build_start, build_end = tracer.last["harness.build_members"]
     train_start, _ = tracer.last["readout.train_readout"]
     members = report.spike_stats["members"]
@@ -45,6 +50,7 @@ def one_run(cfg, tracer) -> dict:
     steps = cfg.preprocessing.steps * samples
     return {
         "total_s": total,
+        "host_block_s": host.block_s(),
         "setup_s": build_end - build_start,
         "simulate_s": train_start - build_end,
         "samples": samples,
@@ -61,12 +67,12 @@ def one_run(cfg, tracer) -> dict:
     }
 
 
-def timed_phase(cfg, seconds: float, make_tracer, records: list) -> bool:
+def timed_phase(cfg, seconds: float, host, make_tracer, records: list) -> bool:
     """Run until the next call would overrun ``seconds``; False on a failure."""
     began = time.perf_counter()
     while True:
         try:
-            records.append(one_run(cfg, make_tracer()))
+            records.append(one_run(cfg, host, make_tracer))
         except Exception:  # the run is the unit of failure; report and stop
             traceback.print_exc()
             return False
@@ -88,11 +94,16 @@ def main(argv=None) -> int:
     from layers import BOUNDARY_HOOKS, Tracer
 
     cfg = load_config(args.config)
+    # a call that hangs shows where before run.py's deadline kills this process
+    faulthandler.dump_traceback_later(args.seconds + 120)
+    host = HostSampler()  # before the first call, so peak RSS includes its buffer
     untraced, traced = [], []
     budget = args.seconds / 3 if args.trace else args.seconds
-    ok = timed_phase(cfg, budget, lambda: Tracer(BOUNDARY_HOOKS), untraced)
+    ok = timed_phase(cfg, budget, host, lambda clock: Tracer(BOUNDARY_HOOKS, clock), untraced)
     if ok and args.trace:
-        ok = timed_phase(cfg, args.seconds - budget, Tracer, traced)
+        ok = timed_phase(
+            cfg, args.seconds - budget, host, lambda clock: Tracer(clock=clock), traced
+        )
     Path(args.out).write_text(json.dumps({"ok": ok, "untraced": untraced, "traced": traced}))
     return 0
 

@@ -4,7 +4,9 @@
 
 Writes the workload's inputs from the seed, then times back-to-back
 ``run_experiment(cfg, threads=1)`` calls in a fresh process (measure.py)
-for ``--seconds`` and reports the best call.  ``--trace 0`` reports the
+for ``--seconds`` while sampling the host's speed (hostspeed.py), and
+reports medians over the calls of times scaled by the host's speed during
+each call.  ``--trace 0`` reports the
 end-to-end metrics of BENCHMARK.json; ``--trace 1`` spends a third of the
 budget untraced and the rest with every layer hook installed, and reports
 the per-layer metrics.  Every check is printed; the last stdout line is the
@@ -17,12 +19,14 @@ import argparse
 import json
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import time
 from dataclasses import replace
 from pathlib import Path
 
+from hostspeed import REFERENCE_S
 from layers import HOOKS, expected_hooks
 
 HERE = Path(__file__).resolve().parent
@@ -41,14 +45,33 @@ CHILD_DEADLINE_S = 170  # the whole command must end within 180 s
 SILENT_RATE, SATURATED_RATE = 1e-4, 0.9  # spikes per neuron-step, per member
 
 
+def host_scaled(r: dict) -> float:
+    """Factor that turns a call's seconds into seconds on the reference host:
+    the host-speed block's fixed time over its mean time during the call."""
+    return REFERENCE_S / r["host_block_s"]
+
+
+def scaled(key: str):
+    """A call's ``key`` seconds, host-scaled."""
+    return lambda r: r[key] * host_scaled(r)
+
+
+def median_of(records: list[dict], value) -> float:
+    return statistics.median(value(r) for r in records)
+
+
 def end_to_end(untraced: list[dict], attempted: int, failed: int) -> dict:
-    """Timings are the best of the untraced calls: the one least slowed by
-    other tenants.  Memory is the first call's, as in a one-run process."""
+    """Timings are medians over the untraced calls, each scaled by the host
+    speed during it.  Memory is the first call's, as in a one-run process."""
     return {
-        "total_s": min(r["total_s"] for r in untraced),
-        "setup_s": min(r["setup_s"] for r in untraced),
-        "samples_per_s": max(r["samples"] / r["simulate_s"] for r in untraced),
-        "neuron_steps_per_s": max(r["neuron_steps"] / r["simulate_s"] for r in untraced),
+        "total_s": median_of(untraced, scaled("total_s")),
+        "setup_s": median_of(untraced, scaled("setup_s")),
+        "samples_per_s": median_of(
+            untraced, lambda r: r["samples"] / (r["simulate_s"] * host_scaled(r))
+        ),
+        "neuron_steps_per_s": median_of(
+            untraced, lambda r: r["neuron_steps"] / (r["simulate_s"] * host_scaled(r))
+        ),
         "peak_rss_mb": untraced[0]["peak_rss_mb"],
         "test_accuracy": untraced[0]["test_accuracy"],
         "completed_fraction": 1.0 - failed / attempted,
@@ -56,9 +79,13 @@ def end_to_end(untraced: list[dict], attempted: int, failed: int) -> dict:
 
 
 def per_layer(traced: list[dict], untraced: list[dict]) -> dict:
-    """Busy self times are the best of the traced calls; counts are exact."""
+    """Busy self times are host-scaled medians over the traced calls; counts
+    are exact."""
     spans = dict.fromkeys(h.span for h in HOOKS if h.span != "harness.build_members")
-    out = {f"{span}.s": min(r["self_s"].get(span, 0.0) for r in traced) for span in spans}
+    out = {
+        f"{span}.s": median_of(traced, lambda r: r["self_s"].get(span, 0.0) * host_scaled(r))
+        for span in spans
+    }
     last = traced[-1]  # counts are identical on every call; the hashes prove it
     counters = dict(last["counters"])
     kept, computed = counters.pop("drive_rows_kept"), counters.pop("drive_rows_computed")
@@ -69,11 +96,11 @@ def per_layer(traced: list[dict], untraced: list[dict]) -> dict:
     out["neurons.spike_rate"] = last["spikes"] / last["neuron_steps"]
     out["neurons.spike_rate.min_member"] = min(last["member_rates"])
     out["neurons.spike_rate.max_member"] = max(last["member_rates"])
-    out["harness.run_experiment.self_s"] = min(
-        r["self_s"]["harness.run_experiment"] for r in traced
+    out["harness.run_experiment.self_s"] = median_of(
+        traced, lambda r: r["self_s"]["harness.run_experiment"] * host_scaled(r)
     )
-    out["trace.overhead_s"] = min(r["total_s"] for r in traced) - min(
-        r["total_s"] for r in untraced
+    out["trace.overhead_s"] = median_of(traced, scaled("total_s")) - median_of(
+        untraced, scaled("total_s")
     )
     return out
 
@@ -160,13 +187,17 @@ def run(args, started: float) -> tuple[bool, dict, int, int]:
         metrics = {}
         if untraced:
             metrics = end_to_end(untraced, attempted, failed)
-            print(f"end-to-end, best of {len(untraced)} untraced calls:")
+            print(f"end-to-end, median of {len(untraced)} untraced calls, host-scaled:")
             for name, value in metrics.items():
                 print(f"  {name:<36} {value:.6g}")
             print(f"  {'failed_fraction':<36} {failed / attempted:.6g}")
+            raw_total = median_of(untraced, lambda r: r["total_s"])
+            host = median_of(untraced, lambda r: r["host_block_s"])
+            print(f"  {'total_s, unscaled':<36} {raw_total:.6g}")
+            print(f"  {'host-speed block, s':<36} {host:.6g} (reference {REFERENCE_S})")
         if traced:
             layers = per_layer(traced, untraced)
-            print(f"per layer, best of {len(traced)} traced calls:")
+            print(f"per layer, median of {len(traced)} traced calls, host-scaled:")
             for name, value in layers.items():
                 print(f"  {name:<36} {value:.6g}")
             metrics.update(layers)

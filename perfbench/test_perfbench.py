@@ -5,6 +5,7 @@
 
 import importlib
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,7 +14,8 @@ import pytest
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
-from layers import HOOKS, Tracer, expected_hooks  # noqa: E402
+from hostspeed import INTERVAL_S, HostSampler  # noqa: E402
+from layers import HOOKS, Hook, Tracer, expected_hooks  # noqa: E402
 from lsmkit.harness import run_experiment  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -67,3 +69,18 @@ def test_tracer_restores_the_originals():
             assert installed() != before
             raise RuntimeError("leave the block early")
     assert installed() == before
+
+
+def test_host_sampler_leaves_its_blocks_out_of_its_clock():
+    import workloads
+
+    original = workloads._labels
+    host = HostSampler([Hook("workloads", "_labels", "sampled")])
+    with host:
+        start, wall = host.clock(), time.perf_counter()
+        while time.perf_counter() - wall < 10 * INTERVAL_S:
+            workloads._labels(4, 2)
+        own, wall = host.clock() - start, time.perf_counter() - wall
+    assert len(host.samples) >= 2 and host.block_s() > 0
+    assert own == pytest.approx(wall - host.spent, abs=1e-3)
+    assert workloads._labels is original
