@@ -50,7 +50,7 @@ def one_run(cfg, host: HostSampler, make_tracer) -> dict:
     steps = cfg.preprocessing.steps * samples
     return {
         "total_s": total,
-        "host_block_s": host.block_s(),
+        "host_block_s": host.block_s(),  # (compute, memory)
         "setup_s": build_end - build_start,
         "simulate_s": train_start - build_end,
         "samples": samples,

@@ -26,7 +26,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from hostspeed import REFERENCE_S
+from hostspeed import slowness
 from layers import HOOKS, expected_hooks
 
 HERE = Path(__file__).resolve().parent
@@ -45,15 +45,9 @@ CHILD_DEADLINE_S = 170  # the whole command must end within 180 s
 SILENT_RATE, SATURATED_RATE = 1e-4, 0.9  # spikes per neuron-step, per member
 
 
-def host_scaled(r: dict) -> float:
-    """Factor that turns a call's seconds into seconds on the reference host:
-    the host-speed block's fixed time over its mean time during the call."""
-    return REFERENCE_S / r["host_block_s"]
-
-
 def scaled(key: str):
     """A call's ``key`` seconds, host-scaled."""
-    return lambda r: r[key] * host_scaled(r)
+    return lambda r: r[key] * r["scale"]
 
 
 def median_of(records: list[dict], value) -> float:
@@ -67,10 +61,10 @@ def end_to_end(untraced: list[dict], attempted: int, failed: int) -> dict:
         "total_s": median_of(untraced, scaled("total_s")),
         "setup_s": median_of(untraced, scaled("setup_s")),
         "samples_per_s": median_of(
-            untraced, lambda r: r["samples"] / (r["simulate_s"] * host_scaled(r))
+            untraced, lambda r: r["samples"] / (r["simulate_s"] * r["scale"])
         ),
         "neuron_steps_per_s": median_of(
-            untraced, lambda r: r["neuron_steps"] / (r["simulate_s"] * host_scaled(r))
+            untraced, lambda r: r["neuron_steps"] / (r["simulate_s"] * r["scale"])
         ),
         "peak_rss_mb": untraced[0]["peak_rss_mb"],
         "test_accuracy": untraced[0]["test_accuracy"],
@@ -83,7 +77,7 @@ def per_layer(traced: list[dict], untraced: list[dict]) -> dict:
     are exact."""
     spans = dict.fromkeys(h.span for h in HOOKS if h.span != "harness.build_members")
     out = {
-        f"{span}.s": median_of(traced, lambda r: r["self_s"].get(span, 0.0) * host_scaled(r))
+        f"{span}.s": median_of(traced, lambda r: r["self_s"].get(span, 0.0) * r["scale"])
         for span in spans
     }
     last = traced[-1]  # counts are identical on every call; the hashes prove it
@@ -97,7 +91,7 @@ def per_layer(traced: list[dict], untraced: list[dict]) -> dict:
     out["neurons.spike_rate.min_member"] = min(last["member_rates"])
     out["neurons.spike_rate.max_member"] = max(last["member_rates"])
     out["harness.run_experiment.self_s"] = median_of(
-        traced, lambda r: r["self_s"]["harness.run_experiment"] * host_scaled(r)
+        traced, lambda r: r["self_s"]["harness.run_experiment"] * r["scale"]
     )
     out["trace.overhead_s"] = median_of(traced, scaled("total_s")) - median_of(
         untraced, scaled("total_s")
@@ -176,6 +170,9 @@ def run(args, started: float) -> tuple[bool, dict, int, int]:
             started + CHILD_DEADLINE_S,
         )
         untraced, traced = result["untraced"], result["traced"]
+        for r in untraced + traced:
+            # turns the call's seconds into seconds on the reference host
+            r["scale"] = 1 / slowness(r["host_block_s"], wl.in_cache)
         failed = 0 if result["ok"] else wl.n_samples
         attempted = (len(untraced) + len(traced)) * wl.n_samples + failed
         results = checks(wl, args.seed, cfg, untraced, traced, failed, attempted)
@@ -192,9 +189,9 @@ def run(args, started: float) -> tuple[bool, dict, int, int]:
                 print(f"  {name:<36} {value:.6g}")
             print(f"  {'failed_fraction':<36} {failed / attempted:.6g}")
             raw_total = median_of(untraced, lambda r: r["total_s"])
-            host = median_of(untraced, lambda r: r["host_block_s"])
+            host = median_of(untraced, lambda r: 1 / r["scale"])
             print(f"  {'total_s, unscaled':<36} {raw_total:.6g}")
-            print(f"  {'host-speed block, s':<36} {host:.6g} (reference {REFERENCE_S})")
+            print(f"  {'host slowness vs reference':<36} {host:.6g}")
         if traced:
             layers = per_layer(traced, untraced)
             print(f"per layer, median of {len(traced)} traced calls, host-scaled:")

@@ -81,6 +81,6 @@ def test_host_sampler_leaves_its_blocks_out_of_its_clock():
         while time.perf_counter() - wall < 10 * INTERVAL_S:
             workloads._labels(4, 2)
         own, wall = host.clock() - start, time.perf_counter() - wall
-    assert len(host.samples) >= 2 and host.block_s() > 0
+    assert len(host.samples) >= 2 and min(host.block_s()) > 0
     assert own == pytest.approx(wall - host.spent, abs=1e-3)
     assert workloads._labels is original

@@ -39,6 +39,7 @@ class Workload:
     accuracy_floor: float  # above chance; test accuracy below it fails the run
     generate: Callable[["Workload", int, Path], Path]
     threads_slice: int = 0  # samples per split re-run at threads=2; 0 skips
+    in_cache: bool = False  # data fit in L2: scaled by hostspeed's compute part only
 
     def load_config(self, manifest: Path, output_dir: Path) -> ExperimentConfig:
         """The shipped config with only the manifest and output dir swapped."""
@@ -280,6 +281,8 @@ WORKLOADS = {
             n_classes=4, n_train=32, n_test=16, accuracy_floor=0.75,
             generate=generate_synth,
             threads_slice=9,
+            # 600 neurons and 64 inputs: every array fits in the 2 MB L2
+            in_cache=True,
         ),
         Workload(
             name="shd-tepre6",
