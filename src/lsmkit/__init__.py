@@ -19,9 +19,7 @@ from .config import (
 )
 from .ensemble import (
     GatingSchedule,
-    MuLRESpec,
     SpikeRecord,
-    TEPRESpec,
     build_tepre,
     drive_through_map,
     equal_split_schedule,
@@ -33,7 +31,6 @@ from .errors import ConfigError, DatasetError, NumericsError
 from .events import (
     EventStream,
     FrameSequence,
-    PresentationSpec,
     bin_events,
     clip_or_pad,
     downscale,

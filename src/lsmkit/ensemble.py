@@ -11,6 +11,14 @@ input drive only inside its own slab, while its recurrent dynamics (and
 sparse inhibitory couplings from the previous partition) run for the full
 presentation.  The inter-partition inhibition decorrelates successive
 partitions' outputs.
+
+Both ensembles are simulated the same way: the members are stacked into
+one population whose recurrent weights are block-diagonal and whose drive
+holds one column block per member, and :func:`simulate_population`, the
+only time loop, steps it.  A multi-length-scale ensemble is that
+population with ungated drive and no links; a temporal one gates each
+member's block to its slab and adds the inter-partition links.  The one
+record is then cut back into per-member records by column offsets.
 """
 
 from __future__ import annotations
@@ -23,45 +31,7 @@ from scipy import sparse
 from .errors import ConfigError
 from .inputs import InputMap
 from .neurons import NeuronParams, PopulationState, lif_step
-from .topology import GridDims, ReservoirTopology
-
-
-@dataclass(frozen=True)
-class MuLRESpec:
-    """Spatial ensemble: one member per distance offset."""
-
-    d_list: tuple[float, ...]
-    member_dims: GridDims
-
-    def __post_init__(self):
-        if not self.d_list:
-            raise ConfigError("d_list must be nonempty")
-
-    @property
-    def n_members(self) -> int:
-        return len(self.d_list)
-
-
-@dataclass(frozen=True)
-class TEPRESpec:
-    """Temporal ensemble: equal slabs of the presentation, one partition each."""
-
-    partitions: int
-    member_dims: GridDims
-    inter_density: float = 0.01
-    inter_weight: float = -1.0
-
-    def __post_init__(self):
-        if self.partitions < 1:
-            raise ConfigError("need at least one partition")
-        if not 0 <= self.inter_density <= 1:
-            raise ConfigError("inter_density must lie in [0, 1]")
-        if self.inter_weight >= 0:
-            raise ConfigError("inter-partition connections are inhibitory; weight < 0")
-
-    @property
-    def n_members(self) -> int:
-        return self.partitions
+from .topology import ReservoirTopology
 
 
 @dataclass(frozen=True)
@@ -85,13 +55,6 @@ class GatingSchedule:
     @property
     def n_partitions(self) -> int:
         return len(self.intervals)
-
-    def member_of_step(self) -> np.ndarray:
-        """(T,) partition index owning each timestep."""
-        owner = np.empty(self.steps, dtype=np.int64)
-        for r, (start, end) in enumerate(self.intervals):
-            owner[start:end] = r
-        return owner
 
 
 def equal_split_schedule(steps: int, partitions: int) -> GatingSchedule:
@@ -144,37 +107,104 @@ def simulate_population(
     drive: np.ndarray,
     params: NeuronParams,
     *,
+    links: sparse.spmatrix | None = None,
     slab: tuple[int, int] | None = None,
     record_raster: bool = False,
     record_drive: bool = False,
 ) -> SpikeRecord:
-    """Run one reservoir for T steps from a zero state.
+    """Run one population for T steps from a zero state.
 
-    ``drive`` is the (T, N) pre-weighted injected current.  ``slab``
-    additionally accumulates spike counts inside its interval.
+    ``drive`` is the (T, N) pre-weighted injected current.  ``links`` is an
+    optional (N x N) coupling whose spikes, like recurrent ones, arrive one
+    step later; they are added to the injected current, not to the
+    recurrent sum, so a stacked ensemble sums in the same order as its
+    members stepped one by one.  ``slab`` additionally counts spikes inside
+    its interval.
     """
     steps, n = drive.shape
     state = PopulationState.zeros(n)
-    counts = np.zeros(n, dtype=np.int64)
-    slab_counts = np.zeros(n, dtype=np.int64) if slab is not None else None
-    raster = np.zeros((steps, n), dtype=np.uint8) if record_raster else None
-    drive_l1 = np.zeros(steps) if record_drive else None
+    raster = np.zeros((steps, n), dtype=np.uint8)
     for t in range(steps):
-        state = lif_step(state, drive[t], weights, params)
-        counts += state.spikes
-        if slab is not None and slab[0] <= t < slab[1]:
-            slab_counts += state.spikes
-        if raster is not None:
-            raster[t] = state.spikes
-        if drive_l1 is not None:
-            drive_l1[t] = np.abs(drive[t]).sum()
+        injected = drive[t]
+        if links is not None and state.spikes.any():
+            injected = injected + links.dot(state.spikes.astype(np.float64))
+        state = lif_step(state, injected, weights, params)
+        raster[t] = state.spikes
+    return _record(raster, drive, slab, record_raster, record_drive)
+
+
+def _record(raster, drive, slab, record_raster, record_drive) -> SpikeRecord:
+    """Counts, optional slab counts and drive L1 norms from a (T, N) raster
+    and the (T, N) drive that produced it."""
     return SpikeRecord(
-        counts=counts,
-        steps=steps,
-        slab_counts=slab_counts,
-        raster=raster,
-        drive_l1=drive_l1,
+        counts=raster.sum(axis=0, dtype=np.int64),
+        steps=raster.shape[0],
+        slab_counts=(
+            raster[slab[0] : slab[1]].sum(axis=0, dtype=np.int64)
+            if slab is not None
+            else None
+        ),
+        raster=raster if record_raster else None,
+        drive_l1=np.abs(drive).sum(axis=1) if record_drive else None,
     )
+
+
+def _run_stacked(
+    rates: np.ndarray,
+    members: list[tuple[ReservoirTopology, InputMap]],
+    windows: tuple[tuple[int, int], ...],
+    inter_links: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    params: NeuronParams,
+    steps: int,
+    input_scale: float,
+    *,
+    slabs: tuple[tuple[int, int], ...] | None = None,
+    record_raster: bool = False,
+    record_drive: bool = False,
+) -> list[SpikeRecord]:
+    """Step the members as one population and cut its record per member.
+
+    Member r owns one column block of the population and is driven by
+    ``rates`` only inside ``windows[r]``.  Member weights sit on the
+    diagonal of one block-diagonal matrix; each r -> r+1 ``inter_links``
+    triple is offset into the block below it.
+    """
+    if not members:
+        raise ConfigError("an ensemble needs at least one member")
+    for topo, imap in members:
+        if imap.n_reservoir != topo.size:
+            raise ConfigError("input map and topology sizes disagree")
+    offsets = np.cumsum([0] + [topo.size for topo, _ in members])
+    n = int(offsets[-1])
+
+    drive = np.zeros((steps, n))
+    for r, ((_, imap), (start, end)) in enumerate(zip(members, windows)):
+        drive[start:end, offsets[r] : offsets[r + 1]] = drive_through_map(
+            rates[start:end], imap, input_scale
+        )
+    weights = sparse.block_diag(
+        [topo.weight_matrix() for topo, _ in members], format="csr"
+    )
+    links = None
+    if inter_links:
+        src = np.concatenate([s + offsets[r] for r, (s, _, _) in enumerate(inter_links)])
+        dst = np.concatenate([d + offsets[r + 1] for r, (_, d, _) in enumerate(inter_links)])
+        weight = np.concatenate([w for _, _, w in inter_links])
+        links = sparse.csr_matrix((weight, (dst, src)), shape=(n, n))
+
+    raster = simulate_population(
+        weights, drive, params, links=links, record_raster=True
+    ).raster
+    return [
+        _record(
+            raster[:, lo:hi],
+            drive[:, lo:hi],
+            slabs[r] if slabs is not None else None,
+            record_raster,
+            record_drive,
+        )
+        for r, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:]))
+    ]
 
 
 def run_mulre(
@@ -191,17 +221,12 @@ def run_mulre(
     members; each member maps it through its own input wiring.  Members
     never interact, so zeroing one member's input silences only it.
     """
-    records = []
-    for topo, imap in members:
-        if imap.n_reservoir != topo.size:
-            raise ConfigError("input map and topology sizes disagree")
-        drive = drive_through_map(rates, imap, input_scale)
-        records.append(
-            simulate_population(
-                topo.weight_matrix(), drive, params, record_raster=record_raster
-            )
-        )
-    return records
+    steps = rates.shape[0]
+    windows = ((0, steps),) * len(members)
+    return _run_stacked(
+        rates, members, windows, [], params, steps, input_scale,
+        record_raster=record_raster,
+    )
 
 
 def build_tepre(
@@ -248,15 +273,6 @@ def build_tepre(
     return links
 
 
-def _link_matrix(
-    link: tuple[np.ndarray, np.ndarray, np.ndarray], n_dst: int, n_src: int
-) -> sparse.csr_matrix | None:
-    src, dst, weight = link
-    if src.size == 0:
-        return None
-    return sparse.csr_matrix((weight, (dst, src)), shape=(n_dst, n_src))
-
-
 def run_tepre(
     rates: np.ndarray,
     members: list[tuple[ReservoirTopology, InputMap]],
@@ -288,62 +304,7 @@ def run_tepre(
         raise ConfigError(
             f"{rates.shape[0]} input steps cannot fill a {steps}-step schedule"
         )
-
-    drives = []
-    for r, (topo, imap) in enumerate(members):
-        if imap.n_reservoir != topo.size:
-            raise ConfigError("input map and topology sizes disagree")
-        gated = np.zeros((steps, topo.size))
-        start, end = schedule.intervals[r]
-        full = drive_through_map(rates[:steps], imap, input_scale)
-        gated[start:end] = full[start:end]
-        drives.append(gated)
-
-    weight_mats = [topo.weight_matrix() for topo, _ in members]
-    link_mats = [
-        _link_matrix(link, members[r + 1][0].size, members[r][0].size)
-        for r, link in enumerate(inter_links)
-    ]
-
-    states = [PopulationState.zeros(topo.size) for topo, _ in members]
-    counts = [np.zeros(topo.size, dtype=np.int64) for topo, _ in members]
-    slab_counts = [np.zeros(topo.size, dtype=np.int64) for topo, _ in members]
-    rasters = (
-        [np.zeros((steps, topo.size), dtype=np.uint8) for topo, _ in members]
-        if record_raster
-        else None
+    return _run_stacked(
+        rates, members, schedule.intervals, inter_links, params, steps, input_scale,
+        slabs=schedule.intervals, record_raster=record_raster, record_drive=record_drive,
     )
-    drive_l1 = [np.zeros(steps) for _ in members] if record_drive else None
-
-    for t in range(steps):
-        prev_spikes = [s.spikes for s in states]
-        new_states = []
-        for r in range(n_parts):
-            injected = drives[r][t]
-            if r > 0 and link_mats[r - 1] is not None and prev_spikes[r - 1].any():
-                crossing = link_mats[r - 1].dot(
-                    prev_spikes[r - 1].astype(np.float64)
-                )
-                injected = injected + crossing
-            new_states.append(lif_step(states[r], injected, weight_mats[r], params))
-        states = new_states
-        for r in range(n_parts):
-            counts[r] += states[r].spikes
-            start, end = schedule.intervals[r]
-            if start <= t < end:
-                slab_counts[r] += states[r].spikes
-            if rasters is not None:
-                rasters[r][t] = states[r].spikes
-            if drive_l1 is not None:
-                drive_l1[r][t] = np.abs(drives[r][t]).sum()
-
-    return [
-        SpikeRecord(
-            counts=counts[r],
-            steps=steps,
-            slab_counts=slab_counts[r],
-            raster=rasters[r] if rasters is not None else None,
-            drive_l1=drive_l1[r] if drive_l1 is not None else None,
-        )
-        for r in range(n_parts)
-    ]

@@ -15,6 +15,7 @@ by the modules under ``lsmkit.datasets``; the engine core only reads EVS1.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -49,9 +50,13 @@ def read_events(path) -> EventStream:
         if magic != MAGIC:
             raise ConfigError(f"{path}: not an EVS1 file")
         width, height, label, count = struct.unpack("<IIIQ", fh.read(20))
-        records = np.frombuffer(fh.read(count * _RECORD.itemsize), dtype=_RECORD)
-    if records.shape[0] != count:
-        raise ConfigError(f"{path}: truncated event file")
+        # check the header's count before trusting it with an allocation
+        body = os.fstat(fh.fileno()).st_size - fh.tell()
+        if count * _RECORD.itemsize != body:
+            raise ConfigError(
+                f"{path}: header claims {count} events, body holds {body} bytes"
+            )
+        records = np.frombuffer(fh.read(body), dtype=_RECORD)
     return EventStream(
         t=records["t"].astype(np.int64),
         x=records["x"].astype(np.int64),

@@ -45,6 +45,8 @@ class EventStream:
             raise ConfigError("event x out of sensor range")
         if n and (self.y.min() < 0 or self.y.max() >= self.height):
             raise ConfigError("event y out of sensor range")
+        if n and self.p.min() < 0:
+            raise ConfigError("event polarity must be 0 or 1, not negative")
 
     @property
     def n_events(self) -> int:
@@ -151,20 +153,11 @@ def clip_or_pad(seq: FrameSequence, steps: int) -> FrameSequence:
     )
 
 
-@dataclass(frozen=True)
-class PresentationSpec:
-    """How count frames become per-step analog input drive."""
-
-    scale: float = 1.0
-
-
-def frames_to_spike_drive(
-    seq: FrameSequence, presentation: PresentationSpec = PresentationSpec()
-) -> np.ndarray:
+def frames_to_spike_drive(seq: FrameSequence) -> np.ndarray:
     """(T, n_inputs) analog rate vectors, one row per simulation step.
 
-    Each input neuron's drive at step t is its frame count times the
-    presentation scale; the ensemble layer pushes these through an input
-    map into the synapse traces.
+    Each input neuron's drive at step t is its frame count; the ensemble
+    layer scales it by the config's ``input_scale`` and pushes it through
+    an input map into the synapse traces.
     """
-    return seq.flat().astype(np.float64) * presentation.scale
+    return seq.flat().astype(np.float64)

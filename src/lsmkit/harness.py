@@ -21,8 +21,6 @@ import numpy as np
 from . import eventio
 from .config import ExperimentConfig, Seeds, to_dict
 from .ensemble import (
-    MuLRESpec,
-    TEPRESpec,
     build_tepre,
     equal_split_schedule,
     run_mulre,
@@ -31,7 +29,6 @@ from .ensemble import (
 from .errors import ConfigError, DatasetError
 from .events import (
     FrameSequence,
-    PresentationSpec,
     bin_events,
     clip_or_pad,
     downscale,
@@ -153,6 +150,7 @@ def _cached_reservoir(grid, law, neuron, seed, cache_dir, member):
             or topo.law.lam != law.lam
             or topo.law.d != law.d
             or topo.law.c_table != law.c_table
+            or np.any(np.abs(topo.weight) != neuron.w_lsm)
         ):
             raise ConfigError(f"stale topology cache at {path}; delete it to rebuild")
         return topo
@@ -195,15 +193,8 @@ def build_members(
         )
 
     if ens.variant == "mulre":
-        MuLRESpec(d_list=tuple(ens.d_list), member_dims=grid)  # validate
         d_values = list(ens.d_list)
     else:
-        TEPRESpec(
-            partitions=ens.partitions,
-            member_dims=grid,
-            inter_density=ens.inter_density,
-            inter_weight=ens.inter_weight,
-        )
         d_values = [0.0] * ens.partitions
 
     lam_list = cfg.connectivity.lambda_list
@@ -247,7 +238,7 @@ def build_members(
 
 def simulate_sample(bundle: SimBundle, seq: FrameSequence):
     """Returns (features, label, total spikes per member, steps)."""
-    rates = frames_to_spike_drive(seq, PresentationSpec(scale=1.0))
+    rates = frames_to_spike_drive(seq)
     if bundle.variant == "mulre":
         records = run_mulre(
             rates, bundle.members, bundle.params, input_scale=bundle.input_scale

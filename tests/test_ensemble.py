@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from lsmkit import (
     ConfigError,
@@ -10,12 +11,13 @@ from lsmkit import (
     GridDims,
     InputSpec,
     NeuronParams,
-    TEPRESpec,
+    PopulationState,
     build_input,
     build_reservoir,
     build_tepre,
     drive_through_map,
     equal_split_schedule,
+    lif_step,
     run_mulre,
     run_tepre,
     simulate_population,
@@ -62,10 +64,6 @@ class TestSchedule:
     def test_incomplete_tiling_rejected(self):
         with pytest.raises(ConfigError):
             GatingSchedule(intervals=((0, 10),), steps=20)
-
-    def test_member_of_step(self):
-        owner = equal_split_schedule(10, 2).member_of_step()
-        assert owner.tolist() == [0] * 5 + [1] * 5
 
 
 class TestMuLRE:
@@ -286,10 +284,96 @@ class TestRunTepre:
             run_tepre(rates, members, links, bad, PARAMS)
 
 
-class TestSpec:
-    def test_tepre_spec_validation(self):
-        dims = GridDims(4, 4, 4)
-        with pytest.raises(ConfigError):
-            TEPRESpec(partitions=0, member_dims=dims)
-        with pytest.raises(ConfigError):
-            TEPRESpec(partitions=2, member_dims=dims, inter_weight=1.0)
+class TestStackedExactness:
+    """Stacking members into one population must reproduce them stepped one
+    by one, bit for bit, also when no recurrent or drive sum is an integer."""
+
+    PARAMS = NeuronParams(w_lsm=0.7)
+    SCALE = 1.13
+
+    def members(self, n):
+        dims = GridDims(4, 4, 3)
+        spec = InputSpec(n_inputs=16, input_weight=7.3, density=0.3)
+        return [
+            (
+                build_reservoir(dims, ConnectionLaw(lam=2.0, d=1.5 * i), self.PARAMS, 80 + i),
+                build_input(spec, dims, 90 + i),
+            )
+            for i in range(n)
+        ]
+
+    def rates(self, steps):
+        return np.random.default_rng(5).gamma(0.8, 1.3, size=(steps, 16))
+
+    @pytest.mark.parametrize("n_parts", [3, 4])
+    def test_run_tepre_matches_lockstep_reference(self, n_parts):
+        params, steps = self.PARAMS, 96
+        members = self.members(n_parts)
+        links = build_tepre([t for t, _ in members], 0.08, -0.37, seed=7)
+        schedule = equal_split_schedule(steps, n_parts)
+        rates = self.rates(steps)
+        records = run_tepre(
+            rates, members, links, schedule, params, input_scale=self.SCALE,
+            record_raster=True, record_drive=True,
+        )
+
+        # reference: every partition advanced by its own lif_step per step,
+        # links applied to the previous step's spikes of partition r-1
+        drives = []
+        for r, (topo, imap) in enumerate(members):
+            start, end = schedule.intervals[r]
+            gated = np.zeros((steps, topo.size))
+            gated[start:end] = drive_through_map(rates, imap, self.SCALE)[start:end]
+            drives.append(gated)
+        link_mats = [
+            sparse.csr_matrix(
+                (w, (d, s)), shape=(members[r + 1][0].size, members[r][0].size)
+            )
+            for r, (s, d, w) in enumerate(links)
+        ]
+        states = [PopulationState.zeros(t.size) for t, _ in members]
+        counts = [np.zeros(t.size, dtype=np.int64) for t, _ in members]
+        slab_counts = [np.zeros(t.size, dtype=np.int64) for t, _ in members]
+        rasters = [np.zeros((steps, t.size), dtype=np.uint8) for t, _ in members]
+        drive_l1 = [np.zeros(steps) for _ in members]
+        crossings = 0
+        for t in range(steps):
+            prev = [s.spikes for s in states]
+            for r, (topo, _) in enumerate(members):
+                injected = drives[r][t]
+                if r > 0 and prev[r - 1].any():
+                    injected = injected + link_mats[r - 1].dot(prev[r - 1].astype(float))
+                    crossings += 1
+                states[r] = lif_step(states[r], injected, topo.weight_matrix(), params)
+                counts[r] += states[r].spikes
+                start, end = schedule.intervals[r]
+                if start <= t < end:
+                    slab_counts[r] += states[r].spikes
+                rasters[r][t] = states[r].spikes
+                drive_l1[r][t] = np.abs(drives[r][t]).sum()
+
+        assert crossings > 0 and all(link[0].size for link in links)
+        for r, record in enumerate(records):
+            assert counts[r].sum() > 0
+            assert np.array_equal(record.counts, counts[r])
+            assert np.array_equal(record.slab_counts, slab_counts[r])
+            assert np.array_equal(record.raster, rasters[r])
+            assert np.array_equal(record.drive_l1, drive_l1[r])
+
+    def test_run_mulre_matches_member_runs(self):
+        params, rates = self.PARAMS, self.rates(80)
+        members = self.members(3)
+        records = run_mulre(
+            rates, members, params, input_scale=self.SCALE, record_raster=True
+        )
+        for record, (topo, imap) in zip(records, members):
+            solo = simulate_population(
+                topo.weight_matrix(),
+                drive_through_map(rates, imap, self.SCALE),
+                params,
+                record_raster=True,
+            )
+            assert solo.counts.sum() > 0
+            assert np.array_equal(record.counts, solo.counts)
+            assert np.array_equal(record.raster, solo.raster)
+            assert record.slab_counts is None

@@ -9,6 +9,7 @@ from lsmkit import (
     EnsembleConfig,
     ExperimentConfig,
     InputConfig,
+    NeuronParams,
     PreprocessingConfig,
     Seeds,
     load_config,
@@ -98,6 +99,10 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError):
             EnsembleConfig(variant="tepre", partitions=5, dims=(4, 4, 6))
 
+    def test_zero_partitions_rejected(self):
+        with pytest.raises(ConfigError):
+            EnsembleConfig(variant="tepre", partitions=0, dims=(4, 4, 6))
+
 
 class TestRunExperiment:
     def test_deterministic_repeat(self, tiny_dataset):
@@ -174,6 +179,13 @@ class TestRunExperiment:
         other = tiny_config(tiny_dataset, seeds=Seeds(topology=99, input=12, training=13))
         with pytest.raises(ConfigError):
             run_experiment(other, topo_cache=str(cache))
+
+    def test_topology_cache_with_other_weight_rejected(self, tiny_dataset, tmp_path):
+        cache = tmp_path / "cache"
+        run_experiment(tiny_config(tiny_dataset), topo_cache=str(cache))
+        heavier = tiny_config(tiny_dataset, neuron=NeuronParams(w_lsm=3.0))
+        with pytest.raises(ConfigError):
+            run_experiment(heavier, topo_cache=str(cache))
 
     def test_manifest_resolves_against_data_root(
         self, tiny_dataset, tmp_path, monkeypatch

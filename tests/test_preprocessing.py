@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from lsmkit import (
     EventStream,
     FrameSequence,
     GaborSpec,
-    PresentationSpec,
     bin_events,
     clip_or_pad,
     downscale,
@@ -87,6 +88,15 @@ class TestBinning:
     def test_unsorted_rejected(self):
         with pytest.raises(ConfigError):
             stream_of([(5, 0, 0, 0), (1, 0, 0, 0)])
+
+    def test_negative_polarity_rejected(self):
+        # the +/-1 convention would otherwise wrap p = -1 into channel 1,
+        # binning every event as ON
+        with pytest.raises(ConfigError):
+            bin_events(
+                stream_of([(0, 0, 0, -1), (1, 1, 0, 1), (2, 2, 0, -1), (3, 3, 0, 1)]),
+                time_window=1000,
+            )
 
 
 class TestDownscale:
@@ -218,13 +228,6 @@ class TestSpikeDrive:
         assert drive.shape == (2, 8)
         assert drive[1, 1 * 4 + 0 * 2 + 1] == 7
 
-    def test_scale(self):
-        frames = np.ones((1, 1, 2, 2), dtype=int)
-        drive = frames_to_spike_drive(
-            FrameSequence(frames, 1000), PresentationSpec(scale=0.5)
-        )
-        assert np.all(drive == 0.5)
-
 
 class TestClipOrPad:
     def test_pad_and_clip(self):
@@ -294,5 +297,16 @@ class TestEventFiles:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.evs"
         path.write_bytes(b"NOPE" + b"\x00" * 40)
+        with pytest.raises(ConfigError):
+            read_events(path)
+
+    @pytest.mark.parametrize("count", [2**33, 2, 0])
+    def test_header_count_must_match_body(self, tmp_path, count):
+        # one 13-byte record under a header claiming another count; 2^33
+        # records would need ~100 GB if the header were trusted
+        path = tmp_path / "forged.evs"
+        path.write_bytes(
+            b"EVS1" + struct.pack("<IIIQ", 4, 4, 0, count) + b"\x00" * 13
+        )
         with pytest.raises(ConfigError):
             read_events(path)
