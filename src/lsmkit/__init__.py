@@ -49,7 +49,7 @@ from .inputs import (
     load_input_map,
     save_input_map,
 )
-from .neurons import NeuronParams, PopulationState, lif_step, synapse_trace_update
+from .neurons import NeuronParams, PopulationState, lif_step
 from .readout import (
     EvalMetrics,
     ReadoutConfig,

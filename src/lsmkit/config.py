@@ -20,14 +20,14 @@ pipeline consumes lives here; nothing is drawn from implicit entropy.
                     or {"variant": "mulre", "d_list": [0, 4, 6],
                         "member_dims": [10, 10, 12]},
       "readout":       {"l2": 1e-4, "learning_rate": 0.5, "epochs": 500,
-                        "tolerance": 1e-6, "backtracking": true,
-                        "state_mode": "full"},
+                        "tolerance": 1e-6, "state_mode": "full"},
       "seeds":         {"topology": 1, "input": 2, "training": 3},
       "output_dir":    "runs/example"
     }
 
 Relative manifest paths resolve against LSMKIT_DATA_ROOT when that
-environment variable is set, else against the config file's directory.
+environment variable is set (with no fallback when the file is missing
+there), else against the config file's directory.
 
 Input weight and density carry no published reference values; the shipped
 defaults (8.0 / 0.15) are engineering choices and should be treated as
@@ -266,13 +266,9 @@ def replace_manifest(cfg: ExperimentConfig, manifest: str) -> ExperimentConfig:
 
 
 def resolve_data_path(path_str: str, config_dir: Path) -> Path:
-    """Absolute as-is; else under $LSMKIT_DATA_ROOT, else beside the config."""
+    """Absolute as-is; else under $LSMKIT_DATA_ROOT if set, else beside the config."""
     p = Path(path_str)
     if p.is_absolute():
         return p
     root = os.environ.get(DATA_ROOT_ENV)
-    if root:
-        candidate = Path(root) / p
-        if candidate.exists():
-            return candidate
-    return config_dir / p
+    return Path(root) / p if root else config_dir / p

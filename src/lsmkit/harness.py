@@ -132,9 +132,7 @@ class SimBundle:
     inter_links: list | None
     params: NeuronParams
     input_scale: float
-    partitions: int
     state_mode: str
-    fixed_steps: int | None
 
 
 def _cached_reservoir(grid, law, neuron, seed, cache_dir, member):
@@ -230,9 +228,7 @@ def build_members(
         inter_links=inter_links,
         params=cfg.neuron,
         input_scale=cfg.preprocessing.input_scale,
-        partitions=ens.partitions if ens.variant == "tepre" else 1,
         state_mode=cfg.state_mode,
-        fixed_steps=cfg.preprocessing.steps,
     )
 
 
@@ -244,7 +240,7 @@ def simulate_sample(bundle: SimBundle, seq: FrameSequence):
             rates, bundle.members, bundle.params, input_scale=bundle.input_scale
         )
     else:
-        schedule = equal_split_schedule(seq.steps, bundle.partitions)
+        schedule = equal_split_schedule(seq.steps, len(bundle.members))
         records = run_tepre(
             rates,
             bundle.members,
@@ -253,7 +249,7 @@ def simulate_sample(bundle: SimBundle, seq: FrameSequence):
             bundle.params,
             input_scale=bundle.input_scale,
         )
-    state = extract_state(records, mode=bundle.state_mode, label=seq.label)
+    state = extract_state(records, mode=bundle.state_mode)
     totals = [int(r.counts.sum()) for r in records]
     return state.features, seq.label, totals, seq.steps
 
@@ -349,12 +345,12 @@ def run_experiment(
     timings["build"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    x_train, y_train, spikes_train, steps_train = _run_split(
-        manifest.train, bundle, cfg, manifest.channels, threads
+    features, labels, all_spikes, steps = _run_split(
+        manifest.train + manifest.test, bundle, cfg, manifest.channels, threads
     )
-    x_test, y_test, spikes_test, steps_test = _run_split(
-        manifest.test, bundle, cfg, manifest.channels, threads
-    )
+    n_train = len(manifest.train)
+    x_train, x_test = features[:n_train], features[n_train:]
+    y_train, y_test = labels[:n_train], labels[n_train:]
     timings["simulate"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -367,8 +363,7 @@ def run_experiment(
     timings["evaluate"] = time.perf_counter() - t0
 
     member_sizes = [topo.size for topo, _ in bundle.members]
-    total_steps = int(steps_train.sum() + steps_test.sum())
-    all_spikes = np.concatenate([spikes_train, spikes_test], axis=0)
+    total_steps = int(steps.sum())
     spike_stats = {
         "members": [
             {

@@ -76,21 +76,6 @@ class PopulationState:
         return self.v.shape[0]
 
 
-def synapse_trace_update(
-    trace: np.ndarray, arriving_weighted_spikes: np.ndarray, params: NeuronParams
-) -> np.ndarray:
-    """One leaky-trace step: decay plus the fresh weighted-spike arrivals.
-
-    Iterated over time this reproduces the convolution of the spike train
-    with the kernel (1/tau_u) * exp(-t/tau_u) to first order in dt.
-    """
-    trace = np.asarray(trace, dtype=np.float64)
-    arriving = np.asarray(arriving_weighted_spikes, dtype=np.float64)
-    if trace.shape != arriving.shape:
-        raise ConfigError("trace and arrival vectors must share one length")
-    return trace * (1.0 - params.dt / params.tau_u) + arriving / params.tau_u
-
-
 def lif_step(
     state: PopulationState,
     injected: np.ndarray,

@@ -24,7 +24,6 @@ PER_SLAB = "per-slab"
 @dataclass
 class SampleStateVector:
     features: np.ndarray
-    label: int | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -35,7 +34,6 @@ class SampleStateVector:
 def extract_state(
     records: list[SpikeRecord],
     mode: str = FULL_WINDOW,
-    label: int | None = None,
 ) -> SampleStateVector:
     """Concatenate per-member spike counts into one feature vector.
 
@@ -52,24 +50,7 @@ def extract_state(
         parts = [r.slab_counts for r in records]
     else:
         raise ConfigError(f"unknown extraction mode {mode!r}")
-    return SampleStateVector(np.concatenate(parts).astype(np.float64), label=label)
-
-
-def stack_states(samples: list[SampleStateVector]) -> tuple[np.ndarray, np.ndarray]:
-    """(n, features) matrix and (n,) label vector from a sample list."""
-    if not samples:
-        raise DatasetError("empty sample list")
-    dim = samples[0].features.shape[0]
-    for s in samples:
-        if s.features.shape[0] != dim:
-            raise DatasetError(
-                f"inconsistent state length {s.features.shape[0]} != {dim}"
-            )
-        if s.label is None:
-            raise DatasetError("sample without a label")
-    x = np.stack([s.features for s in samples])
-    y = np.array([s.label for s in samples], dtype=np.int64)
-    return x, y
+    return SampleStateVector(np.concatenate(parts).astype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -78,8 +59,6 @@ class ReadoutConfig:
     learning_rate: float = 0.5
     epochs: int = 500
     tolerance: float = 1e-6
-    backtracking: bool = True
-    seed: int = 0
 
 
 @dataclass
@@ -136,23 +115,20 @@ def loss_and_gradients(
 
 
 def train_readout(
-    train: list[SampleStateVector] | tuple[np.ndarray, np.ndarray],
+    train: tuple[np.ndarray, np.ndarray],
     config: ReadoutConfig = ReadoutConfig(),
 ) -> ReadoutModel:
     """Fit the linear readout by deterministic full-batch gradient descent.
 
     Starts from zero parameters (the objective is convex, so the start only
     fixes the deterministic path).  Stops when the joint gradient norm
-    drops below the tolerance or the epoch budget runs out.  With
-    backtracking enabled the step is halved until the loss decreases, so
-    the loss trajectory is non-increasing.
+    drops below the tolerance or the epoch budget runs out.  The step is
+    halved until the loss decreases, so the loss trajectory is
+    non-increasing.
     """
-    if isinstance(train, tuple):
-        x, y = train
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-    else:
-        x, y = stack_states(train)
+    x, y = train
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
     if not np.isfinite(x).all():
         raise DatasetError("non-finite feature values")
     classes = np.unique(y)
@@ -178,7 +154,7 @@ def train_readout(
             new_loss, new_gw, new_gb = loss_and_gradients(
                 w_new, b_new, xs, y_onehot, config.l2
             )
-            if not config.backtracking or new_loss <= loss or step < 1e-12:
+            if new_loss <= loss or step < 1e-12:
                 break
             step *= 0.5
         w, b, loss, grad_w, grad_b = w_new, b_new, new_loss, new_gw, new_gb
@@ -194,14 +170,11 @@ class EvalMetrics:
 
 def evaluate(
     model: ReadoutModel,
-    test: list[SampleStateVector] | tuple[np.ndarray, np.ndarray],
+    test: tuple[np.ndarray, np.ndarray],
 ) -> EvalMetrics:
-    if isinstance(test, tuple):
-        x, y = test
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-    else:
-        x, y = stack_states(test)
+    x, y = test
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
     if x.shape[0] == 0:
         raise DatasetError("empty evaluation set")
     predicted = model.predict(x)

@@ -1,11 +1,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lsmkit.cli as cli
 from lsmkit import (
     ConfigError,
     ConnectivityConfig,
+    DatasetError,
     EnsembleConfig,
     ExperimentConfig,
     InputConfig,
@@ -57,7 +59,91 @@ def tiny_config(manifest, **overrides):
     return ExperimentConfig(**defaults)
 
 
+sizes = st.integers(1, 6)
+positive = st.floats(1e-3, 1e3)
+fractions = st.floats(0.0, 1.0)
+
+
+@st.composite
+def experiment_configs(draw):
+    """Valid tepre and mulre configs with every field drawn."""
+    if draw(st.booleans()):
+        parts = draw(sizes)
+        ensemble = EnsembleConfig(
+            variant="tepre",
+            partitions=parts,
+            dims=(draw(sizes), draw(sizes), parts * draw(sizes)),
+            inter_density=draw(fractions),
+            inter_weight=draw(st.floats(-10.0, 0.0)),
+        )
+        scheme, state_mode = "standard", draw(st.sampled_from(["full", "per-slab"]))
+    else:
+        ensemble = EnsembleConfig(
+            variant="mulre",
+            d_list=tuple(draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4))),
+            member_dims=(draw(sizes), draw(sizes), draw(sizes)),
+        )
+        scheme, state_mode = "receptive_field", "full"
+    lambda_list = draw(
+        st.none()
+        | st.lists(positive, min_size=ensemble.n_members, max_size=ensemble.n_members)
+        .map(tuple)
+    )
+    return ExperimentConfig(
+        dataset_manifest=draw(st.text("abc/._-", min_size=1, max_size=20)),
+        preprocessing=PreprocessingConfig(
+            time_window=draw(st.integers(1, 10**6)),
+            downscale=draw(sizes),
+            gabor=draw(st.booleans()),
+            merge_polarities=draw(st.booleans()),
+            input_scale=draw(positive),
+            steps=draw(st.none() | st.integers(1, 5000)),
+        ),
+        neuron=NeuronParams(
+            tau_v=draw(st.floats(1.5, 100.0)),
+            tau_u=draw(st.floats(1.5, 100.0)),
+            theta=draw(positive),
+            dt=draw(st.floats(0.01, 1.0)),
+            w_lsm=draw(positive),
+        ),
+        connectivity=ConnectivityConfig(
+            lam=draw(positive),
+            c_table={k: draw(fractions) for k in ("EE", "EI", "IE", "II")},
+            lambda_list=lambda_list,
+        ),
+        input=InputConfig(
+            weight=draw(positive),
+            density=draw(fractions),
+            scheme=scheme,
+            window=draw(sizes),
+        ),
+        ensemble=ensemble,
+        readout=ReadoutConfig(
+            l2=draw(st.floats(0.0, 1.0)),
+            learning_rate=draw(positive),
+            epochs=draw(st.integers(0, 1000)),
+            tolerance=draw(st.floats(0.0, 1.0)),
+        ),
+        state_mode=state_mode,
+        seeds=Seeds(*(draw(st.integers(0, 2**31 - 1)) for _ in range(3))),
+        output_dir=draw(st.none() | st.text("abc/._-", max_size=20)),
+    )
+
+
 class TestConfigRoundTrip:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(experiment_configs())
+    def test_dict_round_trip_property(self, cfg):
+        assert from_dict(to_dict(cfg)) == cfg
+        assert from_dict(json.loads(json.dumps(to_dict(cfg)))) == cfg
+
+    @pytest.mark.parametrize("key", ["seed", "backtracking"])
+    def test_retired_readout_keys_rejected(self, tiny_dataset, key):
+        data = to_dict(tiny_config(tiny_dataset))
+        data["readout"][key] = True if key == "backtracking" else 0
+        with pytest.raises(ConfigError, match=key):
+            from_dict(data)
+
     def test_dict_round_trip_tepre(self, tiny_dataset):
         cfg = tiny_config(tiny_dataset)
         assert from_dict(to_dict(cfg)) == cfg
@@ -200,6 +286,19 @@ class TestRunExperiment:
         assert loaded.dataset_manifest == str(tiny_dataset)
         report = run_experiment(loaded)
         assert report.test_accuracy == run_experiment(cfg).test_accuracy
+
+
+    def test_manifest_missing_under_data_root_is_an_error(
+        self, tiny_dataset, tmp_path, monkeypatch
+    ):
+        # the config directory holds the manifest; the data root does not
+        path = tiny_dataset.parent / "cfg_beside_manifest.json"
+        save_config(tiny_config(tiny_dataset.name), path)
+        monkeypatch.setenv("LSMKIT_DATA_ROOT", str(tmp_path))
+        loaded = load_config(path)
+        assert loaded.dataset_manifest == str(tmp_path / tiny_dataset.name)
+        with pytest.raises(DatasetError):
+            run_experiment(loaded)
 
 
 class TestSweep:

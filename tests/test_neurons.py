@@ -10,7 +10,6 @@ from lsmkit import (
     NumericsError,
     PopulationState,
     lif_step,
-    synapse_trace_update,
 )
 
 
@@ -168,21 +167,27 @@ class TestLifStep:
             assert np.array_equal(sa, sb)
 
 
+def trace_step(u, arriving):
+    """Synaptic trace after one lif_step of an unconnected population whose
+    threshold is never reached, so only the u update is exercised."""
+    state = PopulationState(np.zeros(u.shape), u)
+    return lif_step(state, arriving, None, NeuronParams(theta=1e12)).u
+
+
 class TestSynapseTrace:
     def test_single_impulse_response(self):
-        out = synapse_trace_update(np.array([0.0]), np.array([1.0]), NeuronParams())
+        out = trace_step(np.array([0.0]), np.array([1.0]))
         assert out[0] == 1.0 / 16
 
     def test_one_decay_step(self):
-        out = synapse_trace_update(np.array([0.0625]), np.array([0.0]), NeuronParams())
+        out = trace_step(np.array([0.0625]), np.array([0.0]))
         assert out[0] == 0.05859375
 
     def test_impulse_response_tracks_continuous_kernel(self):
         # discrete (1/16)(15/16)^k vs (1/16)e^(-k/16); frozen oracle values
-        params = NeuronParams()
-        trace = synapse_trace_update(np.zeros(1), np.ones(1), params)
+        trace = trace_step(np.zeros(1), np.ones(1))
         for _ in range(16):
-            trace = synapse_trace_update(trace, np.zeros(1), params)
+            trace = trace_step(trace, np.zeros(1))
         discrete = trace[0]
         continuous = (1 / 16) * math.exp(-1.0)
         assert discrete == pytest.approx(0.02225463315323705, rel=1e-12)
@@ -193,7 +198,6 @@ class TestSynapseTrace:
     def test_linearity_exact_for_dyadic_inputs(self):
         # tau_u = 16 scales by exact dyadic factors, so superposition is
         # bit-exact over short horizons with integer arrivals
-        params = NeuronParams()
         rng = np.random.default_rng(0)
         a = rng.integers(0, 5, size=(10, 8)).astype(float)
         b = rng.integers(0, 5, size=(10, 8)).astype(float)
@@ -202,14 +206,10 @@ class TestSynapseTrace:
             trace = np.zeros(8)
             out = []
             for row in train:
-                trace = synapse_trace_update(trace, row, params)
+                trace = trace_step(trace, row)
                 out.append(trace)
             return np.array(out)
 
         combined = response(a + b)
         summed = response(a) + response(b)
         assert np.array_equal(combined, summed)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ConfigError):
-            synapse_trace_update(np.zeros(3), np.zeros(2), NeuronParams())

@@ -5,7 +5,6 @@ from lsmkit import (
     ConfigError,
     DatasetError,
     ReadoutConfig,
-    SampleStateVector,
     SpikeRecord,
     evaluate,
     extract_state,
@@ -13,7 +12,7 @@ from lsmkit import (
     save_model,
     train_readout,
 )
-from lsmkit.readout import loss_and_gradients, stack_states
+from lsmkit.readout import loss_and_gradients
 
 
 def record(counts, slab=None, steps=100):
@@ -27,7 +26,7 @@ def record(counts, slab=None, steps=100):
 
 class TestExtractState:
     def test_silent_reservoir_zero_vector(self):
-        state = extract_state([record(np.zeros(10))], label=0)
+        state = extract_state([record(np.zeros(10))])
         assert state.features.shape == (10,)
         assert np.all(state.features == 0)
 
@@ -54,14 +53,6 @@ class TestExtractState:
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             extract_state([])
-
-    def test_inconsistent_dims_rejected(self):
-        samples = [
-            SampleStateVector(np.zeros(4), label=0),
-            SampleStateVector(np.zeros(5), label=1),
-        ]
-        with pytest.raises(DatasetError):
-            stack_states(samples)
 
 
 def finite_difference_grads(w, b, x, y_onehot, l2, eps=1e-6):

@@ -144,7 +144,7 @@ class TestPhaseLocalizedSignal:
         links = build_tepre([t for t, _ in members], 0.01, -1.0, seed=99)
         schedule = equal_split_schedule(180, 3)
 
-        states = []
+        features = []
         for s in range(60):
             label = s % 2
             stream = make_stream(label, np.random.default_rng(1000 + s))
@@ -152,9 +152,10 @@ class TestPhaseLocalizedSignal:
             records = run_tepre(
                 frames_to_spike_drive(seq), members, links, schedule, params
             )
-            states.append(extract_state(records, label=label))
+            features.append(extract_state(records).features)
 
-        model = train_readout(states, ReadoutConfig(epochs=200))
+        labels = np.arange(60) % 2
+        model = train_readout((np.stack(features), labels), ReadoutConfig(epochs=200))
         n = dims.size
         block_norms = [
             float(np.linalg.norm(model.weights[:, r * n : (r + 1) * n]))
