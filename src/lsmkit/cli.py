@@ -47,7 +47,7 @@ def _apply_overrides(cfg, args):
 
 def cmd_run(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    report = run_experiment(cfg, threads=args.threads, topo_cache=args.topo_cache)
+    report = run_experiment(cfg, threads=args.threads)
     print(f"train accuracy: {report.train_accuracy:.4f}")
     print(f"test accuracy:  {report.test_accuracy:.4f}")
     for stage, seconds in report.timings.items():
@@ -126,10 +126,10 @@ def cmd_convert(args) -> int:
 def cmd_topo_export(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     manifest = load_manifest(cfg.dataset_manifest)
-    bundle = build_members(cfg, frame_geometry(cfg, manifest))
+    engine = build_members(cfg, frame_geometry(cfg, manifest), manifest.channels)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    for i, (topo, imap) in enumerate(bundle.members):
+    for i, (topo, imap) in enumerate(engine.members):
         topo_path = out / f"member_{i}_topology.txt"
         save_topology(topo, topo_path)
         print(f"wrote {topo_path} ({topo.n_edges} edges)")
@@ -154,11 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one experiment")
     add_common(p_run)
-    p_run.add_argument(
-        "--topo-cache",
-        default=None,
-        help="directory for cached topology text files (reused across runs)",
-    )
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="sweep one hyperparameter axis")

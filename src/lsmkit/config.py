@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -250,19 +250,13 @@ def load_config(path) -> ExperimentConfig:
         data = json.load(fh)
     cfg = from_dict(data)
     manifest = resolve_data_path(cfg.dataset_manifest, path.parent)
-    return replace_manifest(cfg, str(manifest))
+    return replace(cfg, dataset_manifest=str(manifest))
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
     with open(path, "w") as fh:
         json.dump(to_dict(cfg), fh, indent=1)
         fh.write("\n")
-
-
-def replace_manifest(cfg: ExperimentConfig, manifest: str) -> ExperimentConfig:
-    from dataclasses import replace
-
-    return replace(cfg, dataset_manifest=manifest)
 
 
 def resolve_data_path(path_str: str, config_dir: Path) -> Path:

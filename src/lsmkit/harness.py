@@ -3,8 +3,10 @@
 A run is a pure function of (config, dataset): explicit seeds drive every
 random choice, so re-running a config reproduces the state vectors and
 metrics bit for bit (the report carries SHA-256 hashes to check exactly
-that).  Sample simulation parallelizes across processes; results are
-collected in sample order so the thread count never changes the output.
+that).  A run builds one ``Engine``, its members and links, and calls it
+on every sample file, in this process or in a pool of worker processes
+that each hold a copy; results are collected in sample order so the
+thread count never changes the output.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,12 +40,11 @@ from .events import (
 from .gabor import GaborSpec, gabor_bank
 from .inputs import (
     RECEPTIVE_FIELD,
-    STANDARD,
+    InputMap,
     InputSpec,
     ReceptiveField,
     build_input,
 )
-from .neurons import NeuronParams
 from .readout import (
     evaluate,
     extract_state,
@@ -79,14 +80,21 @@ def load_manifest(path) -> Manifest:
             data = json.load(fh)
     except FileNotFoundError:
         raise DatasetError(f"dataset manifest not found: {path}")
+    except ValueError as exc:
+        raise DatasetError(f"dataset manifest {path} is not valid JSON: {exc}")
     base = path.parent
-    return Manifest(
-        width=int(data["width"]),
-        height=int(data["height"]),
-        channels=int(data.get("channels", 2)),
-        train=[base / p for p in data["train"]],
-        test=[base / p for p in data["test"]],
-    )
+    try:
+        return Manifest(
+            width=int(data["width"]),
+            height=int(data["height"]),
+            channels=int(data.get("channels", 2)),
+            train=[base / p for p in data["train"]],
+            test=[base / p for p in data["test"]],
+        )
+    except KeyError as exc:
+        raise DatasetError(f"dataset manifest {path} has no key {exc}")
+    except (TypeError, ValueError) as exc:
+        raise DatasetError(f"dataset manifest {path} is malformed: {exc}")
 
 
 def preprocess_stream(stream, cfg: ExperimentConfig, n_channels: int) -> FrameSequence:
@@ -124,71 +132,62 @@ def frame_geometry(cfg: ExperimentConfig, manifest: Manifest) -> tuple[int, int,
 
 
 @dataclass
-class SimBundle:
-    """Everything needed to simulate one sample; picklable for workers."""
+class Engine:
+    """One run's fixed state: the seeded members and links, and the config
+    that turns an event file into their drive.  Calling it simulates one
+    sample; it is picklable, so a process pool ships it to each worker once.
+    """
 
-    variant: str
-    members: list[tuple[ReservoirTopology, object]]
+    cfg: ExperimentConfig
+    channels: int  # polarity channels of the raw event files
+    members: list[tuple[ReservoirTopology, InputMap]]
     inter_links: list | None
-    params: NeuronParams
-    input_scale: float
-    state_mode: str
 
-
-def _cached_reservoir(grid, law, neuron, seed, cache_dir, member):
-    """Build a member topology, round-tripping through the text cache."""
-    from .topology import load_topology, save_topology
-
-    path = Path(cache_dir) / f"member_{member}_topology.txt"
-    if path.exists():
-        topo = load_topology(path)
-        if (
-            topo.dims != grid
-            or topo.seed != seed
-            or topo.law.lam != law.lam
-            or topo.law.d != law.d
-            or topo.law.c_table != law.c_table
-            or np.any(np.abs(topo.weight) != neuron.w_lsm)
-        ):
-            raise ConfigError(f"stale topology cache at {path}; delete it to rebuild")
-        return topo
-    topo = build_reservoir(grid, law, neuron, seed)
-    Path(cache_dir).mkdir(parents=True, exist_ok=True)
-    save_topology(topo, path)
-    return topo
+    def __call__(self, path) -> tuple[np.ndarray, int, list[int], int]:
+        """(features, label, total spikes per member, steps) of one file."""
+        stream = eventio.read_events(path)
+        if stream.label is None:
+            raise DatasetError(f"{path}: sample has no label")
+        seq = preprocess_stream(stream, self.cfg, self.channels)
+        rates = frames_to_spike_drive(seq)
+        params, scale = self.cfg.neuron, self.cfg.preprocessing.input_scale
+        if self.cfg.ensemble.variant == "mulre":
+            records = run_mulre(rates, self.members, params, input_scale=scale)
+        else:
+            schedule = equal_split_schedule(seq.steps, len(self.members))
+            records = run_tepre(
+                rates, self.members, self.inter_links, schedule, params,
+                input_scale=scale,
+            )
+        state = extract_state(records, mode=self.cfg.state_mode)
+        totals = [int(r.counts.sum()) for r in records]
+        return state.features, seq.label, totals, seq.steps
 
 
 def build_members(
-    cfg: ExperimentConfig,
-    geometry: tuple[int, int, int],
-    topo_cache: str | None = None,
-) -> SimBundle:
-    channels, height, width = geometry
-    n_inputs = channels * height * width
+    cfg: ExperimentConfig, geometry: tuple[int, int, int], channels: int
+) -> Engine:
+    """The run's engine for preprocessed frames of ``geometry`` cut from
+    event files with ``channels`` polarity channels."""
+    frame_channels, height, width = geometry
     ens = cfg.ensemble
     grid = GridDims(*ens.member_grid())
 
+    field = None
     if cfg.input.scheme == RECEPTIVE_FIELD:
-        rf = ReceptiveField(
+        field = ReceptiveField(
             window=cfg.input.window,
             input_width=width,
             input_height=height,
-            channels=channels,
+            channels=frame_channels,
         )
-        spec = InputSpec(
-            n_inputs=n_inputs,
-            input_weight=cfg.input.weight,
-            density=cfg.input.density,
-            scheme=RECEPTIVE_FIELD,
-            field=rf,
-        )
-    else:
-        spec = InputSpec(
-            n_inputs=n_inputs,
-            input_weight=cfg.input.weight,
-            density=cfg.input.density,
-            scheme=STANDARD,
-        )
+    spec = InputSpec(
+        n_inputs=frame_channels * height * width,
+        input_weight=cfg.input.weight,
+        density=cfg.input.density,
+        scheme=cfg.input.scheme,
+        field=field,
+    )
 
     if ens.variant == "mulre":
         d_values = list(ens.d_list)
@@ -205,11 +204,7 @@ def build_members(
         law = ConnectionLaw(
             lam=cfg.connectivity.lam_for(i), d=d, c_table=dict(cfg.connectivity.c_table)
         )
-        seed = member_seed(cfg.seeds.topology, i)
-        if topo_cache is not None:
-            topo = _cached_reservoir(grid, law, cfg.neuron, seed, topo_cache, i)
-        else:
-            topo = build_reservoir(grid, law, cfg.neuron, seed)
+        topo = build_reservoir(grid, law, cfg.neuron, member_seed(cfg.seeds.topology, i))
         imap = build_input(spec, grid, member_seed(cfg.seeds.input, i))
         members.append((topo, imap))
 
@@ -221,73 +216,29 @@ def build_members(
             ens.inter_weight,
             inter_link_seed(cfg.seeds.topology, len(members)),
         )
-
-    return SimBundle(
-        variant=ens.variant,
-        members=members,
-        inter_links=inter_links,
-        params=cfg.neuron,
-        input_scale=cfg.preprocessing.input_scale,
-        state_mode=cfg.state_mode,
-    )
+    return Engine(cfg, channels, members, inter_links)
 
 
-def simulate_sample(bundle: SimBundle, seq: FrameSequence):
-    """Returns (features, label, total spikes per member, steps)."""
-    rates = frames_to_spike_drive(seq)
-    if bundle.variant == "mulre":
-        records = run_mulre(
-            rates, bundle.members, bundle.params, input_scale=bundle.input_scale
-        )
-    else:
-        schedule = equal_split_schedule(seq.steps, len(bundle.members))
-        records = run_tepre(
-            rates,
-            bundle.members,
-            bundle.inter_links,
-            schedule,
-            bundle.params,
-            input_scale=bundle.input_scale,
-        )
-    state = extract_state(records, mode=bundle.state_mode)
-    totals = [int(r.counts.sum()) for r in records]
-    return state.features, seq.label, totals, seq.steps
+_ENGINE: Engine | None = None  # set once in each pool worker process
 
 
-_WORKER: dict = {}
+def _install_engine(engine: Engine) -> None:
+    global _ENGINE
+    _ENGINE = engine
 
 
-def _init_worker(bundle: SimBundle, cfg: ExperimentConfig, channels: int) -> None:
-    _WORKER["bundle"] = bundle
-    _WORKER["cfg"] = cfg
-    _WORKER["channels"] = channels
+def _run_installed(path):
+    return _ENGINE(path)
 
 
-def _process_file(path) -> tuple[np.ndarray, int, list[int], int]:
-    stream = eventio.read_events(path)
-    seq = preprocess_stream(stream, _WORKER["cfg"], _WORKER["channels"])
-    if stream.label is None:
-        raise DatasetError(f"{path}: sample has no label")
-    return simulate_sample(_WORKER["bundle"], seq)
-
-
-def _run_split(
-    files: list[Path],
-    bundle: SimBundle,
-    cfg: ExperimentConfig,
-    channels: int,
-    threads: int,
-):
+def _run_split(files: list[Path], engine: Engine, threads: int):
     if threads <= 1:
-        _init_worker(bundle, cfg, channels)
-        results = [_process_file(p) for p in files]
+        results = [engine(p) for p in files]
     else:
         with ProcessPoolExecutor(
-            max_workers=threads,
-            initializer=_init_worker,
-            initargs=(bundle, cfg, channels),
+            max_workers=threads, initializer=_install_engine, initargs=(engine,)
         ) as pool:
-            results = list(pool.map(_process_file, files, chunksize=8))
+            results = list(pool.map(_run_installed, files, chunksize=8))
     features = np.stack([r[0] for r in results])
     labels = np.array([r[1] for r in results], dtype=np.int64)
     spike_totals = np.array([r[2] for r in results], dtype=np.int64)
@@ -312,17 +263,7 @@ class RunReport:
     artifacts: dict
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "dataset": self.dataset,
-            "timings": self.timings,
-            "spike_stats": self.spike_stats,
-            "train_accuracy": self.train_accuracy,
-            "test_accuracy": self.test_accuracy,
-            "confusion": self.confusion,
-            "state_hash": self.state_hash,
-            "artifacts": self.artifacts,
-        }
+        return asdict(self)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -330,9 +271,7 @@ class RunReport:
             fh.write("\n")
 
 
-def run_experiment(
-    cfg: ExperimentConfig, threads: int = 1, topo_cache: str | None = None
-) -> RunReport:
+def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
     """Execute the full pipeline and assemble the report."""
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -341,12 +280,12 @@ def run_experiment(
     timings["load"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    bundle = build_members(cfg, geometry, topo_cache=topo_cache)
+    engine = build_members(cfg, geometry, manifest.channels)
     timings["build"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     features, labels, all_spikes, steps = _run_split(
-        manifest.train + manifest.test, bundle, cfg, manifest.channels, threads
+        manifest.train + manifest.test, engine, threads
     )
     n_train = len(manifest.train)
     x_train, x_test = features[:n_train], features[n_train:]
@@ -362,7 +301,7 @@ def run_experiment(
     test_metrics = evaluate(model, (x_test, y_test))
     timings["evaluate"] = time.perf_counter() - t0
 
-    member_sizes = [topo.size for topo, _ in bundle.members]
+    member_sizes = [topo.size for topo, _ in engine.members]
     total_steps = int(steps.sum())
     spike_stats = {
         "members": [

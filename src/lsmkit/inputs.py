@@ -226,9 +226,9 @@ def build_input(spec: InputSpec, dims: GridDims, seed: int) -> InputMap:
     return build_receptive_field_input(spec, dims, seed)
 
 
-def save_input_map(imap: InputMap, path, mode: str = "w") -> None:
+def save_input_map(imap: InputMap, path) -> None:
     """Text export in the topology edge format, under an ``input`` header."""
-    with open(path, mode) as fh:
+    with open(path, "w") as fh:
         fh.write("lsm-input v1\n")
         fh.write(f"n_inputs {imap.n_inputs}\n")
         fh.write(f"n_reservoir {imap.n_reservoir}\n")

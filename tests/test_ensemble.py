@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from lsmkit import (
@@ -43,15 +44,23 @@ class TestSchedule:
         sched = equal_split_schedule(300, 3)
         assert sched.intervals == ((0, 100), (100, 200), (200, 300))
 
-    def test_lengths_differ_by_at_most_one(self):
-        for steps in (7, 100, 301, 314):
-            for parts in (1, 2, 3, 4, 6):
-                if steps < parts:
-                    continue
-                sched = equal_split_schedule(steps, parts)
-                lengths = [e - s for s, e in sched.intervals]
-                assert sum(lengths) == steps
-                assert max(lengths) - min(lengths) <= 1
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        st.integers(1, 64).flatmap(
+            lambda parts: st.tuples(st.integers(parts, 5_000), st.just(parts))
+        )
+    )
+    def test_lengths_differ_by_at_most_one(self, steps_and_parts):
+        steps, parts = steps_and_parts
+        sched = equal_split_schedule(steps, parts)
+        assert len(sched.intervals) == parts
+        # consecutive, non-empty intervals that tile [0, steps)
+        assert sched.intervals[0][0] == 0 and sched.intervals[-1][1] == steps
+        for (_, end), (start, _) in zip(sched.intervals, sched.intervals[1:]):
+            assert end == start
+        lengths = [e - s for s, e in sched.intervals]
+        assert min(lengths) >= 1
+        assert max(lengths) - min(lengths) <= 1
 
     def test_gap_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,9 +1,12 @@
+import gc
 import json
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lsmkit.cli as cli
+import lsmkit.harness as harness
 from lsmkit import (
     ConfigError,
     ConnectivityConfig,
@@ -19,6 +22,7 @@ from lsmkit import (
 )
 from lsmkit.config import from_dict, to_dict
 from lsmkit.harness import (
+    build_members,
     frame_geometry,
     load_manifest,
     run_experiment,
@@ -249,29 +253,18 @@ class TestRunExperiment:
         with pytest.raises(Exception):
             run_experiment(cfg)
 
-    def test_topology_cache_round_trip(self, tiny_dataset, tmp_path):
-        cfg = tiny_config(tiny_dataset)
-        cache = tmp_path / "cache"
-        fresh = run_experiment(cfg, topo_cache=str(cache))
-        assert sorted(p.name for p in cache.iterdir()) == [
-            f"member_{i}_topology.txt" for i in range(3)
-        ]
-        cached = run_experiment(cfg, topo_cache=str(cache))
-        assert cached.state_hash == fresh.state_hash
+    def test_engine_released_after_serial_run(self, tiny_dataset, monkeypatch):
+        built = []
 
-    def test_stale_topology_cache_rejected(self, tiny_dataset, tmp_path):
-        cache = tmp_path / "cache"
-        run_experiment(tiny_config(tiny_dataset), topo_cache=str(cache))
-        other = tiny_config(tiny_dataset, seeds=Seeds(topology=99, input=12, training=13))
-        with pytest.raises(ConfigError):
-            run_experiment(other, topo_cache=str(cache))
+        def build_and_keep_ref(*args, **kwargs):
+            engine = build_members(*args, **kwargs)
+            built.append(weakref.ref(engine))
+            return engine
 
-    def test_topology_cache_with_other_weight_rejected(self, tiny_dataset, tmp_path):
-        cache = tmp_path / "cache"
-        run_experiment(tiny_config(tiny_dataset), topo_cache=str(cache))
-        heavier = tiny_config(tiny_dataset, neuron=NeuronParams(w_lsm=3.0))
-        with pytest.raises(ConfigError):
-            run_experiment(heavier, topo_cache=str(cache))
+        monkeypatch.setattr(harness, "build_members", build_and_keep_ref)
+        run_experiment(tiny_config(tiny_dataset), threads=1)
+        gc.collect()
+        assert len(built) == 1 and built[0]() is None
 
     def test_manifest_resolves_against_data_root(
         self, tiny_dataset, tmp_path, monkeypatch
@@ -445,3 +438,22 @@ class TestCli:
         rc = cli.main(["run", "--config", str(bad)])
         assert rc != 0
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ('{"height": 6, "train": [], "test": []}', "'width'"),
+            ('{"width": 6, "height": ', "not valid JSON"),
+            ('{"width": 6, "height": 6, "train": 3, "test": []}', "malformed"),
+        ],
+        ids=["no-width", "bad-json", "train-not-a-list"],
+    )
+    def test_malformed_manifest_is_an_error(self, tmp_path, capsys, text, named):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        cfg_path = tmp_path / "cfg.json"
+        save_config(tiny_config(manifest), cfg_path)
+        rc = cli.main(["run", "--config", str(cfg_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(manifest) in err and named in err

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lsmkit import (
     ConfigError,
@@ -49,20 +51,32 @@ class TestBinning:
         assert seq.frames[0].sum() == 2
         assert seq.frames[1].sum() == 1
 
-    def test_count_conservation(self):
-        rng = np.random.default_rng(3)
-        n = 500
-        t = np.sort(rng.integers(0, 50_000, size=n))
-        stream = EventStream(
-            t=t,
-            x=rng.integers(0, 8, size=n),
-            y=rng.integers(0, 8, size=n),
-            p=rng.integers(0, 2, size=n),
-            width=8,
-            height=8,
-        )
-        seq = bin_events(stream, time_window=700)
-        assert seq.frames.sum() == n
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda side: st.tuples(
+                st.just(side),
+                st.lists(
+                    st.tuples(
+                        st.integers(0, 50_000),
+                        st.integers(0, side - 1),
+                        st.integers(0, side - 1),
+                        st.integers(0, 1),
+                    ),
+                    max_size=200,
+                ),
+            )
+        ),
+        st.integers(1, 5_000),
+    )
+    def test_count_conservation(self, side_and_events, time_window):
+        side, events = side_and_events
+        events.sort(key=lambda e: e[0])
+        seq = bin_events(stream_of(events, width=side, height=side), time_window)
+        assert seq.frames.sum() == len(events)
+        if events:
+            span = events[-1][0] - events[0][0]
+            assert seq.steps == span // time_window + 1
 
     def test_anchored_at_first_event(self):
         a = bin_events(stream_of([(0, 0, 0, 0), (2500, 1, 1, 1)]), 1000)
@@ -100,13 +114,32 @@ class TestBinning:
 
 
 class TestDownscale:
-    def test_total_preserved(self):
-        rng = np.random.default_rng(0)
-        frames = rng.integers(0, 5, size=(3, 2, 128, 128))
-        seq = FrameSequence(frames, 1000)
-        out = downscale(seq, 2)
-        assert out.frames.shape == (3, 2, 64, 64)
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(
+        st.tuples(
+            st.integers(1, 4),  # factor
+            st.integers(0, 3),  # steps
+            st.integers(1, 2),  # channels
+            st.integers(1, 4),  # cells down
+            st.integers(1, 4),  # cells across
+        ).flatmap(
+            lambda d: st.tuples(
+                st.just(d[0]),
+                arrays(
+                    np.int64,
+                    (d[1], d[2], d[0] * d[3], d[0] * d[4]),
+                    elements=st.integers(0, 1000),
+                ),
+            )
+        )
+    )
+    def test_total_preserved(self, factor_and_frames):
+        factor, frames = factor_and_frames
+        out = downscale(FrameSequence(frames, 1000), factor)
+        t, c, h, w = frames.shape
+        assert out.frames.shape == (t, c, h // factor, w // factor)
         assert out.frames.sum() == frames.sum()
+        assert np.array_equal(out.frames.sum(axis=(2, 3)), frames.sum(axis=(2, 3)))
 
     def test_zero_frames(self):
         seq = FrameSequence(np.zeros((2, 1, 8, 8), dtype=int), 1000)
