@@ -2,19 +2,20 @@
 """From raw events to reservoir drive.
 
 Generates a synthetic event stream, bins it into per-timestep count
-frames, pools it down, runs the 18-kernel Gabor bank, and flattens the
-result into the per-step drive vectors the reservoir consumes.
+frames, pools it down, merges the two polarities, runs the fixed 18-kernel
+Gabor bank, and flattens the result into the per-step drive vectors the
+reservoir consumes.
 """
 
 import numpy as np
 
 from lsmkit import (
     EventStream,
-    GaborSpec,
     bin_events,
     downscale,
     frames_to_spike_drive,
     gabor_bank,
+    merge_channels,
 )
 
 rng = np.random.default_rng(0)
@@ -42,7 +43,8 @@ print(f"binned: {seq.steps} steps x {seq.channels} channels x 32 x 32, "
 small = downscale(seq, 2)
 print(f"downscaled by 2: {small.frames.shape}, counts still {small.frames.sum()}")
 
-filtered = gabor_bank(small, GaborSpec())
+# the bank sees one merged polarity channel, as the harness feeds it
+filtered = gabor_bank(merge_channels(small))
 print(f"gabor bank: {filtered.channels} channels of rectified responses")
 
 # at each step the bar is a vertical line, so the vertically tuned

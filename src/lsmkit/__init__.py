@@ -37,7 +37,7 @@ from .events import (
     frames_to_spike_drive,
     merge_channels,
 )
-from .gabor import GaborSpec, build_bank, gabor_bank, gabor_kernel
+from .gabor import build_bank, gabor_bank, gabor_kernel
 from .harness import RunReport, run_experiment, run_sweep
 from .inputs import (
     InputMap,

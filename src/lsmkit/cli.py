@@ -148,7 +148,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", required=True, help="experiment config JSON")
-        p.add_argument("--seed-override", type=int, default=None)
+        p.add_argument(
+            "--seed-override",
+            type=int,
+            default=None,
+            help="set the topology, input and training seeds to N, N+1, N+2 "
+            "(the training seed is reserved and unused)",
+        )
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--threads", type=int, default=1)
 

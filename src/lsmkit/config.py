@@ -29,6 +29,9 @@ Relative manifest paths resolve against LSMKIT_DATA_ROOT when that
 environment variable is set (with no fallback when the file is missing
 there), else against the config file's directory.
 
+The training seed is reserved and unused: the readout's gradient descent
+starts from zero weights and draws no random numbers.
+
 Input weight and density carry no published reference values; the shipped
 defaults (8.0 / 0.15) are engineering choices and should be treated as
 sweep candidates.  The same holds for lam = 2.0, the customary local-law
@@ -65,6 +68,8 @@ class PreprocessingConfig:
             raise ConfigError("time_window must be positive")
         if self.downscale < 1:
             raise ConfigError("downscale factor must be >= 1")
+        if self.steps is not None and self.steps < 1:
+            raise ConfigError(f"steps must be >= 1 or null, not {self.steps}")
 
 
 @dataclass(frozen=True)
@@ -247,7 +252,10 @@ def from_dict(data: dict) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"config {path} is not valid JSON: {exc}")
     cfg = from_dict(data)
     manifest = resolve_data_path(cfg.dataset_manifest, path.parent)
     return replace(cfg, dataset_manifest=str(manifest))

@@ -20,7 +20,7 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DatasetError
 from .events import EventStream
 
 MAGIC = b"EVS1"
@@ -72,14 +72,20 @@ def read_csv_events(path, width: int, height: int, label: int | None = None) -> 
     """CSV interchange: one ``t,x,y,p`` record per line, header optional."""
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
             if parts[0].lower() in ("t", "time", "timestamp"):
                 continue
-            rows.append(tuple(int(v) for v in parts[:4]))
+            try:
+                t, x, y, p = (int(v) for v in parts[:4])
+            except ValueError:
+                raise DatasetError(
+                    f"{path}:{lineno}: expected integer t,x,y,p, got {line!r}"
+                ) from None
+            rows.append((t, x, y, p))
     if rows:
         arr = np.array(rows, dtype=np.int64)
     else:

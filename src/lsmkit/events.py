@@ -62,8 +62,6 @@ class FrameSequence:
     """
 
     frames: np.ndarray
-    time_window: int
-    label: int | None = None
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames)
@@ -78,13 +76,10 @@ class FrameSequence:
     def channels(self) -> int:
         return self.frames.shape[1]
 
-    @property
-    def n_inputs(self) -> int:
-        return self.frames.shape[1] * self.frames.shape[2] * self.frames.shape[3]
-
     def flat(self) -> np.ndarray:
         """(T, C*H*W) view, channel-major then row-major within a frame."""
-        return self.frames.reshape(self.steps, -1)
+        t, c, h, w = self.frames.shape
+        return self.frames.reshape(t, c * h * w)
 
 
 def bin_events(
@@ -100,9 +95,7 @@ def bin_events(
         raise ConfigError("time_window must be positive")
     if stream.n_events == 0:
         return FrameSequence(
-            np.zeros((0, n_channels, stream.height, stream.width), dtype=np.int64),
-            time_window,
-            label=stream.label,
+            np.zeros((0, n_channels, stream.height, stream.width), dtype=np.int64)
         )
     if stream.p.max() >= n_channels:
         raise ConfigError(
@@ -115,7 +108,7 @@ def bin_events(
         (steps, n_channels, stream.height, stream.width), dtype=np.int64
     )
     np.add.at(frames, (frame_idx, stream.p, stream.y, stream.x), 1)
-    return FrameSequence(frames, time_window, label=stream.label)
+    return FrameSequence(frames)
 
 
 def downscale(seq: FrameSequence, factor: int) -> FrameSequence:
@@ -129,13 +122,13 @@ def downscale(seq: FrameSequence, factor: int) -> FrameSequence:
         raise ConfigError(f"frame dims {h}x{w} not divisible by factor {factor}")
     pooled = seq.frames.reshape(t, c, h // factor, factor, w // factor, factor)
     pooled = pooled.sum(axis=(3, 5))
-    return FrameSequence(pooled, seq.time_window, label=seq.label)
+    return FrameSequence(pooled)
 
 
 def merge_channels(seq: FrameSequence) -> FrameSequence:
     """Collapse polarity/channel axis by summation."""
     merged = seq.frames.sum(axis=1, keepdims=True)
-    return FrameSequence(merged, seq.time_window, label=seq.label)
+    return FrameSequence(merged)
 
 
 def clip_or_pad(seq: FrameSequence, steps: int) -> FrameSequence:
@@ -146,11 +139,9 @@ def clip_or_pad(seq: FrameSequence, steps: int) -> FrameSequence:
     if t == steps:
         return seq
     if t > steps:
-        return FrameSequence(seq.frames[:steps], seq.time_window, label=seq.label)
+        return FrameSequence(seq.frames[:steps])
     pad = np.zeros((steps - t,) + seq.frames.shape[1:], dtype=seq.frames.dtype)
-    return FrameSequence(
-        np.concatenate([seq.frames, pad], axis=0), seq.time_window, label=seq.label
-    )
+    return FrameSequence(np.concatenate([seq.frames, pad], axis=0))
 
 
 def frames_to_spike_drive(seq: FrameSequence) -> np.ndarray:

@@ -1,98 +1,75 @@
-"""Gabor filter bank for frame preprocessing.
+"""Fixed Gabor filter bank for frame preprocessing.
 
-The default bank has 18 kernels: 6 orientations (0 to 150 degrees in 30
-degree steps) times 3 wavelengths (2, 4, 8 px), 7x7 support, sigma = half
-the wavelength, unit aspect ratio, zero phase.  Frames are correlated with
+The bank has 18 kernels: 6 orientations (0 to 150 degrees in 30 degree
+steps) times 3 wavelengths (2, 4, 8 px), 7x7 support, sigma = half the
+wavelength, unit aspect ratio, zero phase.  Frames are correlated with
 each kernel (zero-padded, same size) and rectified at zero since reservoir
 inputs are nonnegative rates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import signal
 
 from .errors import ConfigError
-from .events import FrameSequence, merge_channels
+from .events import FrameSequence
+
+ORIENTATIONS = 6
+WAVELENGTHS = (2.0, 4.0, 8.0)
+SIZE = 7
+N_KERNELS = ORIENTATIONS * len(WAVELENGTHS)
 
 
-@dataclass(frozen=True)
-class GaborSpec:
-    orientations: int = 6
-    wavelengths: tuple[float, ...] = (2.0, 4.0, 8.0)
-    size: int = 7
-    sigma_factor: float = 0.5
-    gamma: float = 1.0
-    phase: float = 0.0
-    merge_polarities: bool = True
-    zero_mean: bool = True
+def gabor_kernel(theta: float, wavelength: float) -> np.ndarray:
+    """Real zero-mean Gabor kernel: Gaussian envelope times a cosine carrier.
 
-    def __post_init__(self):
-        if self.orientations < 1 or not self.wavelengths:
-            raise ConfigError("bank needs at least one orientation and wavelength")
-        if self.size < 1 or self.size % 2 == 0:
-            raise ConfigError("kernel size must be odd and positive")
-
-    @property
-    def n_kernels(self) -> int:
-        return self.orientations * len(self.wavelengths)
-
-
-def gabor_kernel(theta: float, wavelength: float, spec: GaborSpec) -> np.ndarray:
-    """Real Gabor kernel: Gaussian envelope times a cosine carrier.
-
-    With ``zero_mean`` the envelope-weighted DC component is removed.  The
-    7x7 support truncates long-wavelength carriers to their central lobe,
-    which would otherwise leave the kernel responding to plain brightness
-    on every orientation equally.
+    The envelope-weighted DC component is removed.  The 7x7 support
+    truncates long-wavelength carriers to their central lobe, which would
+    otherwise leave the kernel responding to plain brightness on every
+    orientation equally.
     """
-    sigma = spec.sigma_factor * wavelength
-    half = spec.size // 2
+    sigma = 0.5 * wavelength
+    half = SIZE // 2
     y, x = np.mgrid[-half : half + 1, -half : half + 1].astype(np.float64)
     x_r = x * np.cos(theta) + y * np.sin(theta)
     y_r = -x * np.sin(theta) + y * np.cos(theta)
-    envelope = np.exp(-(x_r**2 + (spec.gamma * y_r) ** 2) / (2.0 * sigma**2))
-    kernel = envelope * np.cos(2.0 * np.pi * x_r / wavelength + spec.phase)
-    if spec.zero_mean:
-        kernel = kernel - envelope * (kernel.sum() / envelope.sum())
-    return kernel
+    envelope = np.exp(-(x_r**2 + y_r**2) / (2.0 * sigma**2))
+    kernel = envelope * np.cos(2.0 * np.pi * x_r / wavelength)
+    return kernel - envelope * (kernel.sum() / envelope.sum())
 
 
-def build_bank(spec: GaborSpec = GaborSpec()) -> np.ndarray:
-    """(n_kernels, size, size) kernel stack, orientation-major order."""
-    kernels = []
-    for k in range(spec.orientations):
-        theta = np.pi * k / spec.orientations
-        for wavelength in spec.wavelengths:
-            kernels.append(gabor_kernel(theta, wavelength, spec))
-    return np.stack(kernels)
+def build_bank() -> np.ndarray:
+    """(N_KERNELS, SIZE, SIZE) kernel stack, orientation-major order."""
+    return np.stack(
+        [
+            gabor_kernel(np.pi * k / ORIENTATIONS, wavelength)
+            for k in range(ORIENTATIONS)
+            for wavelength in WAVELENGTHS
+        ]
+    )
 
 
-def gabor_bank(seq: FrameSequence, spec: GaborSpec = GaborSpec()) -> FrameSequence:
-    """Correlate every frame with the bank; rectify responses at zero.
+def gabor_bank(seq: FrameSequence) -> FrameSequence:
+    """Correlate every frame of every channel with the bank; rectify at zero.
 
-    With ``merge_polarities`` (default) input channels are summed before
-    filtering, giving n_kernels output channels; otherwise each input
-    channel is filtered separately, giving channels * n_kernels outputs.
+    Each input channel is filtered separately, giving channels * N_KERNELS
+    output channels, channel-major.
     """
-    if not spec.merge_polarities and seq.channels > 1:
-        work = seq
-    else:
-        work = merge_channels(seq) if seq.channels > 1 else seq
-    t, c, h, w = work.frames.shape
-    if spec.size > h or spec.size > w:
-        raise ConfigError(f"kernel {spec.size} larger than frame {h}x{w}")
-    kernels = build_bank(spec)
-    out = np.empty((t, c * kernels.shape[0], h, w), dtype=np.float64)
-    frames = work.frames.astype(np.float64)
+    t, c, h, w = seq.frames.shape
+    if SIZE > h or SIZE > w:
+        raise ConfigError(f"kernel {SIZE} larger than frame {h}x{w}")
+    if t == 0:  # fftconvolve cannot broadcast an empty frame stack
+        return FrameSequence(np.zeros((0, c * N_KERNELS, h, w)))
+    kernels = build_bank()
+    out = np.empty((t, c * N_KERNELS, h, w), dtype=np.float64)
+    frames = seq.frames.astype(np.float64)
     for ci in range(c):
         for ki, kernel in enumerate(kernels):
             # correlation = convolution with the flipped kernel
             flipped = kernel[::-1, ::-1]
-            out[:, ci * kernels.shape[0] + ki] = signal.fftconvolve(
+            out[:, ci * N_KERNELS + ki] = signal.fftconvolve(
                 frames[:, ci], flipped[None, :, :], mode="same", axes=(1, 2)
             )
     np.maximum(out, 0.0, out=out)
-    return FrameSequence(out, work.time_window, label=work.label)
+    return FrameSequence(out)

@@ -30,14 +30,13 @@ from .ensemble import (
 )
 from .errors import ConfigError, DatasetError
 from .events import (
-    FrameSequence,
     bin_events,
     clip_or_pad,
     downscale,
     frames_to_spike_drive,
     merge_channels,
 )
-from .gabor import GaborSpec, gabor_bank
+from .gabor import N_KERNELS, gabor_bank
 from .inputs import (
     RECEPTIVE_FIELD,
     InputMap,
@@ -97,18 +96,20 @@ def load_manifest(path) -> Manifest:
         raise DatasetError(f"dataset manifest {path} is malformed: {exc}")
 
 
-def preprocess_stream(stream, cfg: ExperimentConfig, n_channels: int) -> FrameSequence:
+def preprocess_stream(stream, cfg: ExperimentConfig, n_channels: int) -> np.ndarray:
+    """(T, n_inputs) float64 input rates of one event stream: bin, pool,
+    merge polarities, filter, fix the length, flatten."""
     prep = cfg.preprocessing
     seq = bin_events(stream, prep.time_window, n_channels=n_channels)
     if prep.downscale > 1:
         seq = downscale(seq, prep.downscale)
-    if prep.gabor:
-        seq = gabor_bank(seq, GaborSpec(merge_polarities=prep.merge_polarities))
-    elif prep.merge_polarities and seq.channels > 1:
+    if prep.merge_polarities and seq.channels > 1:
         seq = merge_channels(seq)
+    if prep.gabor:
+        seq = gabor_bank(seq)
     if prep.steps is not None:
         seq = clip_or_pad(seq, prep.steps)
-    return seq
+    return frames_to_spike_drive(seq)
 
 
 def frame_geometry(cfg: ExperimentConfig, manifest: Manifest) -> tuple[int, int, int]:
@@ -122,12 +123,9 @@ def frame_geometry(cfg: ExperimentConfig, manifest: Manifest) -> tuple[int, int,
             )
         h //= prep.downscale
         w //= prep.downscale
-    c = manifest.channels
+    c = 1 if prep.merge_polarities else manifest.channels
     if prep.gabor:
-        base = 1 if (prep.merge_polarities or c == 1) else c
-        c = base * GaborSpec().n_kernels
-    elif prep.merge_polarities:
-        c = 1
+        c *= N_KERNELS
     return c, h, w
 
 
@@ -148,20 +146,20 @@ class Engine:
         stream = eventio.read_events(path)
         if stream.label is None:
             raise DatasetError(f"{path}: sample has no label")
-        seq = preprocess_stream(stream, self.cfg, self.channels)
-        rates = frames_to_spike_drive(seq)
+        rates = preprocess_stream(stream, self.cfg, self.channels)
+        steps = rates.shape[0]
         params, scale = self.cfg.neuron, self.cfg.preprocessing.input_scale
         if self.cfg.ensemble.variant == "mulre":
             records = run_mulre(rates, self.members, params, input_scale=scale)
         else:
-            schedule = equal_split_schedule(seq.steps, len(self.members))
+            schedule = equal_split_schedule(steps, len(self.members))
             records = run_tepre(
                 rates, self.members, self.inter_links, schedule, params,
                 input_scale=scale,
             )
         state = extract_state(records, mode=self.cfg.state_mode)
         totals = [int(r.counts.sum()) for r in records]
-        return state.features, seq.label, totals, seq.steps
+        return state.features, stream.label, totals, steps
 
 
 def build_members(

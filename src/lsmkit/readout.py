@@ -60,6 +60,18 @@ class ReadoutConfig:
     epochs: int = 500
     tolerance: float = 1e-6
 
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be >= 0, not {self.epochs}")
+        if not self.learning_rate > 0:
+            raise ConfigError(
+                f"learning_rate must be positive, not {self.learning_rate}"
+            )
+        if not self.l2 >= 0:
+            raise ConfigError(f"l2 must be >= 0, not {self.l2}")
+        if not self.tolerance >= 0:
+            raise ConfigError(f"tolerance must be >= 0, not {self.tolerance}")
+
 
 @dataclass
 class ReadoutModel:

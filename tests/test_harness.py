@@ -1,7 +1,10 @@
 import gc
+import itertools
 import json
+import math
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +15,7 @@ from lsmkit import (
     ConnectivityConfig,
     DatasetError,
     EnsembleConfig,
+    EventStream,
     ExperimentConfig,
     InputConfig,
     NeuronParams,
@@ -22,9 +26,11 @@ from lsmkit import (
 )
 from lsmkit.config import from_dict, to_dict
 from lsmkit.harness import (
+    Manifest,
     build_members,
     frame_geometry,
     load_manifest,
+    preprocess_stream,
     run_experiment,
     run_sweep,
     sweep_config,
@@ -193,6 +199,12 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError):
             EnsembleConfig(variant="tepre", partitions=0, dims=(4, 4, 6))
 
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_nonpositive_steps_rejected(self, steps):
+        # 0 would otherwise fail in a reshape, -3 only at the first sample
+        with pytest.raises(ConfigError, match="steps"):
+            PreprocessingConfig(steps=steps)
+
 
 class TestRunExperiment:
     def test_deterministic_repeat(self, tiny_dataset):
@@ -250,7 +262,7 @@ class TestRunExperiment:
 
     def test_missing_manifest_errors(self, tmp_path):
         cfg = tiny_config(tmp_path / "nope" / "manifest.json")
-        with pytest.raises(Exception):
+        with pytest.raises(DatasetError):
             run_experiment(cfg)
 
     def test_engine_released_after_serial_run(self, tiny_dataset, monkeypatch):
@@ -350,6 +362,41 @@ class TestFrameGeometry:
         manifest = load_manifest(cfg.dataset_manifest)
         assert frame_geometry(cfg, manifest) == (1, 3, 3)
 
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 20_000),
+                st.integers(0, 15),
+                st.integers(0, 15),
+                st.integers(0, 1),
+            ),
+            max_size=60,
+        ),
+        st.none() | st.integers(1, 30),
+    )
+    def test_geometry_counts_the_inputs_preprocessing_makes(self, events, steps):
+        events.sort()
+        arr = np.array(events, dtype=np.int64).reshape(-1, 4)
+        for merge, gabor, factor, channels in itertools.product(
+            (False, True), (False, True), (1, 2), (1, 2)
+        ):
+            stream = EventStream(
+                t=arr[:, 0], x=arr[:, 1], y=arr[:, 2], p=arr[:, 3] % channels,
+                width=16, height=16,
+            )
+            cfg = ExperimentConfig(
+                dataset_manifest="unused",
+                preprocessing=PreprocessingConfig(
+                    downscale=factor, gabor=gabor, merge_polarities=merge,
+                    steps=steps,
+                ),
+            )
+            manifest = Manifest(16, 16, channels, train=[], test=[])
+            rates = preprocess_stream(stream, cfg, channels)
+            assert rates.dtype == np.float64
+            assert rates.shape[1] == math.prod(frame_geometry(cfg, manifest))
+
 
 class TestCli:
     def test_synth_convert_run_sweep(self, tmp_path, capsys):
@@ -431,6 +478,28 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert '"topology": 99' in out
+
+    def test_truncated_config_is_an_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"dataset": ')
+        rc = cli.main(["run", "--config", str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(bad) in err
+
+    @pytest.mark.parametrize(
+        "row", ["5,x,1,0", "5,1,1"], ids=["not-an-integer", "three-fields"]
+    )
+    def test_malformed_csv_row_is_an_error(self, tmp_path, capsys, row):
+        csv = tmp_path / "ev.csv"
+        csv.write_text(f"t,x,y,p\n0,1,2,1\n{row}\n")
+        rc = cli.main(
+            ["convert", "--to-binary", str(csv), str(tmp_path / "ev.evs"),
+             "--width", "4", "--height", "4"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{csv}:3" in err
 
     def test_bad_config_nonzero_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -9,7 +9,6 @@ from lsmkit import (
     ConfigError,
     EventStream,
     FrameSequence,
-    GaborSpec,
     bin_events,
     clip_or_pad,
     downscale,
@@ -23,7 +22,7 @@ from lsmkit.eventio import (
     write_csv_events,
     write_events,
 )
-from lsmkit.gabor import build_bank
+from lsmkit.gabor import N_KERNELS, WAVELENGTHS, build_bank
 
 
 def stream_of(records, width=4, height=4, label=None):
@@ -135,25 +134,25 @@ class TestDownscale:
     )
     def test_total_preserved(self, factor_and_frames):
         factor, frames = factor_and_frames
-        out = downscale(FrameSequence(frames, 1000), factor)
+        out = downscale(FrameSequence(frames), factor)
         t, c, h, w = frames.shape
         assert out.frames.shape == (t, c, h // factor, w // factor)
         assert out.frames.sum() == frames.sum()
         assert np.array_equal(out.frames.sum(axis=(2, 3)), frames.sum(axis=(2, 3)))
 
     def test_zero_frames(self):
-        seq = FrameSequence(np.zeros((2, 1, 8, 8), dtype=int), 1000)
+        seq = FrameSequence(np.zeros((2, 1, 8, 8), dtype=int))
         assert downscale(seq, 4).frames.sum() == 0
 
     def test_single_count_lands_in_scaled_cell(self):
         frames = np.zeros((1, 1, 8, 8), dtype=int)
         frames[0, 0, 5, 3] = 1
-        out = downscale(FrameSequence(frames, 1000), 2)
+        out = downscale(FrameSequence(frames), 2)
         assert out.frames[0, 0, 2, 1] == 1
         assert out.frames.sum() == 1
 
     def test_indivisible_rejected(self):
-        seq = FrameSequence(np.zeros((1, 1, 9, 9), dtype=int), 1000)
+        seq = FrameSequence(np.zeros((1, 1, 9, 9), dtype=int))
         with pytest.raises(ConfigError):
             downscale(seq, 2)
 
@@ -179,20 +178,23 @@ def brute_force_correlate(frame, kernel):
 
 class TestGaborBank:
     def test_bank_has_18_kernels(self):
-        assert build_bank(GaborSpec()).shape == (18, 7, 7)
+        bank = build_bank()
+        assert N_KERNELS == 18
+        assert bank.shape == (18, 7, 7)
+        assert np.allclose(bank.sum(axis=(1, 2)), 0.0, atol=1e-12)
 
     def test_zero_frame_zero_response(self):
-        seq = FrameSequence(np.zeros((2, 2, 16, 16), dtype=int), 1000)
-        out = gabor_bank(seq)
+        seq = FrameSequence(np.zeros((2, 2, 16, 16), dtype=int))
+        out = gabor_bank(merge_channels(seq))
         assert out.channels == 18
         assert np.all(out.frames == 0)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(11)
         frame = rng.integers(0, 4, size=(12, 12)).astype(float)
-        seq = FrameSequence(frame[None, None], 1000)
+        seq = FrameSequence(frame[None, None])
         out = gabor_bank(seq)
-        kernels = build_bank(GaborSpec())
+        kernels = build_bank()
         for ki in range(18):
             expected = np.maximum(brute_force_correlate(frame, kernels[ki]), 0.0)
             assert np.allclose(out.frames[0, ki], expected, atol=1e-9)
@@ -204,67 +206,78 @@ class TestGaborBank:
         # brute-force oracle
         frame = np.zeros((20, 20))
         frame[:, 10] = 5.0
-        seq = FrameSequence(frame[None, None], 1000)
+        seq = FrameSequence(frame[None, None])
         out = gabor_bank(seq)
-        spec = GaborSpec()
         peak_per_kernel = out.frames[0].reshape(18, -1).max(axis=1)
         winner = int(np.argmax(peak_per_kernel))
-        orientation = winner // len(spec.wavelengths)
+        orientation = winner // len(WAVELENGTHS)
         assert orientation == 0
 
-        kernels = build_bank(spec)
+        kernels = build_bank()
         oracle_peaks = [
             np.maximum(brute_force_correlate(frame, k), 0.0).max() for k in kernels
         ]
         assert int(np.argmax(oracle_peaks)) == winner
         # and the aligned-orientation peak clearly dominates the next one
-        others = np.delete(peak_per_kernel, slice(0, len(spec.wavelengths)))
+        others = np.delete(peak_per_kernel, slice(0, len(WAVELENGTHS)))
         assert peak_per_kernel[winner] > 1.5 * others.max()
 
     def test_linearity_under_scaling(self):
         rng = np.random.default_rng(4)
         frame = rng.random((10, 10))
-        base = gabor_bank(FrameSequence(frame[None, None], 1000)).frames
-        doubled = gabor_bank(FrameSequence(2.0 * frame[None, None], 1000)).frames
+        base = gabor_bank(FrameSequence(frame[None, None])).frames
+        doubled = gabor_bank(FrameSequence(2.0 * frame[None, None])).frames
         assert np.allclose(doubled, 2.0 * base, rtol=1e-12)
 
     def test_per_channel_mode(self):
         rng = np.random.default_rng(5)
         frames = rng.integers(0, 3, size=(1, 2, 10, 10))
-        seq = FrameSequence(frames, 1000)
-        merged = gabor_bank(seq, GaborSpec(merge_polarities=True))
-        split = gabor_bank(seq, GaborSpec(merge_polarities=False))
+        seq = FrameSequence(frames)
+        merged = gabor_bank(merge_channels(seq))
+        split = gabor_bank(seq)
         assert merged.channels == 18
         assert split.channels == 36
+        # channel-major: channel 1's responses follow all of channel 0's
+        for ci in range(2):
+            alone = gabor_bank(FrameSequence(frames[:, ci : ci + 1])).frames
+            assert np.array_equal(split.frames[:, 18 * ci : 18 * (ci + 1)], alone)
+
+    def test_empty_sequence(self):
+        out = gabor_bank(FrameSequence(np.zeros((0, 2, 8, 8), dtype=int)))
+        assert out.frames.shape == (0, 36, 8, 8)
 
     def test_kernel_larger_than_frame_rejected(self):
-        seq = FrameSequence(np.zeros((1, 1, 4, 4), dtype=int), 1000)
+        seq = FrameSequence(np.zeros((1, 1, 4, 4), dtype=int))
         with pytest.raises(ConfigError):
             gabor_bank(seq)
 
 
 class TestSpikeDrive:
     def test_zero_frames_zero_drive(self):
-        seq = FrameSequence(np.zeros((3, 1, 2, 2), dtype=int), 1000)
+        seq = FrameSequence(np.zeros((3, 1, 2, 2), dtype=int))
         assert np.all(frames_to_spike_drive(seq) == 0)
+
+    def test_empty_sequence_keeps_input_width(self):
+        drive = frames_to_spike_drive(FrameSequence(np.zeros((0, 2, 3, 4), dtype=int)))
+        assert drive.shape == (0, 24)
 
     def test_linearity(self):
         frames = np.arange(24).reshape(2, 1, 3, 4)
-        a = frames_to_spike_drive(FrameSequence(frames, 1000))
-        b = frames_to_spike_drive(FrameSequence(2 * frames, 1000))
+        a = frames_to_spike_drive(FrameSequence(frames))
+        b = frames_to_spike_drive(FrameSequence(2 * frames))
         assert np.array_equal(b, 2 * a)
 
     def test_one_row_per_step_channel_major(self):
         frames = np.zeros((2, 2, 2, 2), dtype=int)
         frames[1, 1, 0, 1] = 7  # step 1, channel 1, y=0, x=1
-        drive = frames_to_spike_drive(FrameSequence(frames, 1000))
+        drive = frames_to_spike_drive(FrameSequence(frames))
         assert drive.shape == (2, 8)
         assert drive[1, 1 * 4 + 0 * 2 + 1] == 7
 
 
 class TestClipOrPad:
     def test_pad_and_clip(self):
-        seq = FrameSequence(np.ones((3, 1, 2, 2), dtype=int), 1000)
+        seq = FrameSequence(np.ones((3, 1, 2, 2), dtype=int))
         padded = clip_or_pad(seq, 5)
         assert padded.steps == 5 and padded.frames[3:].sum() == 0
         clipped = clip_or_pad(seq, 2)
@@ -274,7 +287,7 @@ class TestClipOrPad:
         frames = np.zeros((1, 2, 2, 2), dtype=int)
         frames[0, 0, 0, 0] = 2
         frames[0, 1, 0, 0] = 3
-        merged = merge_channels(FrameSequence(frames, 1000))
+        merged = merge_channels(FrameSequence(frames))
         assert merged.channels == 1
         assert merged.frames[0, 0, 0, 0] == 5
 

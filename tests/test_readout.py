@@ -149,6 +149,23 @@ class TestTraining:
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epochs", -1),
+            ("learning_rate", 0.0),
+            ("learning_rate", -0.5),
+            ("l2", -1.0),
+            ("tolerance", -1.0),
+        ],
+    )
+    def test_out_of_range_settings_rejected(self, field, value):
+        # each would otherwise train without an error: zero weights for
+        # epochs < 0 and learning_rate <= 0, a rewarded weight norm for
+        # l2 < 0, a fit that can never converge for tolerance < 0
+        with pytest.raises(ConfigError, match=field):
+            ReadoutConfig(**{field: value})
+
     def test_single_class_rejected(self):
         x = np.random.default_rng(0).normal(size=(10, 4))
         with pytest.raises(DatasetError):
