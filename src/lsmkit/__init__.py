@@ -44,8 +44,6 @@ from .inputs import (
     InputSpec,
     ReceptiveField,
     build_input,
-    build_receptive_field_input,
-    build_standard_input,
     load_input_map,
     save_input_map,
 )

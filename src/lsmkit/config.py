@@ -6,12 +6,11 @@ pipeline consumes lives here; nothing is drawn from implicit entropy.
     {
       "dataset":       {"manifest": "synth/manifest.json"},
       "preprocessing": {"time_window": 1000, "downscale": 1, "gabor": false,
-                        "merge_polarities": true, "input_scale": 1.0,
-                        "steps": null},
+                        "merge_polarities": true, "steps": null},
       "neuron":        {"tau_v": 16, "tau_u": 16, "theta": 20, "dt": 1,
                         "w_lsm": 1},
       "connectivity":  {"lam": 2.0, "c_table": {"EE": 0.2, "EI": 0.1,
-                        "IE": 0.05, "II": 0.3}, "lambda_list": null},
+                        "IE": 0.05, "II": 0.3}},
       "input":         {"weight": 8.0, "density": 0.15,
                         "scheme": "standard", "window": 5},
       "ensemble":      {"variant": "tepre", "partitions": 3,
@@ -60,7 +59,6 @@ class PreprocessingConfig:
     downscale: int = 1
     gabor: bool = False
     merge_polarities: bool = True
-    input_scale: float = 1.0
     steps: int | None = None  # clip/pad to a fixed presentation length
 
     def __post_init__(self):
@@ -76,12 +74,6 @@ class PreprocessingConfig:
 class ConnectivityConfig:
     lam: float = 2.0
     c_table: dict = field(default_factory=lambda: dict(DEFAULT_C_TABLE))
-    lambda_list: tuple[float, ...] | None = None  # per-member override
-
-    def lam_for(self, member: int) -> float:
-        if self.lambda_list is None:
-            return self.lam
-        return self.lambda_list[member]
 
 
 @dataclass(frozen=True)
@@ -175,15 +167,7 @@ def to_dict(cfg: ExperimentConfig) -> dict:
         "dataset": {"manifest": cfg.dataset_manifest},
         "preprocessing": asdict(cfg.preprocessing),
         "neuron": asdict(cfg.neuron),
-        "connectivity": {
-            "lam": cfg.connectivity.lam,
-            "c_table": dict(cfg.connectivity.c_table),
-            "lambda_list": (
-                list(cfg.connectivity.lambda_list)
-                if cfg.connectivity.lambda_list is not None
-                else None
-            ),
-        },
+        "connectivity": asdict(cfg.connectivity),
         "input": asdict(cfg.input),
         "readout": {**asdict(cfg.readout), "state_mode": cfg.state_mode},
         "seeds": asdict(cfg.seeds),
@@ -221,10 +205,7 @@ def from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError("config needs dataset.manifest")
     prep = _section(PreprocessingConfig, data.get("preprocessing", {}), "preprocessing")
     neuron = _section(NeuronParams, data.get("neuron", {}), "neuron")
-    conn_raw = dict(data.get("connectivity", {}))
-    if conn_raw.get("lambda_list") is not None:
-        conn_raw["lambda_list"] = tuple(conn_raw["lambda_list"])
-    conn = _section(ConnectivityConfig, conn_raw, "connectivity")
+    conn = _section(ConnectivityConfig, data.get("connectivity", {}), "connectivity")
     inp = _section(InputConfig, data.get("input", {}), "input")
     ens_raw = dict(data.get("ensemble", {}))
     for key in ("dims", "d_list", "member_dims"):

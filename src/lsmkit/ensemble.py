@@ -89,17 +89,14 @@ class SpikeRecord:
         return float(self.counts.sum()) / (self.size * self.steps)
 
 
-def drive_through_map(rates: np.ndarray, imap: InputMap, scale: float = 1.0) -> np.ndarray:
+def drive_through_map(rates: np.ndarray, imap: InputMap) -> np.ndarray:
     """(T, N) reservoir drive from (T, n_inputs) input rates."""
     rates = np.asarray(rates, dtype=np.float64)
     if rates.ndim != 2 or rates.shape[1] != imap.n_inputs:
         raise ConfigError(
             f"rates shape {rates.shape} does not match {imap.n_inputs} inputs"
         )
-    drive = imap.matrix().dot(rates.T).T
-    if scale != 1.0:
-        drive = drive * scale
-    return np.ascontiguousarray(drive)
+    return np.ascontiguousarray(imap.matrix().dot(rates.T).T)
 
 
 def simulate_population(
@@ -156,7 +153,6 @@ def _run_stacked(
     inter_links: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     params: NeuronParams,
     steps: int,
-    input_scale: float,
     *,
     slabs: tuple[tuple[int, int], ...] | None = None,
     record_raster: bool = False,
@@ -180,7 +176,7 @@ def _run_stacked(
     drive = np.zeros((steps, n))
     for r, ((_, imap), (start, end)) in enumerate(zip(members, windows)):
         drive[start:end, offsets[r] : offsets[r + 1]] = drive_through_map(
-            rates[start:end], imap, input_scale
+            rates[start:end], imap
         )
     weights = sparse.block_diag(
         [topo.weight_matrix() for topo, _ in members], format="csr"
@@ -212,7 +208,6 @@ def run_mulre(
     members: list[tuple[ReservoirTopology, InputMap]],
     params: NeuronParams,
     *,
-    input_scale: float = 1.0,
     record_raster: bool = False,
 ) -> list[SpikeRecord]:
     """Simulate every ensemble member independently on the same input.
@@ -224,8 +219,7 @@ def run_mulre(
     steps = rates.shape[0]
     windows = ((0, steps),) * len(members)
     return _run_stacked(
-        rates, members, windows, [], params, steps, input_scale,
-        record_raster=record_raster,
+        rates, members, windows, [], params, steps, record_raster=record_raster
     )
 
 
@@ -280,7 +274,6 @@ def run_tepre(
     schedule: GatingSchedule,
     params: NeuronParams,
     *,
-    input_scale: float = 1.0,
     record_raster: bool = False,
     record_drive: bool = False,
 ) -> list[SpikeRecord]:
@@ -305,6 +298,6 @@ def run_tepre(
             f"{rates.shape[0]} input steps cannot fill a {steps}-step schedule"
         )
     return _run_stacked(
-        rates, members, schedule.intervals, inter_links, params, steps, input_scale,
+        rates, members, schedule.intervals, inter_links, params, steps,
         slabs=schedule.intervals, record_raster=record_raster, record_drive=record_drive,
     )

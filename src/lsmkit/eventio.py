@@ -79,11 +79,11 @@ def read_csv_events(path, width: int, height: int, label: int | None = None) -> 
             parts = line.split(",")
             if parts[0].lower() in ("t", "time", "timestamp"):
                 continue
-            try:
-                t, x, y, p = (int(v) for v in parts[:4])
+            try:  # a row of other than four fields fails to unpack
+                t, x, y, p = (int(v) for v in parts)
             except ValueError:
                 raise DatasetError(
-                    f"{path}:{lineno}: expected integer t,x,y,p, got {line!r}"
+                    f"{path}:{lineno}: expected four integers t,x,y,p, got {line!r}"
                 ) from None
             rows.append((t, x, y, p))
     if rows:

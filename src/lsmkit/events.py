@@ -147,8 +147,9 @@ def clip_or_pad(seq: FrameSequence, steps: int) -> FrameSequence:
 def frames_to_spike_drive(seq: FrameSequence) -> np.ndarray:
     """(T, n_inputs) analog rate vectors, one row per simulation step.
 
-    Each input neuron's drive at step t is its frame count; the ensemble
-    layer scales it by the config's ``input_scale`` and pushes it through
-    an input map into the synapse traces.
+    Each input neuron's drive at step t is its frame value; the ensemble
+    layer pushes it through an input map, whose edge weights set the drive
+    strength, into the synapse traces.  Float64 frames are passed through
+    without a copy.
     """
-    return seq.flat().astype(np.float64)
+    return seq.flat().astype(np.float64, copy=False)

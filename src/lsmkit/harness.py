@@ -148,15 +148,12 @@ class Engine:
             raise DatasetError(f"{path}: sample has no label")
         rates = preprocess_stream(stream, self.cfg, self.channels)
         steps = rates.shape[0]
-        params, scale = self.cfg.neuron, self.cfg.preprocessing.input_scale
+        params = self.cfg.neuron
         if self.cfg.ensemble.variant == "mulre":
-            records = run_mulre(rates, self.members, params, input_scale=scale)
+            records = run_mulre(rates, self.members, params)
         else:
             schedule = equal_split_schedule(steps, len(self.members))
-            records = run_tepre(
-                rates, self.members, self.inter_links, schedule, params,
-                input_scale=scale,
-            )
+            records = run_tepre(rates, self.members, self.inter_links, schedule, params)
         state = extract_state(records, mode=self.cfg.state_mode)
         totals = [int(r.counts.sum()) for r in records]
         return state.features, stream.label, totals, steps
@@ -192,15 +189,10 @@ def build_members(
     else:
         d_values = [0.0] * ens.partitions
 
-    lam_list = cfg.connectivity.lambda_list
-    if lam_list is not None and len(lam_list) < len(d_values):
-        raise ConfigError(
-            f"lambda_list has {len(lam_list)} entries for {len(d_values)} members"
-        )
     members = []
     for i, d in enumerate(d_values):
         law = ConnectionLaw(
-            lam=cfg.connectivity.lam_for(i), d=d, c_table=dict(cfg.connectivity.c_table)
+            lam=cfg.connectivity.lam, d=d, c_table=dict(cfg.connectivity.c_table)
         )
         topo = build_reservoir(grid, law, cfg.neuron, member_seed(cfg.seeds.topology, i))
         imap = build_input(spec, grid, member_seed(cfg.seeds.input, i))

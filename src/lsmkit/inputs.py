@@ -1,12 +1,13 @@
 """Sparse signed input-to-reservoir wiring.
 
-Two schemes are supported.  Standard wiring treats the input as a flat
-vector: each input neuron picks its targets uniformly from the whole
-reservoir.  Receptive-field wiring restricts each input pixel to a narrow
-square (x, y) window of reservoir columns anchored at the scaled pixel
-coordinate, so the spatial order of a visual input survives inside the
-reservoir.  Under both schemes every input neuron gets an equal number of
-positive and negative connections.
+One sampler serves both schemes: each input neuron draws its targets
+uniformly from a pool of reservoir neurons.  Under standard wiring the
+pool is the whole reservoir, so the input is treated as a flat vector.
+Under receptive-field wiring the pool is a narrow square (x, y) window of
+reservoir columns anchored at the scaled pixel coordinate, so the spatial
+order of a visual input survives inside the reservoir.  Under both schemes
+every input neuron gets an equal number of positive and negative
+connections.
 """
 
 from __future__ import annotations
@@ -106,39 +107,6 @@ def _signed_split(
     return weights
 
 
-def build_standard_input(spec: InputSpec, dims: GridDims, seed: int) -> InputMap:
-    """Uniform wiring over the whole reservoir, k ~ round(density * N).
-
-    The fan-out is forced even (rounded down) with a floor of 2 so the
-    equal sign split holds for every density and reservoir size.
-    """
-    if spec.scheme != STANDARD:
-        raise ConfigError("spec is not a standard-input spec")
-    n = dims.size
-    k = int(np.rint(spec.density * n))
-    if k > n:
-        raise ConfigError(f"fan-out {k} exceeds reservoir size {n}")
-    if k % 2 != 0:
-        k -= 1
-    k = max(k, 2)
-    rng = np.random.default_rng(seed)
-    input_idx = np.repeat(np.arange(spec.n_inputs, dtype=np.int64), k)
-    res_idx = np.empty(spec.n_inputs * k, dtype=np.int64)
-    weights = np.empty(spec.n_inputs * k, dtype=np.float64)
-    for i in range(spec.n_inputs):
-        targets = rng.choice(n, size=k, replace=False)
-        weights[i * k : (i + 1) * k] = _signed_split(targets, spec.input_weight, rng)
-        res_idx[i * k : (i + 1) * k] = targets
-    return InputMap(
-        n_inputs=spec.n_inputs,
-        n_reservoir=n,
-        input_idx=input_idx,
-        reservoir_idx=res_idx,
-        weight=weights,
-        seed=seed,
-    )
-
-
 def anchor_of(px: int, py: int, field: ReceptiveField, dims: GridDims) -> tuple[int, int]:
     """Reservoir (x, y) column a pixel anchors to; monotone in px and py."""
     ax = (px * dims.nx) // field.input_width
@@ -167,63 +135,57 @@ def _pool_fanout(density: float, pool_size: int) -> int:
     """Pool-relative fan-out: round, force even, clamp to [2, even pool]."""
     even_pool = pool_size - (pool_size % 2)
     if even_pool < 2:
-        raise ConfigError(f"window pool of {pool_size} cannot host a +/- pair")
+        raise ConfigError(f"pool of {pool_size} neurons cannot host a +/- pair")
     k = int(np.rint(density * pool_size))
     if k % 2 != 0:
         k -= 1
     return min(max(k, 2), even_pool)
 
 
-def build_receptive_field_input(spec: InputSpec, dims: GridDims, seed: int) -> InputMap:
-    """Windowed wiring: each pixel draws targets only from its window pool.
+def build_input(spec: InputSpec, dims: GridDims, seed: int) -> InputMap:
+    """Each input neuron draws density * pool_size targets from its pool.
 
-    The fan-out is density * pool_size (even, capped at the pool), so it
-    stays comparable across window sizes even though pools shrink at the
-    image border.  Channel index never shifts the window.
+    The pool is the whole reservoir under standard wiring and the pixel's
+    clipped window under receptive-field wiring; channel index never
+    shifts the window.  The fan-out is forced even (rounded down) with a
+    floor of 2 and capped at the pool, so the equal sign split holds for
+    every density and it stays comparable across window sizes even though
+    pools shrink at the image border.
     """
-    if spec.scheme != RECEPTIVE_FIELD or spec.field is None:
-        raise ConfigError("spec is not a receptive-field spec")
-    field = spec.field
-    if field.window > dims.nx or field.window > dims.ny:
-        raise ConfigError(
-            f"window {field.window} does not fit inside the "
-            f"{dims.nx}x{dims.ny} reservoir extent"
-        )
+    if spec.scheme == STANDARD:
+        pools = [np.arange(dims.size)]
+        pool_of = np.zeros(spec.n_inputs, dtype=np.int64)
+    else:
+        field = spec.field
+        if field.window > dims.nx or field.window > dims.ny:
+            raise ConfigError(
+                f"window {field.window} does not fit inside the "
+                f"{dims.nx}x{dims.ny} reservoir extent"
+            )
+        width, plane = field.input_width, field.input_width * field.input_height
+        pools = [window_pool(p % width, p // width, field, dims) for p in range(plane)]
+        pool_of = np.arange(spec.n_inputs, dtype=np.int64) % plane
+    fanouts = np.array([_pool_fanout(spec.density, pool.size) for pool in pools])
+    fanout_of = fanouts[pool_of]
+    ends = np.cumsum(fanout_of).tolist()
+    res_idx = np.empty(ends[-1], dtype=np.int64)
+    weights = np.empty(ends[-1], dtype=np.float64)
     rng = np.random.default_rng(seed)
-    input_parts: list[np.ndarray] = []
-    res_parts: list[np.ndarray] = []
-    weight_parts: list[np.ndarray] = []
-    plane = field.input_width * field.input_height
-    pools: dict[tuple[int, int], np.ndarray] = {}
-    for i in range(spec.n_inputs):
-        rem = i % plane
-        px = rem % field.input_width
-        py = rem // field.input_width
-        pool = pools.get((px, py))
-        if pool is None:
-            pool = window_pool(px, py, field, dims)
-            pools[(px, py)] = pool
-        if pool.size == 0:
-            raise ConfigError(f"empty window for pixel ({px}, {py})")
-        k = _pool_fanout(spec.density, pool.size)
-        targets = rng.choice(pool, size=k, replace=False)
-        weight_parts.append(_signed_split(targets, spec.input_weight, rng))
-        res_parts.append(targets)
-        input_parts.append(np.full(k, i, dtype=np.int64))
+    start = 0
+    for p, end in zip(pool_of.tolist(), ends):
+        pool = pools[p]
+        targets = pool[rng.choice(pool.size, size=end - start, replace=False)]
+        weights[start:end] = _signed_split(targets, spec.input_weight, rng)
+        res_idx[start:end] = targets
+        start = end
     return InputMap(
         n_inputs=spec.n_inputs,
         n_reservoir=dims.size,
-        input_idx=np.concatenate(input_parts),
-        reservoir_idx=np.concatenate(res_parts),
-        weight=np.concatenate(weight_parts),
+        input_idx=np.repeat(np.arange(spec.n_inputs, dtype=np.int64), fanout_of),
+        reservoir_idx=res_idx,
+        weight=weights,
         seed=seed,
     )
-
-
-def build_input(spec: InputSpec, dims: GridDims, seed: int) -> InputMap:
-    if spec.scheme == STANDARD:
-        return build_standard_input(spec, dims, seed)
-    return build_receptive_field_input(spec, dims, seed)
 
 
 def save_input_map(imap: InputMap, path) -> None:

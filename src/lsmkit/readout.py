@@ -177,7 +177,6 @@ def train_readout(
 class EvalMetrics:
     accuracy: float
     confusion: np.ndarray  # (classes, classes), rows = true, cols = predicted
-    n_samples: int
 
 
 def evaluate(
@@ -198,9 +197,7 @@ def evaluate(
         if ti is None:
             raise DatasetError(f"test label {truth} unseen in training")
         confusion[ti, class_index[int(pred)]] += 1
-    return EvalMetrics(
-        accuracy=correct / x.shape[0], confusion=confusion, n_samples=x.shape[0]
-    )
+    return EvalMetrics(accuracy=correct / x.shape[0], confusion=confusion)
 
 
 def save_model(model: ReadoutModel, path) -> None:

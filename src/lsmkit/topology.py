@@ -122,9 +122,6 @@ class ReservoirTopology:
     def kind_of(self, i: int) -> str:
         return EXC if self.signs[i] > 0 else INH
 
-    def excitatory_indices(self) -> np.ndarray:
-        return np.nonzero(self.signs > 0)[0]
-
     def inhibitory_indices(self) -> np.ndarray:
         return np.nonzero(self.signs < 0)[0]
 

@@ -1,12 +1,14 @@
 """The committed benchmark configs carry the published experiment settings."""
 
+import json
 from pathlib import Path
 
 import pytest
 
-from lsmkit.config import load_config
+from lsmkit.config import load_config, to_dict
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+CONFIG_NAMES = [p.name for p in sorted(CONFIG_DIR.glob("*.json"))]
 
 
 def cfg(name):
@@ -14,7 +16,7 @@ def cfg(name):
 
 
 class TestSharedConstants:
-    @pytest.mark.parametrize("name", [p.name for p in sorted(CONFIG_DIR.glob("*.json"))])
+    @pytest.mark.parametrize("name", CONFIG_NAMES)
     def test_neuron_and_law_constants(self, name):
         c = cfg(name)
         assert c.neuron.theta == 20
@@ -24,6 +26,14 @@ class TestSharedConstants:
             "EE": 0.2, "EI": 0.1, "IE": 0.05, "II": 0.3,
         }
         assert c.seeds is not None  # explicit seeds, no implicit entropy
+
+    @pytest.mark.parametrize("name", CONFIG_NAMES)
+    def test_file_is_canonical(self, name):
+        # every field written out, no key the loader drops or defaults
+        raw = json.loads((CONFIG_DIR / name).read_text())
+        data = to_dict(cfg(name))
+        data["dataset"]["manifest"] = raw["dataset"]["manifest"]
+        assert data == raw
 
 
 class TestNmnist:

@@ -298,7 +298,6 @@ class TestStackedExactness:
     by one, bit for bit, also when no recurrent or drive sum is an integer."""
 
     PARAMS = NeuronParams(w_lsm=0.7)
-    SCALE = 1.13
 
     def members(self, n):
         dims = GridDims(4, 4, 3)
@@ -322,7 +321,7 @@ class TestStackedExactness:
         schedule = equal_split_schedule(steps, n_parts)
         rates = self.rates(steps)
         records = run_tepre(
-            rates, members, links, schedule, params, input_scale=self.SCALE,
+            rates, members, links, schedule, params,
             record_raster=True, record_drive=True,
         )
 
@@ -332,7 +331,7 @@ class TestStackedExactness:
         for r, (topo, imap) in enumerate(members):
             start, end = schedule.intervals[r]
             gated = np.zeros((steps, topo.size))
-            gated[start:end] = drive_through_map(rates, imap, self.SCALE)[start:end]
+            gated[start:end] = drive_through_map(rates, imap)[start:end]
             drives.append(gated)
         link_mats = [
             sparse.csr_matrix(
@@ -372,13 +371,11 @@ class TestStackedExactness:
     def test_run_mulre_matches_member_runs(self):
         params, rates = self.PARAMS, self.rates(80)
         members = self.members(3)
-        records = run_mulre(
-            rates, members, params, input_scale=self.SCALE, record_raster=True
-        )
+        records = run_mulre(rates, members, params, record_raster=True)
         for record, (topo, imap) in zip(records, members):
             solo = simulate_population(
                 topo.weight_matrix(),
-                drive_through_map(rates, imap, self.SCALE),
+                drive_through_map(rates, imap),
                 params,
                 record_raster=True,
             )

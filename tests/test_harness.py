@@ -94,11 +94,6 @@ def experiment_configs(draw):
             member_dims=(draw(sizes), draw(sizes), draw(sizes)),
         )
         scheme, state_mode = "receptive_field", "full"
-    lambda_list = draw(
-        st.none()
-        | st.lists(positive, min_size=ensemble.n_members, max_size=ensemble.n_members)
-        .map(tuple)
-    )
     return ExperimentConfig(
         dataset_manifest=draw(st.text("abc/._-", min_size=1, max_size=20)),
         preprocessing=PreprocessingConfig(
@@ -106,7 +101,6 @@ def experiment_configs(draw):
             downscale=draw(sizes),
             gabor=draw(st.booleans()),
             merge_polarities=draw(st.booleans()),
-            input_scale=draw(positive),
             steps=draw(st.none() | st.integers(1, 5000)),
         ),
         neuron=NeuronParams(
@@ -119,7 +113,6 @@ def experiment_configs(draw):
         connectivity=ConnectivityConfig(
             lam=draw(positive),
             c_table={k: draw(fractions) for k in ("EE", "EI", "IE", "II")},
-            lambda_list=lambda_list,
         ),
         input=InputConfig(
             weight=draw(positive),
@@ -154,6 +147,16 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match=key):
             from_dict(data)
 
+    @pytest.mark.parametrize(
+        "section", ["preprocessing", "neuron", "connectivity", "input", "ensemble", "seeds"]
+    )
+    def test_unknown_key_rejected(self, tiny_dataset, section):
+        # a retired key fails to load, naming itself, instead of being ignored
+        data = to_dict(tiny_config(tiny_dataset))
+        data[section]["no_such_key"] = 1.0
+        with pytest.raises(ConfigError, match="no_such_key"):
+            from_dict(data)
+
     def test_dict_round_trip_tepre(self, tiny_dataset):
         cfg = tiny_config(tiny_dataset)
         assert from_dict(to_dict(cfg)) == cfg
@@ -165,7 +168,7 @@ class TestConfigRoundTrip:
                 variant="mulre", d_list=(0.0, 4.0), member_dims=(6, 6, 2)
             ),
             input=InputConfig(weight=10.0, density=0.3, scheme="receptive_field", window=3),
-            connectivity=ConnectivityConfig(lam=2.0, lambda_list=(2.0, 3.0)),
+            connectivity=ConnectivityConfig(lam=3.0),
         )
         assert from_dict(to_dict(cfg)) == cfg
 
@@ -488,7 +491,9 @@ class TestCli:
         assert err.startswith("error:") and str(bad) in err
 
     @pytest.mark.parametrize(
-        "row", ["5,x,1,0", "5,1,1"], ids=["not-an-integer", "three-fields"]
+        "row",
+        ["5,x,1,0", "5,1,1", "5,1,1,0,9"],
+        ids=["not-an-integer", "three-fields", "five-fields"],
     )
     def test_malformed_csv_row_is_an_error(self, tmp_path, capsys, row):
         csv = tmp_path / "ev.csv"

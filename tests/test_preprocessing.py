@@ -267,6 +267,14 @@ class TestSpikeDrive:
         b = frames_to_spike_drive(FrameSequence(2 * frames))
         assert np.array_equal(b, 2 * a)
 
+    def test_float64_frames_are_not_copied(self):
+        frames = np.random.default_rng(0).random((3, 2, 4, 5))
+        drive = frames_to_spike_drive(FrameSequence(frames))
+        assert np.shares_memory(drive, frames)
+        counts = frames_to_spike_drive(FrameSequence(np.arange(120).reshape(3, 2, 4, 5)))
+        assert counts.dtype == np.float64
+        assert np.array_equal(counts, np.arange(120.0).reshape(3, 40))
+
     def test_one_row_per_step_channel_major(self):
         frames = np.zeros((2, 2, 2, 2), dtype=int)
         frames[1, 1, 0, 1] = 7  # step 1, channel 1, y=0, x=1
