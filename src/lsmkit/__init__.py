@@ -44,7 +44,6 @@ from .inputs import (
     InputSpec,
     ReceptiveField,
     build_input,
-    load_input_map,
     save_input_map,
 )
 from .neurons import NeuronParams, PopulationState, lif_step
@@ -65,8 +64,6 @@ from .topology import (
     GridDims,
     ReservoirTopology,
     build_reservoir,
-    connection_probability,
-    load_topology,
     save_topology,
 )
 

@@ -19,7 +19,7 @@ pipeline consumes lives here; nothing is drawn from implicit entropy.
                     or {"variant": "mulre", "d_list": [0, 4, 6],
                         "member_dims": [10, 10, 12]},
       "readout":       {"l2": 1e-4, "learning_rate": 0.5, "epochs": 500,
-                        "tolerance": 1e-6, "state_mode": "full"},
+                        "tolerance": 1e-6},
       "seeds":         {"topology": 1, "input": 2, "training": 3},
       "output_dir":    "runs/example"
     }
@@ -29,7 +29,8 @@ environment variable is set (with no fallback when the file is missing
 there), else against the config file's directory.
 
 The training seed is reserved and unused: the readout's gradient descent
-starts from zero weights and draws no random numbers.
+starts from zero weights and draws no random numbers.  The readout always
+trains on each member's spike counts over the full presentation window.
 
 Input weight and density carry no published reference values; the shipped
 defaults (8.0 / 0.15) are engineering choices and should be treated as
@@ -47,7 +48,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .inputs import RECEPTIVE_FIELD, STANDARD
 from .neurons import NeuronParams
-from .readout import FULL_WINDOW, PER_SLAB, ReadoutConfig
+from .readout import ReadoutConfig
 from .topology import DEFAULT_C_TABLE
 
 DATA_ROOT_ENV = "LSMKIT_DATA_ROOT"
@@ -145,21 +146,16 @@ class ExperimentConfig:
     input: InputConfig = InputConfig()
     ensemble: EnsembleConfig = EnsembleConfig(variant="tepre", dims=(5, 5, 24))
     readout: ReadoutConfig = ReadoutConfig()
-    state_mode: str = FULL_WINDOW
     seeds: Seeds = Seeds()
     output_dir: str | None = None
 
     def __post_init__(self):
-        if self.state_mode not in (FULL_WINDOW, PER_SLAB):
-            raise ConfigError(f"unknown state mode {self.state_mode!r}")
         # The spatial ensemble exists to pair with windowed input; the
         # temporal ensemble is defined over flat input only.
         if self.ensemble.variant == "mulre" and self.input.scheme != RECEPTIVE_FIELD:
             raise ConfigError("mulre requires receptive-field input")
         if self.ensemble.variant == "tepre" and self.input.scheme != STANDARD:
             raise ConfigError("tepre requires standard input")
-        if self.state_mode == PER_SLAB and self.ensemble.variant != "tepre":
-            raise ConfigError("per-slab extraction only applies to tepre")
 
 
 def to_dict(cfg: ExperimentConfig) -> dict:
@@ -169,7 +165,7 @@ def to_dict(cfg: ExperimentConfig) -> dict:
         "neuron": asdict(cfg.neuron),
         "connectivity": asdict(cfg.connectivity),
         "input": asdict(cfg.input),
-        "readout": {**asdict(cfg.readout), "state_mode": cfg.state_mode},
+        "readout": asdict(cfg.readout),
         "seeds": asdict(cfg.seeds),
         "output_dir": cfg.output_dir,
     }
@@ -212,9 +208,7 @@ def from_dict(data: dict) -> ExperimentConfig:
         if ens_raw.get(key) is not None:
             ens_raw[key] = tuple(ens_raw[key])
     ensemble = _section(EnsembleConfig, ens_raw, "ensemble")
-    readout_raw = dict(data.get("readout", {}))
-    state_mode = readout_raw.pop("state_mode", FULL_WINDOW)
-    readout = _section(ReadoutConfig, readout_raw, "readout")
+    readout = _section(ReadoutConfig, data.get("readout", {}), "readout")
     seeds = _section(Seeds, data.get("seeds", {}), "seeds")
     return ExperimentConfig(
         dataset_manifest=dataset,
@@ -224,7 +218,6 @@ def from_dict(data: dict) -> ExperimentConfig:
         input=inp,
         ensemble=ensemble,
         readout=readout,
-        state_mode=state_mode,
         seeds=seeds,
         output_dir=data.get("output_dir"),
     )

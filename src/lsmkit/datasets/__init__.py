@@ -10,8 +10,12 @@ files listed in a manifest.  Each module converts one benchmark:
 Raw downloads are never fetched here; see the README for dataset sources.
 """
 
+import argparse
 import json
+import sys
 from pathlib import Path
+
+from ..errors import ConfigError, DatasetError
 
 
 def write_manifest(out_dir, width, height, channels, train_files, test_files) -> Path:
@@ -27,3 +31,19 @@ def write_manifest(out_dir, width, height, channels, train_files, test_files) ->
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=1)
     return path
+
+
+def converter_main(convert, description: str, argv=None) -> int:
+    """Every converter's CLI; bad input exits 2 with ``error:``, as ``lsmkit`` does."""
+    parser = argparse.ArgumentParser(description=description)
+    parser.add_argument("raw_dir")
+    parser.add_argument("out_dir")
+    parser.add_argument("--limit", type=int, default=None, help="samples per split")
+    args = parser.parse_args(argv)
+    try:
+        manifest = convert(args.raw_dir, args.out_dir, limit_per_split=args.limit)
+    except (ConfigError, DatasetError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"manifest: {manifest}")
+    return 0

@@ -8,7 +8,6 @@ becomes one EVS1 sample; gesture classes are shifted to 0-based.
 
 from __future__ import annotations
 
-import argparse
 import struct
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import numpy as np
 from ..errors import DatasetError
 from ..eventio import write_events
 from ..events import EventStream
-from . import write_manifest
+from . import converter_main, write_manifest
 
 WIDTH = 128
 HEIGHT = 128
@@ -44,11 +43,18 @@ def read_aedat(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         chunks_t, chunks_x, chunks_y, chunks_p = [], [], [], []
         while True:
             header = fh.read(_PACKET_HEADER.size)
-            if len(header) < _PACKET_HEADER.size:
+            if not header:
                 break
+            if len(header) < _PACKET_HEADER.size:
+                raise DatasetError(f"{path}: truncated packet header")
             (etype, _src, esize, _tsoff, tsoverflow, _cap, enumber, _valid
              ) = _PACKET_HEADER.unpack(header)
             payload = fh.read(esize * enumber)
+            if len(payload) < esize * enumber:
+                raise DatasetError(
+                    f"{path}: truncated packet, {len(payload)} of "
+                    f"{esize * enumber} payload bytes"
+                )
             if etype != POLARITY_EVENT:
                 continue
             raw = np.frombuffer(payload, dtype="<u4").reshape(-1, esize // 4)
@@ -102,8 +108,9 @@ def convert(raw_dir, out_dir, limit_per_split: int | None = None) -> Path:
         for name in names:
             aedat = data_dir / name
             labels_csv = data_dir / name.replace(".aedat", "_labels.csv")
-            if not aedat.exists() or not labels_csv.exists():
-                continue
+            for needed in (aedat, labels_csv):
+                if not needed.exists():
+                    raise DatasetError(f"{listing} names {name}, but {needed} is missing")
             t, x, y, p = read_aedat(aedat)
             for cls, start, end in read_trials(labels_csv):
                 if limit_per_split is not None and len(written) >= limit_per_split:
@@ -125,14 +132,7 @@ def convert(raw_dir, out_dir, limit_per_split: int | None = None) -> Path:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("raw_dir")
-    parser.add_argument("out_dir")
-    parser.add_argument("--limit", type=int, default=None, help="samples per split")
-    args = parser.parse_args(argv)
-    manifest = convert(args.raw_dir, args.out_dir, limit_per_split=args.limit)
-    print(f"manifest: {manifest}")
-    return 0
+    return converter_main(convert, __doc__, argv)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ remaining bits.
 
 from __future__ import annotations
 
-import argparse
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,7 @@ import numpy as np
 from ..errors import DatasetError
 from ..eventio import write_events
 from ..events import EventStream
-from . import write_manifest
+from . import converter_main, write_manifest
 
 WIDTH = 34
 HEIGHT = 34
@@ -65,14 +64,7 @@ def convert(raw_dir, out_dir, limit_per_split: int | None = None) -> Path:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("raw_dir")
-    parser.add_argument("out_dir")
-    parser.add_argument("--limit", type=int, default=None, help="files per split")
-    args = parser.parse_args(argv)
-    manifest = convert(args.raw_dir, args.out_dir, limit_per_split=args.limit)
-    print(f"manifest: {manifest}")
-    return 0
+    return converter_main(convert, __doc__, argv)
 
 
 if __name__ == "__main__":

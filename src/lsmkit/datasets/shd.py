@@ -7,7 +7,6 @@ channels map to x with height 1 and a single polarity.
 
 from __future__ import annotations
 
-import argparse
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +14,7 @@ import numpy as np
 from ..errors import DatasetError
 from ..eventio import write_events
 from ..events import EventStream
-from . import write_manifest
+from . import converter_main, write_manifest
 
 CHANNELS = 700
 
@@ -66,14 +65,7 @@ def convert(raw_dir, out_dir, limit_per_split: int | None = None) -> Path:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("raw_dir")
-    parser.add_argument("out_dir")
-    parser.add_argument("--limit", type=int, default=None, help="samples per split")
-    args = parser.parse_args(argv)
-    manifest = convert(args.raw_dir, args.out_dir, limit_per_split=args.limit)
-    print(f"manifest: {manifest}")
-    return 0
+    return converter_main(convert, __doc__, argv)
 
 
 if __name__ == "__main__":

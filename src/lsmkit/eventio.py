@@ -32,6 +32,10 @@ _RECORD = np.dtype(
 
 
 def write_events(stream: EventStream, path) -> None:
+    for name in ("x", "y", "p"):  # checked before they wrap in the record
+        top, limit = getattr(stream, name).max(initial=0), np.iinfo(_RECORD[name]).max
+        if top > limit:
+            raise ConfigError(f"event {name} = {top} exceeds the EVS1 limit {limit}")
     label = NO_LABEL if stream.label is None else int(stream.label)
     records = np.empty(stream.n_events, dtype=_RECORD)
     records["t"] = stream.t

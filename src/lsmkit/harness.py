@@ -154,7 +154,7 @@ class Engine:
         else:
             schedule = equal_split_schedule(steps, len(self.members))
             records = run_tepre(rates, self.members, self.inter_links, schedule, params)
-        state = extract_state(records, mode=self.cfg.state_mode)
+        state = extract_state(records)
         totals = [int(r.counts.sum()) for r in records]
         return state.features, stream.label, totals, steps
 

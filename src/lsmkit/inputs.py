@@ -198,28 +198,3 @@ def save_input_map(imap: InputMap, path) -> None:
         fh.write(f"input {imap.n_edges}\n")
         for s, t, w in zip(imap.input_idx, imap.reservoir_idx, imap.weight):
             fh.write(f"{s} {t} {float(w)!r}\n")
-
-
-def load_input_map(path) -> InputMap:
-    with open(path) as fh:
-        magic = fh.readline().strip()
-        if magic != "lsm-input v1":
-            raise ConfigError(f"not an input-map file: {magic!r}")
-        n_inputs = int(fh.readline().split()[1])
-        n_reservoir = int(fh.readline().split()[1])
-        seed = int(fh.readline().split()[1])
-        n_edges = int(fh.readline().split()[1])
-        inp = np.empty(n_edges, dtype=np.int64)
-        res = np.empty(n_edges, dtype=np.int64)
-        weight = np.empty(n_edges, dtype=np.float64)
-        for k in range(n_edges):
-            parts = fh.readline().split()
-            inp[k], res[k], weight[k] = int(parts[0]), int(parts[1]), float(parts[2])
-    return InputMap(
-        n_inputs=n_inputs,
-        n_reservoir=n_reservoir,
-        input_idx=inp,
-        reservoir_idx=res,
-        weight=weight,
-        seed=seed,
-    )

@@ -17,9 +17,6 @@ import numpy as np
 from .errors import ConfigError, DatasetError
 from .ensemble import SpikeRecord
 
-FULL_WINDOW = "full"
-PER_SLAB = "per-slab"
-
 
 @dataclass
 class SampleStateVector:
@@ -31,26 +28,12 @@ class SampleStateVector:
             raise ConfigError("state vector must be one-dimensional")
 
 
-def extract_state(
-    records: list[SpikeRecord],
-    mode: str = FULL_WINDOW,
-) -> SampleStateVector:
-    """Concatenate per-member spike counts into one feature vector.
-
-    ``per-slab`` mode uses each member's counts inside its own gating
-    interval (temporal-partition ensembles record these during the run).
-    """
+def extract_state(records: list[SpikeRecord]) -> SampleStateVector:
+    """Concatenate per-member full-window spike counts into one feature vector."""
     if not records:
         raise ConfigError("need at least one spike record")
-    if mode == FULL_WINDOW:
-        parts = [r.counts for r in records]
-    elif mode == PER_SLAB:
-        if any(r.slab_counts is None for r in records):
-            raise ConfigError("per-slab extraction needs slab counts in the records")
-        parts = [r.slab_counts for r in records]
-    else:
-        raise ConfigError(f"unknown extraction mode {mode!r}")
-    return SampleStateVector(np.concatenate(parts).astype(np.float64))
+    counts = np.concatenate([r.counts for r in records])
+    return SampleStateVector(counts.astype(np.float64))
 
 
 @dataclass(frozen=True)

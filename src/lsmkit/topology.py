@@ -80,25 +80,6 @@ class ConnectionLaw:
                 raise ConfigError(f"c_table[{key}]={c} outside (0, 1]")
 
 
-def connection_probability(
-    i: tuple[int, int, int] | np.ndarray,
-    j: tuple[int, int, int] | np.ndarray,
-    law: ConnectionLaw,
-    kinds: tuple[str, str],
-) -> float:
-    """Probability of a directed edge between two grid coordinates.
-
-    ``kinds`` is (source kind, target kind), each "E" or "I".
-    """
-    pi = np.asarray(i, dtype=np.float64)
-    pj = np.asarray(j, dtype=np.float64)
-    if np.array_equal(pi, pj):
-        raise ConfigError("self-connections are excluded")
-    c = law.c_table[kinds[0] + kinds[1]]
-    dist = float(np.sqrt(np.sum((pi - pj) ** 2)))
-    return c * float(np.exp(-(((dist - law.d) / law.lam) ** 2)))
-
-
 @dataclass
 class ReservoirTopology:
     """A sampled reservoir: neuron kinds plus the signed sparse edge list."""
@@ -118,9 +99,6 @@ class ReservoirTopology:
     @property
     def n_edges(self) -> int:
         return self.src.shape[0]
-
-    def kind_of(self, i: int) -> str:
-        return EXC if self.signs[i] > 0 else INH
 
     def inhibitory_indices(self) -> np.ndarray:
         return np.nonzero(self.signs < 0)[0]
@@ -227,32 +205,3 @@ def save_topology(topo: ReservoirTopology, path) -> None:
         fh.write(f"edges {topo.n_edges}\n")
         for s, t, w in zip(topo.src, topo.dst, topo.weight):
             fh.write(f"{s} {t} {float(w)!r}\n")
-
-
-def load_topology(path) -> ReservoirTopology:
-    with open(path) as fh:
-        magic = fh.readline().strip()
-        if magic != "lsm-topology v1":
-            raise ConfigError(f"not a topology file: {magic!r}")
-        dims = GridDims(*(int(v) for v in fh.readline().split()[1:]))
-        seed = int(fh.readline().split()[1])
-        lam = float(fh.readline().split()[1])
-        d = float(fh.readline().split()[1])
-        c_vals = [float(v) for v in fh.readline().split()[1:]]
-        law = ConnectionLaw(
-            lam=lam,
-            d=d,
-            c_table={"EE": c_vals[0], "EI": c_vals[1], "IE": c_vals[2], "II": c_vals[3]},
-        )
-        sign_str = fh.readline().split()[1]
-        signs = np.array([1 if ch == EXC else -1 for ch in sign_str], dtype=np.int8)
-        n_edges = int(fh.readline().split()[1])
-        src = np.empty(n_edges, dtype=np.int64)
-        dst = np.empty(n_edges, dtype=np.int64)
-        weight = np.empty(n_edges, dtype=np.float64)
-        for k in range(n_edges):
-            parts = fh.readline().split()
-            src[k], dst[k], weight[k] = int(parts[0]), int(parts[1]), float(parts[2])
-    return ReservoirTopology(
-        dims=dims, signs=signs, src=src, dst=dst, weight=weight, seed=seed, law=law
-    )

@@ -1,9 +1,11 @@
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
 
+from lsmkit import DatasetError
 from lsmkit.datasets import dvsgesture, nmnist, shd
 from lsmkit.eventio import read_events
 from lsmkit.harness import load_manifest
@@ -34,8 +36,7 @@ class TestNmnist:
         assert stream.y.tolist() == y
         assert stream.p.tolist() == p
 
-    def test_convert_builds_manifest(self, tmp_path):
-        raw = tmp_path / "raw"
+    def write_raw(self, raw):
         for split in ("Train", "Test"):
             for digit in (0, 3):
                 d = raw / split / str(digit)
@@ -43,6 +44,10 @@ class TestNmnist:
                 (d / "00001.bin").write_bytes(
                     pack_nmnist_events([10, 500, 9000], [1, 2, 3], [4, 5, 6], [0, 1, 0])
                 )
+
+    def test_convert_builds_manifest(self, tmp_path):
+        raw = tmp_path / "raw"
+        self.write_raw(raw)
         out = tmp_path / "conv"
         manifest_path = nmnist.convert(raw, out)
         manifest = load_manifest(manifest_path)
@@ -50,6 +55,17 @@ class TestNmnist:
         assert len(manifest.train) == 2 and len(manifest.test) == 2
         labels = sorted(read_events(p).label for p in manifest.train)
         assert labels == [0, 3]
+
+    def test_main_writes_manifest(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        self.write_raw(raw)
+        assert nmnist.main([str(raw), str(tmp_path / "conv")]) == 0
+        assert (tmp_path / "conv" / "manifest.json").exists()
+        assert capsys.readouterr().out.startswith("manifest:")
+
+    def test_main_missing_raw_dir_exits_2(self, tmp_path, capsys):
+        assert nmnist.main([str(tmp_path / "nope"), str(tmp_path / "conv")]) == 2
+        assert capsys.readouterr().err.startswith("error: missing")
 
 
 class TestShd:
@@ -135,13 +151,46 @@ class TestDvsGesture:
         assert second.label == 4
         assert second.t.min() >= 30000 and second.t.max() < 70000
 
+    def write_raw(self, raw, train="u.aedat", test="u.aedat"):
+        data = raw / "DvsGesture"
+        data.mkdir(parents=True)
+        write_aedat(data / "u.aedat", [(10, 1, 1, 1)])
+        (data / "u_labels.csv").write_text("class,startTime_usec,endTime_usec\n2,0,100\n")
+        (data / "trials_to_train.txt").write_text(train + "\n")
+        (data / "trials_to_test.txt").write_text(test + "\n")
+        return data
+
+    @pytest.mark.parametrize("missing", ["gone.aedat", "gone_labels.csv"])
+    def test_listed_file_missing_rejected(self, tmp_path, missing):
+        data = self.write_raw(tmp_path / "raw", test="gone.aedat")
+        if missing == "gone_labels.csv":
+            write_aedat(data / "gone.aedat", [(10, 1, 1, 1)])
+        with pytest.raises(DatasetError, match=re.escape(str(data / missing))):
+            dvsgesture.convert(tmp_path / "raw", tmp_path / "conv")
+
+    @pytest.mark.parametrize("cut", [3, 8 + 10], ids=["payload", "header"])
+    def test_truncated_packet_rejected(self, tmp_path, cut):
+        # two packets of one 8-byte event behind a 28-byte header each; the
+        # cut ends the file inside the last payload or the last header
+        path = tmp_path / "cut.aedat"
+        write_aedat(path, [(10, 1, 1, 1)])
+        packet = path.read_bytes().split(b"#!END-HEADER\r\n")[1]
+        path.write_bytes((path.read_bytes() + packet)[:-cut])
+        with pytest.raises(DatasetError, match=re.escape(f"{path}: truncated packet")):
+            dvsgesture.read_aedat(path)
+
+    def test_main_writes_manifest(self, tmp_path, capsys):
+        self.write_raw(tmp_path / "raw")
+        assert dvsgesture.main([str(tmp_path / "raw"), str(tmp_path / "conv")]) == 0
+        assert (tmp_path / "conv" / "manifest.json").exists()
+        assert capsys.readouterr().out.startswith("manifest:")
+
+    def test_main_missing_raw_dir_exits_2(self, tmp_path, capsys):
+        assert dvsgesture.main([str(tmp_path / "nope"), str(tmp_path / "conv")]) == 2
+        assert capsys.readouterr().err.startswith("error: missing")
+
     def test_manifest_json_shape(self, tmp_path):
-        raw = tmp_path / "raw" / "DvsGesture"
-        raw.mkdir(parents=True)
-        write_aedat(raw / "u.aedat", [(10, 1, 1, 1)])
-        (raw / "u_labels.csv").write_text("class,startTime_usec,endTime_usec\n2,0,100\n")
-        (raw / "trials_to_train.txt").write_text("u.aedat\n")
-        (raw / "trials_to_test.txt").write_text("u.aedat\n")
+        self.write_raw(tmp_path / "raw")
         manifest_path = dvsgesture.convert(tmp_path / "raw", tmp_path / "conv")
         data = json.loads(manifest_path.read_text())
         assert data["width"] == 128 and data["channels"] == 2

@@ -86,14 +86,14 @@ def experiment_configs(draw):
             inter_density=draw(fractions),
             inter_weight=draw(st.floats(-10.0, 0.0)),
         )
-        scheme, state_mode = "standard", draw(st.sampled_from(["full", "per-slab"]))
+        scheme = "standard"
     else:
         ensemble = EnsembleConfig(
             variant="mulre",
             d_list=tuple(draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4))),
             member_dims=(draw(sizes), draw(sizes), draw(sizes)),
         )
-        scheme, state_mode = "receptive_field", "full"
+        scheme = "receptive_field"
     return ExperimentConfig(
         dataset_manifest=draw(st.text("abc/._-", min_size=1, max_size=20)),
         preprocessing=PreprocessingConfig(
@@ -127,7 +127,6 @@ def experiment_configs(draw):
             epochs=draw(st.integers(0, 1000)),
             tolerance=draw(st.floats(0.0, 1.0)),
         ),
-        state_mode=state_mode,
         seeds=Seeds(*(draw(st.integers(0, 2**31 - 1)) for _ in range(3))),
         output_dir=draw(st.none() | st.text("abc/._-", max_size=20)),
     )
@@ -140,11 +139,11 @@ class TestConfigRoundTrip:
         assert from_dict(to_dict(cfg)) == cfg
         assert from_dict(json.loads(json.dumps(to_dict(cfg)))) == cfg
 
-    @pytest.mark.parametrize("key", ["seed", "backtracking"])
+    @pytest.mark.parametrize("key", ["seed", "backtracking", "state_mode"])
     def test_retired_readout_keys_rejected(self, tiny_dataset, key):
         data = to_dict(tiny_config(tiny_dataset))
-        data["readout"][key] = True if key == "backtracking" else 0
-        with pytest.raises(ConfigError, match=key):
+        data["readout"][key] = {"seed": 0, "backtracking": True, "state_mode": "full"}[key]
+        with pytest.raises(ConfigError, match=f"bad readout section: .*'{key}'"):
             from_dict(data)
 
     @pytest.mark.parametrize(
@@ -257,11 +256,6 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert len(report.spike_stats["members"]) == 2
         assert report.train_accuracy > 0.5
-
-    def test_per_slab_state_mode(self, tiny_dataset):
-        full = run_experiment(tiny_config(tiny_dataset))
-        slab = run_experiment(tiny_config(tiny_dataset, state_mode="per-slab"))
-        assert full.state_hash["train"] != slab.state_hash["train"]
 
     def test_missing_manifest_errors(self, tmp_path):
         cfg = tiny_config(tmp_path / "nope" / "manifest.json")
@@ -451,8 +445,6 @@ class TestCli:
         assert back.read_text() == csv.read_text()
 
     def test_topo_export(self, tmp_path, tiny_dataset):
-        from lsmkit import load_topology
-
         cfg = tiny_config(tiny_dataset)
         cfg_path = tmp_path / "cfg.json"
         save_config(cfg, cfg_path)
@@ -468,8 +460,8 @@ class TestCli:
             for kind in ("input", "topology")
         ]
         # tepre members are the z-split of the 4x4x6 total grid
-        topo = load_topology(out / "member_0_topology.txt")
-        assert topo.size == 32
+        header = (out / "member_0_topology.txt").read_text().splitlines()[:2]
+        assert header == ["lsm-topology v1", "dims 4 4 2"]
 
     def test_seed_override(self, tmp_path, tiny_dataset, capsys):
         cfg = tiny_config(tiny_dataset)
@@ -505,6 +497,17 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{csv}:3" in err
+
+    def test_polarity_too_wide_for_binary_is_an_error(self, tmp_path, capsys):
+        csv = tmp_path / "ev.csv"
+        csv.write_text("t,x,y,p\n5,1,1,300\n")
+        evs = tmp_path / "ev.evs"
+        rc = cli.main(
+            ["convert", "--to-binary", str(csv), str(evs), "--width", "2", "--height", "2"]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: event p = 300")
+        assert not evs.exists()
 
     def test_bad_config_nonzero_exit(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

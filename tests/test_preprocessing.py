@@ -364,3 +364,18 @@ class TestEventFiles:
         )
         with pytest.raises(ConfigError):
             read_events(path)
+
+    @pytest.mark.parametrize(
+        "field, record, size",
+        [("x", (0, 70000, 0, 0), (70001, 1)),
+         ("y", (0, 0, 65536, 1), (1, 65537)),
+         ("p", (0, 1, 1, 300), (2, 2))],
+        ids=["x", "y", "p"],
+    )
+    def test_field_too_wide_for_a_record_rejected(self, tmp_path, field, record, size):
+        # x and y are u16 and p is u8 on disk; storing more would wrap silently
+        stream = stream_of([record], width=size[0], height=size[1])
+        path = tmp_path / "wide.evs"
+        with pytest.raises(ConfigError, match=f"event {field} ="):
+            write_events(stream, path)
+        assert not path.exists()

@@ -41,14 +41,11 @@ class TestExtractState:
         state = extract_state(records)
         assert state.features.sum() == sum(r.counts.sum() for r in records)
 
-    def test_per_slab_mode(self):
+    def test_full_window_counts_even_with_slab_counts(self):
+        # tepre records carry slab counts; the state is still the full window
         rec = record(np.full(5, 9), slab=np.arange(5))
-        state = extract_state([rec], mode="per-slab")
-        assert np.array_equal(state.features, np.arange(5, dtype=float))
-
-    def test_per_slab_without_counts_rejected(self):
-        with pytest.raises(ConfigError):
-            extract_state([record(np.ones(5))], mode="per-slab")
+        state = extract_state([rec])
+        assert np.array_equal(state.features, np.full(5, 9.0))
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
