@@ -50,6 +50,7 @@ from .neurons import NeuronParams, PopulationState, lif_step
 from .readout import (
     EvalMetrics,
     ReadoutConfig,
+    FitTrace,
     ReadoutModel,
     SampleStateVector,
     evaluate,

@@ -14,11 +14,13 @@ partitions' outputs.
 
 Both ensembles are simulated the same way: the members are stacked into
 one population whose recurrent weights are block-diagonal and whose drive
-holds one column block per member, and :func:`simulate_population`, the
-only time loop, steps it.  A multi-length-scale ensemble is that
+holds one block per member, and :func:`simulate_population`, the only time
+loop, steps it, for one sample or for a batch of equal-length samples at
+once.  A multi-length-scale ensemble is that
 population with ungated drive and no links; a temporal one gates each
 member's block to its slab and adds the inter-partition links.  The one
-record is then cut back into per-member records by column offsets.
+record is then cut back into per-sample, per-member records by neuron
+offsets.
 """
 
 from __future__ import annotations
@@ -90,60 +92,109 @@ class SpikeRecord:
 
 
 def drive_through_map(rates: np.ndarray, imap: InputMap) -> np.ndarray:
-    """(T, N) reservoir drive from (T, n_inputs) input rates."""
+    """(T, N) reservoir drive from (T, n_inputs) input rates, as the
+    transpose of the C-ordered (N, T) product, which is not copied."""
     rates = np.asarray(rates, dtype=np.float64)
     if rates.ndim != 2 or rates.shape[1] != imap.n_inputs:
         raise ConfigError(
             f"rates shape {rates.shape} does not match {imap.n_inputs} inputs"
         )
-    return np.ascontiguousarray(imap.matrix().dot(rates.T).T)
+    return imap.matrix().dot(rates.T).T
+
+
+class GatedDrive:
+    """The injected current of B samples stepped together, held only while live.
+
+    Member r maps ``rates``, stacked as (T, B, n_inputs), through its input
+    map and is driven only inside ``windows[r]``.  Its drive is mapped when
+    the window opens, as one (N_r, window, B) block, and dropped when it
+    closes.  Iterating yields each step's (N, B) current in one reused
+    buffer.  With ``record_l1`` set, ``l1[r, b]`` is the (T,) L1 norm of
+    member r's drive into sample b.
+    """
+
+    def __init__(self, rates, members, windows, steps: int, record_l1: bool = False):
+        self.rates, self.members, self.windows = rates, members, windows
+        self.offsets = np.cumsum([0] + [imap.n_reservoir for _, imap in members])
+        self.shape = (steps, int(self.offsets[-1]), rates.shape[1])
+        self.l1 = np.zeros((len(members), rates.shape[1], steps)) if record_l1 else None
+        # step 0's drive is mapped before the loop allocates its raster and
+        # state, which keeps the heap and so the peak RSS smaller
+        self._live = {
+            r: self._map(r, start, end)
+            for r, (start, end) in enumerate(windows)
+            if start == 0
+        }
+
+    def __iter__(self):
+        """Each step's current; a drive can be iterated once."""
+        steps, n, batch = self.shape
+        buffer = np.zeros((n, batch))
+        live = self._live
+        for t in range(steps):
+            for r, (start, end) in enumerate(self.windows):
+                rows = buffer[self.offsets[r] : self.offsets[r + 1]]
+                if t == start > 0:
+                    live[r] = self._map(r, start, end)
+                if start <= t < end:
+                    rows[...] = live[r][:, t - start]
+                elif t == end:
+                    rows[...] = 0.0
+                    del live[r]
+            yield buffer
+
+    def _map(self, r: int, start: int, end: int) -> np.ndarray:
+        # rows ordered (step, sample): one mapping call drives the whole batch
+        window = self.rates[start:end]
+        values = drive_through_map(
+            window.reshape(-1, window.shape[2]), self.members[r][1]
+        ).T.reshape(-1, end - start, self.shape[2])
+        if self.l1 is not None:
+            # each step's norm summed over a contiguous row, as for one sample
+            rows = np.ascontiguousarray(values.transpose(2, 1, 0))
+            self.l1[r, :, start:end] = np.abs(rows).sum(axis=2)
+        return values
 
 
 def simulate_population(
     weights: sparse.spmatrix | None,
-    drive: np.ndarray,
+    drive: np.ndarray | GatedDrive,
     params: NeuronParams,
     *,
     links: sparse.spmatrix | None = None,
     slab: tuple[int, int] | None = None,
     record_raster: bool = False,
-    record_drive: bool = False,
 ) -> SpikeRecord:
     """Run one population for T steps from a zero state.
 
-    ``drive`` is the (T, N) pre-weighted injected current.  ``links`` is an
-    optional (N x N) coupling whose spikes, like recurrent ones, arrive one
-    step later; they are added to the injected current, not to the
-    recurrent sum, so a stacked ensemble sums in the same order as its
-    members stepped one by one.  ``slab`` additionally counts spikes inside
-    its interval.
+    ``drive`` is the pre-weighted injected current: (T, N) for one sample,
+    or (T, N, B), such as a :class:`GatedDrive`, for B samples stepped
+    together, whose record's arrays then keep the trailing batch axis.  ``links`` is an optional (N x N) coupling whose spikes, like
+    recurrent ones, arrive one step later; they are added to the injected
+    current, not to the recurrent sum, so a stacked ensemble sums in the
+    same order as its members stepped one by one.  ``slab`` additionally
+    counts spikes inside its interval.
     """
-    steps, n = drive.shape
-    state = PopulationState.zeros(n)
-    raster = np.zeros((steps, n), dtype=np.uint8)
-    for t in range(steps):
-        injected = drive[t]
+    steps, n = drive.shape[:2]
+    state = PopulationState.zeros(n, *drive.shape[2:])
+    raster = np.zeros(drive.shape, dtype=np.uint8)
+    for t, injected in enumerate(drive):
         if links is not None and state.spikes.any():
             injected = injected + links.dot(state.spikes.astype(np.float64))
         state = lif_step(state, injected, weights, params)
         raster[t] = state.spikes
-    return _record(raster, drive, slab, record_raster, record_drive)
-
-
-def _record(raster, drive, slab, record_raster, record_drive) -> SpikeRecord:
-    """Counts, optional slab counts and drive L1 norms from a (T, N) raster
-    and the (T, N) drive that produced it."""
     return SpikeRecord(
         counts=raster.sum(axis=0, dtype=np.int64),
-        steps=raster.shape[0],
-        slab_counts=(
-            raster[slab[0] : slab[1]].sum(axis=0, dtype=np.int64)
-            if slab is not None
-            else None
-        ),
+        steps=steps,
+        slab_counts=_slab_counts(raster, slab),
         raster=raster if record_raster else None,
-        drive_l1=np.abs(drive).sum(axis=1) if record_drive else None,
     )
+
+
+def _slab_counts(raster: np.ndarray, slab: tuple[int, int] | None):
+    if slab is None:
+        return None
+    return raster[slab[0] : slab[1]].sum(axis=0, dtype=np.int64)
 
 
 def _run_stacked(
@@ -157,50 +208,55 @@ def _run_stacked(
     slabs: tuple[tuple[int, int], ...] | None = None,
     record_raster: bool = False,
     record_drive: bool = False,
-) -> list[SpikeRecord]:
+) -> list:
     """Step the members as one population and cut its record per member.
 
-    Member r owns one column block of the population and is driven by
-    ``rates`` only inside ``windows[r]``.  Member weights sit on the
-    diagonal of one block-diagonal matrix; each r -> r+1 ``inter_links``
-    triple is offset into the block below it.
+    ``rates`` is one sample's (T, n_inputs) input rates, or B samples'
+    stacked as (T, B, n_inputs); the result is then one list of member
+    records per sample.  Member r owns one block of neurons and is driven
+    only inside ``windows[r]``, and its drive is held only while that
+    window is open.  Member weights sit on the diagonal of one
+    block-diagonal matrix; each r -> r+1 ``inter_links`` triple is offset
+    into the block below it.
     """
     if not members:
         raise ConfigError("an ensemble needs at least one member")
     for topo, imap in members:
         if imap.n_reservoir != topo.size:
             raise ConfigError("input map and topology sizes disagree")
-    offsets = np.cumsum([0] + [topo.size for topo, _ in members])
-    n = int(offsets[-1])
-
-    drive = np.zeros((steps, n))
-    for r, ((_, imap), (start, end)) in enumerate(zip(members, windows)):
-        drive[start:end, offsets[r] : offsets[r + 1]] = drive_through_map(
-            rates[start:end], imap
-        )
+    if rates.ndim not in (2, 3):
+        raise ConfigError(f"rates of shape {rates.shape} are neither (T, n) nor (T, B, n)")
+    stack = rates if rates.ndim == 3 else rates[:, None]
+    drive = GatedDrive(stack, members, windows, steps, record_l1=record_drive)
+    offsets = drive.offsets
     weights = sparse.block_diag(
         [topo.weight_matrix() for topo, _ in members], format="csr"
     )
     links = None
     if inter_links:
+        n = drive.shape[1]  # neurons in the stacked population
         src = np.concatenate([s + offsets[r] for r, (s, _, _) in enumerate(inter_links)])
         dst = np.concatenate([d + offsets[r + 1] for r, (_, d, _) in enumerate(inter_links)])
         weight = np.concatenate([w for _, _, w in inter_links])
         links = sparse.csr_matrix((weight, (dst, src)), shape=(n, n))
 
-    raster = simulate_population(
-        weights, drive, params, links=links, record_raster=True
-    ).raster
-    return [
-        _record(
-            raster[:, lo:hi],
-            drive[:, lo:hi],
-            slabs[r] if slabs is not None else None,
-            record_raster,
-            record_drive,
-        )
-        for r, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:]))
-    ]
+    whole = simulate_population(weights, drive, params, links=links, record_raster=True)
+    samples = []
+    for b in range(stack.shape[1]):
+        records = []
+        for r, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+            raster = whole.raster[:, lo:hi, b]
+            records.append(
+                SpikeRecord(
+                    counts=whole.counts[lo:hi, b],
+                    steps=steps,
+                    slab_counts=_slab_counts(raster, slabs[r] if slabs else None),
+                    raster=raster if record_raster else None,
+                    drive_l1=drive.l1[r, b] if record_drive else None,
+                )
+            )
+        samples.append(records)
+    return samples if rates.ndim == 3 else samples[0]
 
 
 def run_mulre(
@@ -215,6 +271,9 @@ def run_mulre(
     ``rates`` is the (T, n_inputs) frame-derived drive shared by all
     members; each member maps it through its own input wiring.  Members
     never interact, so zeroing one member's input silences only it.
+    Stacked (T, B, n_inputs) rates of B samples are stepped together and
+    give one list of member records per sample, each bit-identical to
+    that sample's own call.
     """
     steps = rates.shape[0]
     windows = ((0, steps),) * len(members)
@@ -283,7 +342,8 @@ def run_tepre(
     contains t; every partition's recurrent dynamics run for all T steps
     and spikes cross the inter-partition links with the standard one-step
     delay.  With no inter links the per-partition records are bit-identical
-    to independent runs on the gated drive.
+    to independent runs on the gated drive.  Rates may be stacked as for
+    :func:`run_mulre`.
     """
     n_parts = len(members)
     if schedule.n_partitions != n_parts:

@@ -32,10 +32,22 @@ _RECORD = np.dtype(
 
 
 def write_events(stream: EventStream, path) -> None:
-    for name in ("x", "y", "p"):  # checked before they wrap in the record
+    # every field is checked before the file is opened: the record would
+    # wrap it silently, the header would fail with a half-written file
+    for name in ("x", "y", "p"):
         top, limit = getattr(stream, name).max(initial=0), np.iinfo(_RECORD[name]).max
         if top > limit:
             raise ConfigError(f"event {name} = {top} exceeds the EVS1 limit {limit}")
+    if stream.t.min(initial=0) < 0:
+        raise ConfigError(
+            f"event t = {stream.t.min()} is negative; EVS1 stores unsigned microseconds"
+        )
+    header = {"width": stream.width, "height": stream.height, "label": stream.label}
+    for name, value in header.items():
+        if value is not None and not 0 <= value < 2**32:
+            raise ConfigError(f"header {name} = {value} is outside the EVS1 u32 range")
+    if stream.label == NO_LABEL:
+        raise ConfigError(f"label {NO_LABEL} is reserved for unlabeled EVS1 files")
     label = NO_LABEL if stream.label is None else int(stream.label)
     records = np.empty(stream.n_events, dtype=_RECORD)
     records["t"] = stream.t

@@ -4,9 +4,11 @@ A run is a pure function of (config, dataset): explicit seeds drive every
 random choice, so re-running a config reproduces the state vectors and
 metrics bit for bit (the report carries SHA-256 hashes to check exactly
 that).  A run builds one ``Engine``, its members and links, and calls it
-on every sample file, in this process or in a pool of worker processes
-that each hold a copy; results are collected in sample order so the
-thread count never changes the output.
+on consecutive batches of sample files, in this process or in a pool of
+worker processes that each hold a copy; results are collected in sample
+order.  A batch steps its samples together, and its size comes from a
+fixed memory budget (``BATCH_BYTES``); neither it nor the thread count
+ever changes the output.
 """
 
 from __future__ import annotations
@@ -129,11 +131,40 @@ def frame_geometry(cfg: ExperimentConfig, manifest: Manifest) -> tuple[int, int,
     return c, h, w
 
 
+# Memory one engine call may spend on its samples' rates, gated drive and
+# spike raster; the batch size is what fits in it.
+BATCH_BYTES = 8 * 2**20
+
+
+def sample_bytes(cfg: ExperimentConfig, geometry: tuple[int, int, int]) -> int:
+    """Bytes one fixed-length sample takes in a batch: its float64 input
+    rates, its float64 drive over each member's window and its uint8
+    raster."""
+    ens, steps = cfg.ensemble, cfg.preprocessing.steps
+    member = int(np.prod(ens.member_grid()))
+    if ens.variant == "mulre":
+        n_members, windows = len(ens.d_list), steps * len(ens.d_list)
+    else:
+        n_members, windows = ens.partitions, steps  # the slabs tile T once
+    rates = steps * int(np.prod(geometry)) * 8
+    return rates + windows * member * 8 + steps * n_members * member
+
+
+def batch_size(cfg: ExperimentConfig, geometry: tuple[int, int, int]) -> int:
+    """Samples per engine call: as many as fit ``BATCH_BYTES``, at least
+    one.  Only samples of equal length can step together, so without a
+    fixed ``preprocessing.steps`` every sample is a batch of its own."""
+    if cfg.preprocessing.steps is None:
+        return 1
+    return max(1, BATCH_BYTES // sample_bytes(cfg, geometry))
+
+
 @dataclass
 class Engine:
     """One run's fixed state: the seeded members and links, and the config
-    that turns an event file into their drive.  Calling it simulates one
-    sample; it is picklable, so a process pool ships it to each worker once.
+    that turns an event file into their drive.  Calling it on a list of
+    files simulates them as one batch; it is picklable, so a process pool
+    ships it to each worker once.
     """
 
     cfg: ExperimentConfig
@@ -141,22 +172,33 @@ class Engine:
     members: list[tuple[ReservoirTopology, InputMap]]
     inter_links: list | None
 
-    def __call__(self, path) -> tuple[np.ndarray, int, list[int], int]:
-        """(features, label, total spikes per member, steps) of one file."""
-        stream = eventio.read_events(path)
-        if stream.label is None:
-            raise DatasetError(f"{path}: sample has no label")
-        rates = preprocess_stream(stream, self.cfg, self.channels)
-        steps = rates.shape[0]
+    def __call__(self, paths) -> list[tuple[np.ndarray, int, list[int], int]]:
+        """(features, label, total spikes per member, steps) of each file,
+        in order.  The files must preprocess to equal lengths."""
+        labels, rates = [], []
+        for path in paths:
+            stream = eventio.read_events(path)
+            if stream.label is None:
+                raise DatasetError(f"{path}: sample has no label")
+            labels.append(stream.label)
+            rates.append(preprocess_stream(stream, self.cfg, self.channels))
+        steps = rates[0].shape[0]
+        if any(r.shape[0] != steps for r in rates):
+            raise ConfigError("the samples of one batch must have equal lengths")
+        # a lone file's rates become a batch of one as a view, not a copy
+        rates = rates[0][:, None] if len(rates) == 1 else np.stack(rates, axis=1)
         params = self.cfg.neuron
         if self.cfg.ensemble.variant == "mulre":
-            records = run_mulre(rates, self.members, params)
+            batch = run_mulre(rates, self.members, params)
         else:
             schedule = equal_split_schedule(steps, len(self.members))
-            records = run_tepre(rates, self.members, self.inter_links, schedule, params)
-        state = extract_state(records)
-        totals = [int(r.counts.sum()) for r in records]
-        return state.features, stream.label, totals, steps
+            batch = run_tepre(rates, self.members, self.inter_links, schedule, params)
+        results = []
+        for records, label in zip(batch, labels):
+            state = extract_state(records)
+            totals = [int(r.counts.sum()) for r in records]
+            results.append((state.features, label, totals, steps))
+        return results
 
 
 def build_members(
@@ -217,18 +259,22 @@ def _install_engine(engine: Engine) -> None:
     _ENGINE = engine
 
 
-def _run_installed(path):
-    return _ENGINE(path)
+def _run_installed(paths):
+    return _ENGINE(paths)
 
 
-def _run_split(files: list[Path], engine: Engine, threads: int):
+def _run_split(files: list[Path], engine: Engine, threads: int, batch: int):
+    """Run the files in consecutive batches of ``batch``; a pool of
+    ``threads`` workers maps whole batches."""
+    batches = [files[i : i + batch] for i in range(0, len(files), batch)]
     if threads <= 1:
-        results = [engine(p) for p in files]
+        outputs = map(engine, batches)
     else:
         with ProcessPoolExecutor(
             max_workers=threads, initializer=_install_engine, initargs=(engine,)
         ) as pool:
-            results = list(pool.map(_run_installed, files, chunksize=8))
+            outputs = list(pool.map(_run_installed, batches))
+    results = [r for output in outputs for r in output]
     features = np.stack([r[0] for r in results])
     labels = np.array([r[1] for r in results], dtype=np.int64)
     spike_totals = np.array([r[2] for r in results], dtype=np.int64)
@@ -251,6 +297,8 @@ class RunReport:
     confusion: list
     state_hash: dict
     artifacts: dict
+    batch: int  # samples the engine stepped together per call
+    readout: dict  # the readout fit's epochs, grad_norm and converged flag
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -274,9 +322,11 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
     timings["build"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    features, labels, all_spikes, steps = _run_split(
-        manifest.train + manifest.test, engine, threads
-    )
+    files = manifest.train + manifest.test
+    # no bigger than one worker's share, so that every worker gets a batch
+    share = -(-len(files) // max(threads, 1))
+    batch = max(1, min(batch_size(cfg, geometry), share))
+    features, labels, all_spikes, steps = _run_split(files, engine, threads, batch)
     n_train = len(manifest.train)
     x_train, x_test = features[:n_train], features[n_train:]
     y_train, y_test = labels[:n_train], labels[n_train:]
@@ -336,6 +386,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
             "labels_test": _sha256(y_test),
         },
         artifacts=artifacts,
+        batch=batch,
+        readout=asdict(model.fit),
     )
     if cfg.output_dir:
         report.save(Path(cfg.output_dir) / "report.json")

@@ -3,7 +3,9 @@
 The membrane potential of each neuron integrates its synaptic current and
 leaks with time constant ``tau_v``; the synaptic current is a leaky trace
 with time constant ``tau_u`` fed by weighted presynaptic spikes.  One call
-to :func:`lif_step` advances a whole population by one timestep:
+to :func:`lif_step` advances a whole population by one timestep, for one
+sample (state vectors of shape (N,)) or for B samples at once (shape
+(N, B), one column per sample):
 
     u' = u * (1 - dt/tau_u) + (W @ spikes_prev + injected) / tau_u
     v' = v * (1 - dt/tau_v) + u' * dt
@@ -11,7 +13,9 @@ to :func:`lif_step` advances a whole population by one timestep:
 
 Spikes emitted at step t reach their targets at step t+1, so the spike
 vector stored in the state is always the previous step's output.  There is
-no refractory period and no lower clamp on v.
+no refractory period and no lower clamp on v.  Every operation acts on a
+column exactly as on a lone (N,) state, so a batch column is bit-identical
+to that sample stepped alone.
 """
 
 from __future__ import annotations
@@ -51,7 +55,10 @@ class NeuronParams:
 
 @dataclass
 class PopulationState:
-    """Per-neuron state: membrane potential, synaptic trace, last spikes."""
+    """Per-neuron state: membrane potential, synaptic trace, last spikes.
+
+    Each array is (N,) for one sample or (N, B) for a batch of B samples.
+    """
 
     v: np.ndarray
     u: np.ndarray
@@ -65,11 +72,13 @@ class PopulationState:
         else:
             self.spikes = np.asarray(self.spikes, dtype=np.uint8)
         if not (self.v.shape == self.u.shape == self.spikes.shape):
-            raise ConfigError("state vectors must share one length")
+            raise ConfigError("state vectors must share one shape")
 
     @classmethod
-    def zeros(cls, n: int) -> "PopulationState":
-        return cls(np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.uint8))
+    def zeros(cls, n: int, batch: int | None = None) -> "PopulationState":
+        """Rest state of n neurons, of shape (n,), or (n, batch) if given."""
+        shape = (n,) if batch is None else (n, batch)
+        return cls(np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=np.uint8))
 
     @property
     def size(self) -> int:
@@ -82,12 +91,12 @@ def lif_step(
     recurrent_weights: sparse.spmatrix | None,
     params: NeuronParams,
 ) -> PopulationState:
-    """Advance a population by one timestep.
+    """Advance a population, or a batch of its samples, by one timestep.
 
     Args:
-        state: state after the previous step; ``state.spikes`` holds the
-            spikes emitted at that step.
-        injected: pre-weighted external drive, one entry per neuron; it is
+        state: state after the previous step, (N,) or (N, B); ``state.spikes``
+            holds the spikes emitted at that step.
+        injected: pre-weighted external drive of the state's shape; it is
             scaled by 1/tau_u inside the trace update like any synaptic
             arrival.
         recurrent_weights: sparse (post x pre) weight matrix, or None for an
@@ -100,9 +109,9 @@ def lif_step(
     """
     n = state.size
     injected = np.asarray(injected, dtype=np.float64)
-    if injected.shape != (n,):
+    if injected.shape != state.v.shape:
         raise ConfigError(
-            f"injected drive has length {injected.shape}, population has {n}"
+            f"injected drive has shape {injected.shape}, state has {state.v.shape}"
         )
     if recurrent_weights is not None and recurrent_weights.shape != (n, n):
         raise ConfigError(

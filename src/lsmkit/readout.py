@@ -56,12 +56,23 @@ class ReadoutConfig:
             raise ConfigError(f"tolerance must be >= 0, not {self.tolerance}")
 
 
+@dataclass(frozen=True)
+class FitTrace:
+    """How a fit ended: the epochs it ran, the gradient norm at its final
+    parameters, and whether that norm fell below the tolerance."""
+
+    epochs: int
+    grad_norm: float
+    converged: bool
+
+
 @dataclass
 class ReadoutModel:
     weights: np.ndarray  # (classes, features)
     bias: np.ndarray  # (classes,)
     feature_scale: np.ndarray  # (features,) divisor fit on the training set
     classes: np.ndarray  # label value per row of the weight matrix
+    fit: FitTrace | None = None  # None for a model loaded from a file
 
     @property
     def n_classes(self) -> int:
@@ -117,9 +128,9 @@ def train_readout(
 
     Starts from zero parameters (the objective is convex, so the start only
     fixes the deterministic path).  Stops when the joint gradient norm
-    drops below the tolerance or the epoch budget runs out.  The step is
-    halved until the loss decreases, so the loss trajectory is
-    non-increasing.
+    drops below the tolerance or the epoch budget runs out, and records
+    which in the model's ``fit``.  The step is halved until the loss
+    decreases, so the loss trajectory is non-increasing.
     """
     x, y = train
     x = np.asarray(x, dtype=np.float64)
@@ -138,9 +149,10 @@ def train_readout(
     w = np.zeros((classes.shape[0], x.shape[1]))
     b = np.zeros(classes.shape[0])
     loss, grad_w, grad_b = loss_and_gradients(w, b, xs, y_onehot, config.l2)
-    for _ in range(config.epochs):
+    epochs = 0
+    while True:
         gnorm = float(np.sqrt(np.sum(grad_w**2) + np.sum(grad_b**2)))
-        if gnorm < config.tolerance:
+        if gnorm < config.tolerance or epochs == config.epochs:
             break
         step = config.learning_rate
         while True:
@@ -153,7 +165,11 @@ def train_readout(
                 break
             step *= 0.5
         w, b, loss, grad_w, grad_b = w_new, b_new, new_loss, new_gw, new_gb
-    return ReadoutModel(weights=w, bias=b, feature_scale=scale, classes=classes)
+        epochs += 1
+    return ReadoutModel(
+        weights=w, bias=b, feature_scale=scale, classes=classes,
+        fit=FitTrace(epochs, gnorm, gnorm < config.tolerance),
+    )
 
 
 @dataclass

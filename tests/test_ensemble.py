@@ -7,6 +7,7 @@ from scipy import sparse
 
 from lsmkit import (
     ConfigError,
+    NumericsError,
     ConnectionLaw,
     GatingSchedule,
     GridDims,
@@ -383,3 +384,44 @@ class TestStackedExactness:
             assert np.array_equal(record.counts, solo.counts)
             assert np.array_equal(record.raster, solo.raster)
             assert record.slab_counts is None
+
+    @pytest.mark.parametrize("variant", ["tepre", "mulre"])
+    def test_stacked_samples_match_single_sample_calls(self, variant):
+        params, steps, batch = self.PARAMS, 90, 4
+        members = self.members(3)
+        stack = np.random.default_rng(11).gamma(0.8, 1.3, size=(steps, batch, 16))
+        stack[:, 2] = 0.0  # a silent sample steps next to driven ones
+        if variant == "tepre":
+            links = build_tepre([t for t, _ in members], 0.08, -0.37, seed=7)
+            schedule = equal_split_schedule(steps, len(members))
+
+            def run(rates):
+                return run_tepre(
+                    rates, members, links, schedule, params,
+                    record_raster=True, record_drive=True,
+                )
+        else:
+
+            def run(rates):
+                return run_mulre(rates, members, params, record_raster=True)
+
+        batched = run(stack)
+        assert len(batched) == batch
+        for b in range(batch):
+            single = run(np.ascontiguousarray(stack[:, b]))
+            assert len(batched[b]) == len(single) == len(members)
+            for got, want in zip(batched[b], single):
+                assert (want.counts.sum() == 0) == (b == 2)
+                assert np.array_equal(got.counts, want.counts)
+                assert np.array_equal(got.raster, want.raster)
+                if variant == "tepre":
+                    assert np.array_equal(got.slab_counts, want.slab_counts)
+                    assert got.drive_l1.tobytes() == want.drive_l1.tobytes()
+                else:
+                    assert got.slab_counts is None and want.slab_counts is None
+
+    def test_non_finite_sample_in_a_batch_rejected(self):
+        stack = np.ones((20, 3, 16))
+        stack[4, 1, :] = np.inf
+        with pytest.raises(NumericsError):
+            run_mulre(stack, self.members(2), self.PARAMS)

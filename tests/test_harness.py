@@ -3,6 +3,8 @@ import itertools
 import json
 import math
 import weakref
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,6 +305,88 @@ class TestRunExperiment:
             run_experiment(loaded)
 
 
+class TestBatching:
+    """Equal-length samples step together in batches sized by a byte
+    budget; the batch size never changes a report's state hashes."""
+
+    CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+    @pytest.mark.parametrize(
+        "name, sensor, per_sample, batch",
+        [("synthetic_tepre3.json", (8, 8, 2), 813_600, 10),
+         ("shd_tepre6.json", (700, 1, 1), 12_600_000, 1),
+         ("nmnist_mulre3.json", (34, 34, 2), 59_659_200, 1),
+         ("dvsgesture_rf.json", (128, 128, 2), 30_460_800, 1)],
+    )
+    def test_batch_size_rule_on_shipped_geometry(self, name, sensor, per_sample, batch):
+        # rates T*n_inputs*8 + drive over each member's window *8 + raster T*N
+        cfg = load_config(self.CONFIG_DIR / name)
+        width, height, channels = sensor
+        geometry = frame_geometry(cfg, Manifest(width, height, channels, [], []))
+        assert harness.BATCH_BYTES == 8 * 2**20
+        assert harness.sample_bytes(cfg, geometry) == per_sample
+        assert harness.batch_size(cfg, geometry) == batch
+        free_length = replace(cfg, preprocessing=replace(cfg.preprocessing, steps=None))
+        assert harness.batch_size(free_length, geometry) == 1
+
+    @pytest.fixture(scope="class")
+    def odd_dataset(self, tmp_path_factory):
+        # 11 samples, so a batch of 3 leaves a ragged last batch of 2
+        params = MultiPhaseParams(
+            n_classes=3, n_phases=3, width=6, height=6, steps_per_phase=20,
+            n_train=7, n_test=4, seed=9,
+        )
+        return generate_multiphase(params, tmp_path_factory.mktemp("oddset"))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_state_hash_independent_of_batch_size(self, odd_dataset, monkeypatch, threads):
+        cfg = tiny_config(odd_dataset)
+        geometry = frame_geometry(cfg, load_manifest(odd_dataset))
+        per_sample = harness.sample_bytes(cfg, geometry)
+        batches = []
+        run_tepre = harness.run_tepre
+
+        def recording_run_tepre(rates, *args, **kwargs):
+            batches.append(rates.shape[1])
+            return run_tepre(rates, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_tepre", recording_run_tepre)
+        reports = {}
+        # one worker's share caps the batch, so every worker gets one
+        for budget, used in ((1, 1), (3, 3), (100, 11 if threads == 1 else 6)):
+            monkeypatch.setattr(harness, "BATCH_BYTES", budget * per_sample)
+            batches.clear()
+            reports[budget] = run_experiment(cfg, threads=threads)
+            assert reports[budget].batch == used
+            if threads == 1:  # pool workers record their calls elsewhere
+                assert batches == [used] * (11 // used) + [11 % used] * (11 % used > 0)
+        assert reports[1].state_hash == reports[3].state_hash == reports[100].state_hash
+        assert reports[1].readout == reports[100].readout
+
+
+class TestReadoutReport:
+    def test_shipped_synthetic_readout_does_not_converge(self, tmp_path):
+        # the shipped settings stop at 500 epochs with the gradient norm
+        # near 1e-3, far above the 1e-6 tolerance
+        manifest = generate_multiphase(
+            MultiPhaseParams(n_train=30, n_test=10, seed=3), tmp_path / "data"
+        )
+        shipped = load_config(TestBatching.CONFIG_DIR / "synthetic_tepre3.json")
+        cfg = replace(shipped, dataset_manifest=str(manifest), output_dir=str(tmp_path / "run"))
+        assert (cfg.readout.epochs, cfg.readout.tolerance) == (500, 1e-6)
+        run_experiment(cfg)
+        saved = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert saved["readout"]["converged"] is False
+        assert saved["readout"]["epochs"] == 500
+        assert saved["readout"]["grad_norm"] > 1e-4
+        assert saved["batch"] == 10
+
+        loose = replace(cfg, readout=replace(cfg.readout, tolerance=1.0), output_dir=None)
+        fit = run_experiment(loose).readout
+        assert fit["converged"] is True
+        assert fit["grad_norm"] < 1.0 and fit["epochs"] < 500
+
+
 class TestSweep:
     def test_identical_single_value_twice(self, tiny_dataset):
         cfg = tiny_config(tiny_dataset)
@@ -507,6 +591,26 @@ class TestCli:
         )
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: event p = 300")
+        assert not evs.exists()
+
+    @pytest.mark.parametrize(
+        "row, flags, message",
+        [("5,1,1,0", ["--label", "-1"], "error: header label = -1"),
+         ("-5,1,1,0", [], "error: event t = -5 is negative")],
+        ids=["negative-label", "negative-time"],
+    )
+    def test_value_outside_binary_header_or_record_is_an_error(
+        self, tmp_path, capsys, row, flags, message
+    ):
+        csv = tmp_path / "ev.csv"
+        csv.write_text(f"t,x,y,p\n{row}\n")
+        evs = tmp_path / "ev.evs"
+        rc = cli.main(
+            ["convert", "--to-binary", str(csv), str(evs), "--width", "2", "--height", "2"]
+            + flags
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(message)
         assert not evs.exists()
 
     def test_bad_config_nonzero_exit(self, tmp_path, capsys):

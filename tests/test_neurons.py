@@ -6,9 +6,12 @@ from scipy import sparse
 
 from lsmkit import (
     ConfigError,
+    ConnectionLaw,
+    GridDims,
     NeuronParams,
     NumericsError,
     PopulationState,
+    build_reservoir,
     lif_step,
 )
 
@@ -213,3 +216,38 @@ class TestSynapseTrace:
         combined = response(a + b)
         summed = response(a) + response(b)
         assert np.array_equal(combined, summed)
+
+
+class TestBatchedStep:
+    """A (N, B) state steps each column exactly as that column's own (N,)
+    state would, bit for bit, also when no weight or drive is an integer."""
+
+    PARAMS = NeuronParams(tau_v=20.0, tau_u=12.0, w_lsm=0.7)
+
+    def test_batch_equals_column_by_column_runs(self):
+        params, steps, batch = self.PARAMS, 150, 5
+        w = build_reservoir(GridDims(4, 4, 3), ConnectionLaw(lam=2.0), params, 21).weight_matrix()
+        drive = np.random.default_rng(6).normal(4.0, 9.0, size=(steps, w.shape[0], batch))
+        drive[:, :, 1] = 0.0  # a silent column steps next to spiking ones
+        batched = PopulationState.zeros(w.shape[0], batch)
+        singles = [PopulationState.zeros(w.shape[0]) for _ in range(batch)]
+        spikes = np.zeros(batch, dtype=np.int64)
+        for t in range(steps):
+            batched = lif_step(batched, drive[t], w, params)
+            singles = [lif_step(s, drive[t, :, b], w, params) for b, s in enumerate(singles)]
+            for b, single in enumerate(singles):
+                assert batched.v[:, b].tobytes() == single.v.tobytes()
+                assert batched.u[:, b].tobytes() == single.u.tobytes()
+                assert np.array_equal(batched.spikes[:, b], single.spikes)
+            spikes += batched.spikes.sum(axis=0, dtype=np.int64)
+        assert spikes[1] == 0 and np.all(np.delete(spikes, 1) > 0)
+
+    def test_non_finite_column_rejected(self):
+        st = PopulationState.zeros(3, 4)
+        st.u[1, 2] = np.inf
+        with pytest.raises(NumericsError):
+            lif_step(st, np.zeros((3, 4)), None, NeuronParams())
+
+    def test_drive_shape_must_match_batch(self):
+        with pytest.raises(ConfigError, match="injected drive has shape"):
+            lif_step(PopulationState.zeros(3, 4), np.zeros((3, 2)), None, NeuronParams())

@@ -379,3 +379,28 @@ class TestEventFiles:
         with pytest.raises(ConfigError, match=f"event {field} ="):
             write_events(stream, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [(dict(width=2**32), "header width = 4294967296"),
+         (dict(height=2**32), "header height = 4294967296"),
+         (dict(label=-1), "header label = -1"),
+         (dict(label=2**32), "header label = 4294967296"),
+         (dict(label=0xFFFFFFFF), "label 4294967295 is reserved")],
+        ids=["width", "height", "label-negative", "label-too-big", "label-reserved"],
+    )
+    def test_header_field_outside_u32_rejected(self, tmp_path, header, message):
+        # the header packs width, height and label as u32; 0xFFFFFFFF
+        # already means "no label"
+        stream = stream_of([], **{"width": 2, "height": 2, **header})
+        path = tmp_path / "header.evs"
+        with pytest.raises(ConfigError, match=message):
+            write_events(stream, path)
+        assert not path.exists()
+
+    def test_negative_timestamp_rejected(self, tmp_path):
+        # t is stored as u64 microseconds; -5 would become 2^64 - 5
+        path = tmp_path / "early.evs"
+        with pytest.raises(ConfigError, match="event t = -5 is negative"):
+            write_events(stream_of([(-5, 1, 1, 0), (3, 0, 0, 1)]), path)
+        assert not path.exists()

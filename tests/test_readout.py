@@ -183,6 +183,34 @@ class TestTraining:
         assert evaluate(model, (x, y)).accuracy == 1.0
 
 
+class TestFitTrace:
+    def test_budget_exhausted_fit_reports_its_final_gradient(self):
+        x, y = TestTraining().gaussian_clusters(seed=5, n_classes=3)
+        cfg = ReadoutConfig(epochs=40)
+        model = train_readout((x, y), cfg)
+        assert model.fit.epochs == 40 and model.fit.converged is False
+        classes = np.unique(y)
+        onehot = (y[:, None] == classes[None, :]).astype(float)
+        _, gw, gb = loss_and_gradients(
+            model.weights, model.bias, x / model.feature_scale, onehot, cfg.l2
+        )
+        assert model.fit.grad_norm == float(np.sqrt(np.sum(gw**2) + np.sum(gb**2)))
+
+    def test_converged_fit_stops_early(self):
+        x, y = TestTraining().gaussian_clusters(seed=5, n_classes=3)
+        model = train_readout((x, y), ReadoutConfig(epochs=500, tolerance=0.05))
+        assert model.fit.converged is True
+        assert 0 < model.fit.epochs < 500 and model.fit.grad_norm < 0.05
+        # the same parameters as a budget of exactly the epochs it ran
+        budget = train_readout((x, y), ReadoutConfig(epochs=model.fit.epochs))
+        assert np.array_equal(budget.weights, model.weights)
+
+    def test_loaded_model_has_no_trace(self, tmp_path):
+        x, y = TestTraining().gaussian_clusters(seed=5)
+        save_model(train_readout((x, y), ReadoutConfig(epochs=5)), tmp_path / "m.txt")
+        assert load_model(tmp_path / "m.txt").fit is None
+
+
 class TestEvaluate:
     def test_zero_model_predicts_lowest_class(self):
         from lsmkit import ReadoutModel
