@@ -49,8 +49,8 @@ from .inputs import (
 from .neurons import NeuronParams, PopulationState, lif_step
 from .readout import (
     EvalMetrics,
-    ReadoutConfig,
     FitTrace,
+    ReadoutConfig,
     ReadoutModel,
     SampleStateVector,
     evaluate,

@@ -106,25 +106,33 @@ class GatedDrive:
     """The injected current of B samples stepped together, held only while live.
 
     Member r maps ``rates``, stacked as (T, B, n_inputs), through its input
-    map and is driven only inside ``windows[r]``.  Its drive is mapped when
-    the window opens, as one (N_r, window, B) block, and dropped when it
-    closes.  Iterating yields each step's (N, B) current in one reused
-    buffer.  With ``record_l1`` set, ``l1[r, b]`` is the (T,) L1 norm of
-    member r's drive into sample b.
+    map and is driven only inside ``windows[r]``.  Consecutive members with
+    equal windows share one (neurons, window, B) block, mapped when the
+    window opens and dropped when it closes.  Iterating yields each step's
+    (N, B) current in one reused buffer.  With ``record_l1`` set,
+    ``l1[r, b]`` is the (T,) L1 norm of member r's drive into sample b.
     """
 
     def __init__(self, rates, members, windows, steps: int, record_l1: bool = False):
-        self.rates, self.members, self.windows = rates, members, windows
+        self.rates, self.members = rates, members
         self.offsets = np.cumsum([0] + [imap.n_reservoir for _, imap in members])
         self.shape = (steps, int(self.offsets[-1]), rates.shape[1])
         self.l1 = np.zeros((len(members), rates.shape[1], steps)) if record_l1 else None
+        # (start, end, first member, last member + 1) per run of equal
+        # windows.  A shared block means one copy per step, and for a
+        # multi-length-scale ensemble one allocation the size of its whole
+        # drive, which lifts glibc's adaptive mmap threshold above the
+        # Gabor bank's temporaries: with one block per member nmnist-mulre3
+        # took 4-10x the page faults and about 12% more total_s.
+        self.groups = []
+        for r, window in enumerate(windows):
+            if self.groups and self.groups[-1][:2] == tuple(window):
+                self.groups[-1] = (*window, self.groups[-1][2], r + 1)
+            else:
+                self.groups.append((*window, r, r + 1))
         # step 0's drive is mapped before the loop allocates its raster and
         # state, which keeps the heap and so the peak RSS smaller
-        self._live = {
-            r: self._map(r, start, end)
-            for r, (start, end) in enumerate(windows)
-            if start == 0
-        }
+        self._live = {group: self._map(*group) for group in self.groups if group[0] == 0}
 
     def __iter__(self):
         """Each step's current; a drive can be iterated once."""
@@ -132,27 +140,40 @@ class GatedDrive:
         buffer = np.zeros((n, batch))
         live = self._live
         for t in range(steps):
-            for r, (start, end) in enumerate(self.windows):
-                rows = buffer[self.offsets[r] : self.offsets[r + 1]]
+            for group in self.groups:
+                start, end, first, last = group
+                rows = buffer[self.offsets[first] : self.offsets[last]]
                 if t == start > 0:
-                    live[r] = self._map(r, start, end)
+                    live[group] = self._map(*group)
                 if start <= t < end:
-                    rows[...] = live[r][:, t - start]
+                    rows[...] = live[group][:, t - start]
                 elif t == end:
                     rows[...] = 0.0
-                    del live[r]
+                    del live[group]
             yield buffer
 
-    def _map(self, r: int, start: int, end: int) -> np.ndarray:
+    def _map(self, start: int, end: int, first: int, last: int) -> np.ndarray:
+        """The drive of members ``first`` to ``last - 1`` over their window."""
         # rows ordered (step, sample): one mapping call drives the whole batch
         window = self.rates[start:end]
-        values = drive_through_map(
-            window.reshape(-1, window.shape[2]), self.members[r][1]
-        ).T.reshape(-1, end - start, self.shape[2])
+        window = window.reshape(-1, window.shape[2])
+        base, shape = self.offsets[first], (-1, end - start, self.shape[2])
+        mapped = (
+            drive_through_map(window, self.members[r][1]).T.reshape(shape)
+            for r in range(first, last)
+        )
+        if last - first == 1:
+            values = next(mapped)
+        else:  # filled member by member: one mapped block at a time beside it
+            values = np.empty((self.offsets[last] - base,) + shape[1:])
+            for r, block in zip(range(first, last), mapped):
+                values[self.offsets[r] - base : self.offsets[r + 1] - base] = block
         if self.l1 is not None:
-            # each step's norm summed over a contiguous row, as for one sample
-            rows = np.ascontiguousarray(values.transpose(2, 1, 0))
-            self.l1[r, :, start:end] = np.abs(rows).sum(axis=2)
+            for r in range(first, last):
+                block = values[self.offsets[r] - base : self.offsets[r + 1] - base]
+                # each step's norm summed over a contiguous row, as for one sample
+                rows = np.ascontiguousarray(block.transpose(2, 1, 0))
+                self.l1[r, :, start:end] = np.abs(rows).sum(axis=2)
         return values
 
 

@@ -27,6 +27,7 @@ from lsmkit import (
     save_config,
 )
 from lsmkit.config import from_dict, to_dict
+from lsmkit.eventio import write_events
 from lsmkit.harness import (
     Manifest,
     build_members,
@@ -56,6 +57,14 @@ def tiny_dataset(tmp_path_factory):
         seed=5,
     )
     return generate_multiphase(params, out)
+
+
+def stream_ending_at(last):
+    """Two events on a 6x6 sensor, the last at ``last`` microseconds."""
+    return EventStream(
+        t=np.array([0, last]), x=np.array([0, 5]), y=np.array([0, 5]),
+        p=np.array([0, 1]), width=6, height=6, label=0,
+    )
 
 
 def tiny_config(manifest, **overrides):
@@ -362,6 +371,19 @@ class TestBatching:
                 assert batches == [used] * (11 // used) + [11 % used] * (11 % used > 0)
         assert reports[1].state_hash == reports[3].state_hash == reports[100].state_hash
         assert reports[1].readout == reports[100].readout
+
+
+    def test_engine_rejects_unequal_lengths_in_one_batch(self, tiny_dataset, tmp_path):
+        # without a fixed length each sample keeps its own T
+        cfg = tiny_config(tiny_dataset, preprocessing=PreprocessingConfig(time_window=1000))
+        engine = build_members(cfg, frame_geometry(cfg, load_manifest(tiny_dataset)), 2)
+        paths = []
+        for i, last in enumerate((4_000, 9_000)):
+            paths.append(tmp_path / f"{i}.evs")
+            write_events(stream_ending_at(last), paths[-1])
+        with pytest.raises(ConfigError, match="equal lengths"):
+            engine(paths)
+        assert [steps for *_, steps in engine(paths[1:])] == [10]
 
 
 class TestReadoutReport:
