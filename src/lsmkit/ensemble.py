@@ -138,18 +138,23 @@ class GatedDrive:
         """Each step's current; a drive can be iterated once."""
         steps, n, batch = self.shape
         buffer = np.zeros((n, batch))
-        live = self._live
+        live, active = self._live, []
+        bounds = {t for start, end, _, _ in self.groups for t in (start, end)}
         for t in range(steps):
-            for group in self.groups:
-                start, end, first, last = group
-                rows = buffer[self.offsets[first] : self.offsets[last]]
-                if t == start > 0:
-                    live[group] = self._map(*group)
-                if start <= t < end:
-                    rows[...] = live[group][:, t - start]
-                elif t == end:
-                    rows[...] = 0.0
-                    del live[group]
+            if t in bounds:  # a window opens or closes: list the open ones
+                active = []
+                for group in self.groups:
+                    start, end, first, last = group
+                    rows = buffer[self.offsets[first] : self.offsets[last]]
+                    if t == start > 0:
+                        live[group] = self._map(*group)
+                    if start <= t < end:
+                        active.append((rows, live[group], start))
+                    elif t == end:
+                        rows[...] = 0.0
+                        del live[group]
+            for rows, values, start in active:
+                rows[...] = values[:, t - start]
             yield buffer
 
     def _map(self, start: int, end: int, first: int, last: int) -> np.ndarray:
