@@ -16,11 +16,10 @@ Both ensembles are simulated the same way: the members are stacked into
 one population whose recurrent weights are block-diagonal and whose drive
 holds one block per member, and :func:`simulate_population`, the only time
 loop, steps it, for one sample or for a batch of equal-length samples at
-once.  A multi-length-scale ensemble is that
-population with ungated drive and no links; a temporal one gates each
-member's block to its slab and adds the inter-partition links.  The one
-record is then cut back into per-sample, per-member records by neuron
-offsets.
+once.  A multi-length-scale ensemble is that population with ungated drive
+and no links; a temporal one gates each member's block to its slab and
+adds the inter-partition links.  The one record is then cut back into
+per-sample, per-member records by neuron offsets.
 """
 
 from __future__ import annotations
@@ -195,11 +194,12 @@ def simulate_population(
 
     ``drive`` is the pre-weighted injected current: (T, N) for one sample,
     or (T, N, B), such as a :class:`GatedDrive`, for B samples stepped
-    together, whose record's arrays then keep the trailing batch axis.  ``links`` is an optional (N x N) coupling whose spikes, like
-    recurrent ones, arrive one step later; they are added to the injected
-    current, not to the recurrent sum, so a stacked ensemble sums in the
-    same order as its members stepped one by one.  ``slab`` additionally
-    counts spikes inside its interval.
+    together, whose record's arrays then keep the trailing batch axis.
+    ``links`` is an optional (N x N) coupling whose spikes, like recurrent
+    ones, arrive one step later; they are added to the injected current,
+    not to the recurrent sum, so a stacked ensemble sums in the same order
+    as its members stepped one by one.  ``slab`` additionally counts spikes
+    inside its interval.
     """
     steps, n = drive.shape[:2]
     state = PopulationState.zeros(n, *drive.shape[2:])
@@ -251,7 +251,7 @@ def _run_stacked(
         if imap.n_reservoir != topo.size:
             raise ConfigError("input map and topology sizes disagree")
     if rates.ndim not in (2, 3):
-        raise ConfigError(f"rates of shape {rates.shape} are neither (T, n) nor (T, B, n)")
+        raise ConfigError(f"rates of shape {rates.shape} are not (T, n) or (T, B, n)")
     stack = rates if rates.ndim == 3 else rates[:, None]
     drive = GatedDrive(stack, members, windows, steps, record_l1=record_drive)
     offsets = drive.offsets

@@ -375,7 +375,8 @@ class TestBatching:
 
     def test_engine_rejects_unequal_lengths_in_one_batch(self, tiny_dataset, tmp_path):
         # without a fixed length each sample keeps its own T
-        cfg = tiny_config(tiny_dataset, preprocessing=PreprocessingConfig(time_window=1000))
+        free_length = PreprocessingConfig(time_window=1000)
+        cfg = tiny_config(tiny_dataset, preprocessing=free_length)
         engine = build_members(cfg, frame_geometry(cfg, load_manifest(tiny_dataset)), 2)
         paths = []
         for i, last in enumerate((4_000, 9_000)):
@@ -394,7 +395,9 @@ class TestReadoutReport:
             MultiPhaseParams(n_train=30, n_test=10, seed=3), tmp_path / "data"
         )
         shipped = load_config(TestBatching.CONFIG_DIR / "synthetic_tepre3.json")
-        cfg = replace(shipped, dataset_manifest=str(manifest), output_dir=str(tmp_path / "run"))
+        cfg = replace(
+            shipped, dataset_manifest=str(manifest), output_dir=str(tmp_path / "run")
+        )
         assert (cfg.readout.epochs, cfg.readout.tolerance) == (500, 1e-6)
         run_experiment(cfg)
         saved = json.loads((tmp_path / "run" / "report.json").read_text())

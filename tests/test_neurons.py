@@ -226,7 +226,8 @@ class TestBatchedStep:
 
     def test_batch_equals_column_by_column_runs(self):
         params, steps, batch = self.PARAMS, 150, 5
-        w = build_reservoir(GridDims(4, 4, 3), ConnectionLaw(lam=2.0), params, 21).weight_matrix()
+        topo = build_reservoir(GridDims(4, 4, 3), ConnectionLaw(lam=2.0), params, 21)
+        w = topo.weight_matrix()
         drive = np.random.default_rng(6).normal(4.0, 9.0, size=(steps, w.shape[0], batch))
         drive[:, :, 1] = 0.0  # a silent column steps next to spiking ones
         batched = PopulationState.zeros(w.shape[0], batch)
@@ -234,7 +235,10 @@ class TestBatchedStep:
         spikes = np.zeros(batch, dtype=np.int64)
         for t in range(steps):
             batched = lif_step(batched, drive[t], w, params)
-            singles = [lif_step(s, drive[t, :, b], w, params) for b, s in enumerate(singles)]
+            singles = [
+                lif_step(single, drive[t, :, b], w, params)
+                for b, single in enumerate(singles)
+            ]
             for b, single in enumerate(singles):
                 assert batched.v[:, b].tobytes() == single.v.tobytes()
                 assert batched.u[:, b].tobytes() == single.u.tobytes()
