@@ -107,9 +107,10 @@ class GatedDrive:
     Member r maps ``rates``, stacked as (T, B, n_inputs), through its input
     map and is driven only inside ``windows[r]``.  Consecutive members with
     equal windows share one (neurons, window, B) block, mapped when the
-    window opens and dropped when it closes.  Iterating yields each step's
-    (N, B) current in one reused buffer.  With ``record_l1`` set,
-    ``l1[r, b]`` is the (T,) L1 norm of member r's drive into sample b.
+    window opens and dropped when it closes.  ``drive[t]``, read for
+    t = 0, 1, ..., T - 1 in turn, is step t's (N, B) current in one reused
+    buffer.  With ``record_l1`` set, ``l1[r, b]`` is the (T,) L1 norm of
+    member r's drive into sample b.
     """
 
     def __init__(self, rates, members, windows, steps: int, record_l1: bool = False):
@@ -129,32 +130,30 @@ class GatedDrive:
                 self.groups[-1] = (*window, self.groups[-1][2], r + 1)
             else:
                 self.groups.append((*window, r, r + 1))
+        self._bounds = {t for start, end, _, _ in self.groups for t in (start, end)}
+        self._active = []
         # step 0's drive is mapped before the loop allocates its raster and
         # state, which keeps the heap and so the peak RSS smaller
         self._live = {group: self._map(*group) for group in self.groups if group[0] == 0}
+        self._buffer = np.zeros(self.shape[1:])
 
-    def __iter__(self):
-        """Each step's current; a drive can be iterated once."""
-        steps, n, batch = self.shape
-        buffer = np.zeros((n, batch))
-        live, active = self._live, []
-        bounds = {t for start, end, _, _ in self.groups for t in (start, end)}
-        for t in range(steps):
-            if t in bounds:  # a window opens or closes: list the open ones
-                active = []
-                for group in self.groups:
-                    start, end, first, last = group
-                    rows = buffer[self.offsets[first] : self.offsets[last]]
-                    if t == start > 0:
-                        live[group] = self._map(*group)
-                    if start <= t < end:
-                        active.append((rows, live[group], start))
-                    elif t == end:
-                        rows[...] = 0.0
-                        del live[group]
-            for rows, values, start in active:
-                rows[...] = values[:, t - start]
-            yield buffer
+    def __getitem__(self, t: int) -> np.ndarray:
+        """Step t's current; steps are read in order, each once."""
+        if t in self._bounds:  # a window opens or closes: list the open ones
+            self._active = []
+            for group in self.groups:
+                start, end, first, last = group
+                rows = self._buffer[self.offsets[first] : self.offsets[last]]
+                if t == start > 0:
+                    self._live[group] = self._map(*group)
+                if start <= t < end:
+                    self._active.append((rows, self._live[group], start))
+                elif t == end:
+                    rows[...] = 0.0
+                    del self._live[group]
+        for rows, values, start in self._active:
+            rows[...] = values[:, t - start]
+        return self._buffer
 
     def _map(self, start: int, end: int, first: int, last: int) -> np.ndarray:
         """The drive of members ``first`` to ``last - 1`` over their window."""
@@ -204,7 +203,8 @@ def simulate_population(
     steps, n = drive.shape[:2]
     state = PopulationState.zeros(n, *drive.shape[2:])
     raster = np.zeros(drive.shape, dtype=np.uint8)
-    for t, injected in enumerate(drive):
+    for t in range(steps):
+        injected = drive[t]
         if links is not None and state.spikes.any():
             injected = injected + links.dot(state.spikes.astype(np.float64))
         state = lif_step(state, injected, weights, params)
