@@ -6,7 +6,7 @@ pipeline consumes lives here; nothing is drawn from implicit entropy.
     {
       "dataset":       {"manifest": "synth/manifest.json"},
       "preprocessing": {"time_window": 1000, "downscale": 1, "gabor": false,
-                        "merge_polarities": true, "steps": null},
+                        "merge_polarities": true, "steps": 300},
       "neuron":        {"tau_v": 16, "tau_u": 16, "theta": 20, "dt": 1,
                         "w_lsm": 1},
       "connectivity":  {"lam": 2.0, "c_table": {"EE": 0.2, "EI": 0.1,
@@ -60,21 +60,27 @@ class PreprocessingConfig:
     downscale: int = 1
     gabor: bool = False
     merge_polarities: bool = True
-    steps: int | None = None  # clip/pad to a fixed presentation length
+    steps: int = field(kw_only=True)  # every sample is clipped/padded to it
 
     def __post_init__(self):
         if self.time_window <= 0:
             raise ConfigError("time_window must be positive")
         if self.downscale < 1:
             raise ConfigError("downscale factor must be >= 1")
-        if self.steps is not None and self.steps < 1:
-            raise ConfigError(f"steps must be >= 1 or null, not {self.steps}")
+        if not isinstance(self.steps, int):
+            raise TypeError(f"steps must be an integer, not {self.steps!r}")
+        if self.steps < 1:
+            raise ConfigError(f"steps must be >= 1, not {self.steps}")
 
 
 @dataclass(frozen=True)
 class ConnectivityConfig:
     lam: float = 2.0
     c_table: dict = field(default_factory=lambda: dict(DEFAULT_C_TABLE))
+
+    def __post_init__(self):
+        if not isinstance(self.c_table, dict):
+            raise TypeError(f"c_table must be an object, not {self.c_table!r}")
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,8 @@ class EnsembleConfig:
     member_dims: tuple[int, int, int] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.partitions, int):
+            raise TypeError(f"partitions must be an integer, not {self.partitions!r}")
         if self.variant not in ("tepre", "mulre"):
             raise ConfigError(f"unknown ensemble variant {self.variant!r}")
         if self.variant == "tepre":
@@ -118,10 +126,6 @@ class EnsembleConfig:
                 raise ConfigError("mulre needs a nonempty d_list")
             if self.member_dims is None:
                 raise ConfigError("mulre needs member_dims")
-
-    @property
-    def n_members(self) -> int:
-        return self.partitions if self.variant == "tepre" else len(self.d_list)
 
     def member_grid(self) -> tuple[int, int, int]:
         if self.variant == "tepre":
@@ -140,7 +144,7 @@ class Seeds:
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset_manifest: str
-    preprocessing: PreprocessingConfig = PreprocessingConfig()
+    preprocessing: PreprocessingConfig
     neuron: NeuronParams = NeuronParams()
     connectivity: ConnectivityConfig = ConnectivityConfig()
     input: InputConfig = InputConfig()
@@ -187,9 +191,15 @@ def to_dict(cfg: ExperimentConfig) -> dict:
     return out
 
 
-def _section(cls, raw: dict, name: str):
+def _section(cls, raw, name: str):
+    """``cls`` built from one section, whose lists become tuples; a section
+    of the wrong shape or with a value of the wrong type is a
+    ``ConfigError`` that names it."""
     try:
-        return cls(**raw)
+        if not isinstance(raw, dict):
+            raise TypeError(f"expected an object, not {raw!r}")
+        values = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
+        return cls(**values)
     except TypeError as exc:
         raise ConfigError(f"bad {name} section: {exc}")
 
@@ -203,11 +213,7 @@ def from_dict(data: dict) -> ExperimentConfig:
     neuron = _section(NeuronParams, data.get("neuron", {}), "neuron")
     conn = _section(ConnectivityConfig, data.get("connectivity", {}), "connectivity")
     inp = _section(InputConfig, data.get("input", {}), "input")
-    ens_raw = dict(data.get("ensemble", {}))
-    for key in ("dims", "d_list", "member_dims"):
-        if ens_raw.get(key) is not None:
-            ens_raw[key] = tuple(ens_raw[key])
-    ensemble = _section(EnsembleConfig, ens_raw, "ensemble")
+    ensemble = _section(EnsembleConfig, data.get("ensemble", {}), "ensemble")
     readout = _section(ReadoutConfig, data.get("readout", {}), "readout")
     seeds = _section(Seeds, data.get("seeds", {}), "seeds")
     return ExperimentConfig(

@@ -78,11 +78,14 @@ def read_aedat(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 def read_trials(csv_path) -> list[tuple[int, int, int]]:
     trials = []
     with open(csv_path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.lower().startswith("class"):
                 continue
-            cls, start, end = (int(v) for v in line.split(",")[:3])
+            try:
+                cls, start, end = (int(v) for v in line.split(",")[:3])
+            except ValueError:
+                raise DatasetError(f"{csv_path}:{number}: {line!r} is not class,start,end")
             trials.append((cls, start, end))
     return trials
 

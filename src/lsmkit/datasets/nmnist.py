@@ -52,6 +52,8 @@ def convert(raw_dir, out_dir, limit_per_split: int | None = None) -> Path:
         if limit_per_split is not None:
             sources = sources[:limit_per_split]
         for i, bin_path in enumerate(sources):
+            if not bin_path.parent.name.isdecimal():
+                raise DatasetError(f"{bin_path.parent}: class folder is not a digit")
             stream = read_bin(bin_path)
             stream.label = int(bin_path.parent.name)
             target = dst / f"{split.lower()}_{i:06d}.evs"

@@ -102,61 +102,53 @@ def drive_through_map(rates: np.ndarray, imap: InputMap) -> np.ndarray:
 
 
 class GatedDrive:
-    """The injected current of B samples stepped together, held only while live.
+    """The injected current of B samples stepped together, one slab at a time.
 
-    Member r maps ``rates``, stacked as (T, B, n_inputs), through its input
-    map and is driven only inside ``windows[r]``.  Consecutive members with
-    equal windows share one (neurons, window, B) block, mapped when the
-    window opens and dropped when it closes.  ``drive[t]``, read for
-    t = 0, 1, ..., T - 1 in turn, is step t's (N, B) current in one reused
-    buffer.  With ``record_l1`` set, ``l1[r, b]`` is the (T,) L1 norm of
-    member r's drive into sample b.
+    ``slabs`` lists (start, end, first member, last member + 1) in order,
+    tiling [0, T): members ``first`` to ``last - 1`` map ``rates``, stacked
+    as (T, B, n_inputs), through their input maps and are driven only
+    inside [start, end).  Only the open slab's (neurons, steps, B) block is
+    held.  ``drive[t]``, read for t = 0, 1, ..., T - 1 in turn, is step t's
+    (N, B) current in one reused buffer.  With ``record_l1`` set,
+    ``l1[r, b]`` is the (T,) L1 norm of member r's drive into sample b.
     """
 
-    def __init__(self, rates, members, windows, steps: int, record_l1: bool = False):
-        self.rates, self.members = rates, members
+    def __init__(self, rates, members, slabs, record_l1: bool = False):
+        self.rates, self.members, self.slabs = rates, members, slabs
         self.offsets = np.cumsum([0] + [imap.n_reservoir for _, imap in members])
+        steps = slabs[-1][1]
         self.shape = (steps, int(self.offsets[-1]), rates.shape[1])
         self.l1 = np.zeros((len(members), rates.shape[1], steps)) if record_l1 else None
-        # (start, end, first member, last member + 1) per run of equal
-        # windows.  A shared block means one copy per step, and for a
-        # multi-length-scale ensemble one allocation the size of its whole
-        # drive, which lifts glibc's adaptive mmap threshold above the
-        # Gabor bank's temporaries: with one block per member nmnist-mulre3
-        # took 4-10x the page faults and about 12% more total_s.
-        self.groups = []
-        for r, window in enumerate(windows):
-            if self.groups and self.groups[-1][:2] == tuple(window):
-                self.groups[-1] = (*window, self.groups[-1][2], r + 1)
-            else:
-                self.groups.append((*window, r, r + 1))
-        self._bounds = {t for start, end, _, _ in self.groups for t in (start, end)}
-        self._active = []
-        # step 0's drive is mapped before the loop allocates its raster and
-        # state, which keeps the heap and so the peak RSS smaller
-        self._live = {group: self._map(*group) for group in self.groups if group[0] == 0}
+        # Members sharing a slab share one block: one copy per step, and for
+        # a multi-length-scale ensemble one allocation the size of its whole
+        # drive, which lifts glibc's adaptive mmap threshold above the Gabor
+        # bank's temporaries (with one block per member nmnist-mulre3 took
+        # 4-10x the page faults and about 12% more total_s).  Slab 0 is
+        # mapped before the loop allocates its raster and state, which keeps
+        # the heap and so the peak RSS smaller.
+        self._slab = 0
+        self._values = self._map(*slabs[0])
         self._buffer = np.zeros(self.shape[1:])
+        self._take_rows()
+
+    def _take_rows(self) -> None:
+        """Cache the open slab's bounds and its members' rows of the buffer."""
+        self._start, self._end, first, last = self.slabs[self._slab]
+        self._rows = self._buffer[self.offsets[first] : self.offsets[last]]
 
     def __getitem__(self, t: int) -> np.ndarray:
         """Step t's current; steps are read in order, each once."""
-        if t in self._bounds:  # a window opens or closes: list the open ones
-            self._active = []
-            for group in self.groups:
-                start, end, first, last = group
-                rows = self._buffer[self.offsets[first] : self.offsets[last]]
-                if t == start > 0:
-                    self._live[group] = self._map(*group)
-                if start <= t < end:
-                    self._active.append((rows, self._live[group], start))
-                elif t == end:
-                    rows[...] = 0.0
-                    del self._live[group]
-        for rows, values, start in self._active:
-            rows[...] = values[:, t - start]
+        if t == self._end:  # the open slab closes and the next one opens
+            self._rows[...] = 0.0
+            self._values = None  # dropped before the next block is mapped
+            self._slab += 1
+            self._values = self._map(*self.slabs[self._slab])
+            self._take_rows()
+        self._rows[...] = self._values[:, t - self._start]
         return self._buffer
 
     def _map(self, start: int, end: int, first: int, last: int) -> np.ndarray:
-        """The drive of members ``first`` to ``last - 1`` over their window."""
+        """The drive of members ``first`` to ``last - 1`` over their slab."""
         # rows ordered (step, sample): one mapping call drives the whole batch
         window = self.rates[start:end]
         window = window.reshape(-1, window.shape[2])
@@ -226,12 +218,11 @@ def _slab_counts(raster: np.ndarray, slab: tuple[int, int] | None):
 def _run_stacked(
     rates: np.ndarray,
     members: list[tuple[ReservoirTopology, InputMap]],
-    windows: tuple[tuple[int, int], ...],
+    slabs: list[tuple[int, int, int, int]],
     inter_links: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     params: NeuronParams,
-    steps: int,
     *,
-    slabs: tuple[tuple[int, int], ...] | None = None,
+    count_slabs: bool = False,
     record_raster: bool = False,
     record_drive: bool = False,
 ) -> list:
@@ -239,11 +230,13 @@ def _run_stacked(
 
     ``rates`` is one sample's (T, n_inputs) input rates, or B samples'
     stacked as (T, B, n_inputs); the result is then one list of member
-    records per sample.  Member r owns one block of neurons and is driven
-    only inside ``windows[r]``, and its drive is held only while that
-    window is open.  Member weights sit on the diagonal of one
-    block-diagonal matrix; each r -> r+1 ``inter_links`` triple is offset
-    into the block below it.
+    records per sample.  Member r owns one block of neurons.  ``slabs``
+    tile [0, T) in order as (start, end, first member, last member + 1);
+    a slab's members are driven only inside it, and its drive is held
+    only while it is open.  With ``count_slabs`` each member owns the
+    slab of its own index and its record counts the spikes inside it.
+    Member weights sit on the diagonal of one block-diagonal matrix; each
+    r -> r+1 ``inter_links`` triple is offset into the block below it.
     """
     if not members:
         raise ConfigError("an ensemble needs at least one member")
@@ -253,8 +246,8 @@ def _run_stacked(
     if rates.ndim not in (2, 3):
         raise ConfigError(f"rates of shape {rates.shape} are not (T, n) or (T, B, n)")
     stack = rates if rates.ndim == 3 else rates[:, None]
-    drive = GatedDrive(stack, members, windows, steps, record_l1=record_drive)
-    offsets = drive.offsets
+    drive = GatedDrive(stack, members, slabs, record_l1=record_drive)
+    offsets, steps = drive.offsets, drive.shape[0]
     weights = sparse.block_diag(
         [topo.weight_matrix() for topo, _ in members], format="csr"
     )
@@ -276,7 +269,7 @@ def _run_stacked(
                 SpikeRecord(
                     counts=whole.counts[lo:hi, b],
                     steps=steps,
-                    slab_counts=_slab_counts(raster, slabs[r] if slabs else None),
+                    slab_counts=_slab_counts(raster, slabs[r][:2] if count_slabs else None),
                     raster=raster if record_raster else None,
                     drive_l1=drive.l1[r, b] if record_drive else None,
                 )
@@ -301,11 +294,8 @@ def run_mulre(
     give one list of member records per sample, each bit-identical to
     that sample's own call.
     """
-    steps = rates.shape[0]
-    windows = ((0, steps),) * len(members)
-    return _run_stacked(
-        rates, members, windows, [], params, steps, record_raster=record_raster
-    )
+    slabs = [(0, rates.shape[0], 0, len(members))]
+    return _run_stacked(rates, members, slabs, [], params, record_raster=record_raster)
 
 
 def build_tepre(
@@ -383,7 +373,8 @@ def run_tepre(
         raise ConfigError(
             f"{rates.shape[0]} input steps cannot fill a {steps}-step schedule"
         )
+    slabs = [(start, end, r, r + 1) for r, (start, end) in enumerate(schedule.intervals)]
     return _run_stacked(
-        rates, members, schedule.intervals, inter_links, params, steps,
-        slabs=schedule.intervals, record_raster=record_raster, record_drive=record_drive,
+        rates, members, slabs, inter_links, params,
+        count_slabs=True, record_raster=record_raster, record_drive=record_drive,
     )

@@ -85,7 +85,7 @@ def load_manifest(path) -> Manifest:
         raise DatasetError(f"dataset manifest {path} is not valid JSON: {exc}")
     base = path.parent
     try:
-        return Manifest(
+        manifest = Manifest(
             width=int(data["width"]),
             height=int(data["height"]),
             channels=int(data.get("channels", 2)),
@@ -96,6 +96,10 @@ def load_manifest(path) -> Manifest:
         raise DatasetError(f"dataset manifest {path} has no key {exc}")
     except (TypeError, ValueError) as exc:
         raise DatasetError(f"dataset manifest {path} is malformed: {exc}")
+    for split in ("train", "test"):
+        if not getattr(manifest, split):
+            raise DatasetError(f"dataset manifest {path} lists no {split} samples")
+    return manifest
 
 
 def preprocess_stream(stream, cfg: ExperimentConfig, n_channels: int) -> np.ndarray:
@@ -109,8 +113,7 @@ def preprocess_stream(stream, cfg: ExperimentConfig, n_channels: int) -> np.ndar
         seq = merge_channels(seq)
     if prep.gabor:
         seq = gabor_bank(seq)
-    if prep.steps is not None:
-        seq = clip_or_pad(seq, prep.steps)
+    seq = clip_or_pad(seq, prep.steps)
     return frames_to_spike_drive(seq)
 
 
@@ -152,10 +155,7 @@ def sample_bytes(cfg: ExperimentConfig, geometry: tuple[int, int, int]) -> int:
 
 def batch_size(cfg: ExperimentConfig, geometry: tuple[int, int, int]) -> int:
     """Samples per engine call: as many as fit ``BATCH_BYTES``, at least
-    one.  Only samples of equal length can step together, so without a
-    fixed ``preprocessing.steps`` every sample is a batch of its own."""
-    if cfg.preprocessing.steps is None:
-        return 1
+    one."""
     return max(1, BATCH_BYTES // sample_bytes(cfg, geometry))
 
 
@@ -172,9 +172,8 @@ class Engine:
     members: list[tuple[ReservoirTopology, InputMap]]
     inter_links: list | None
 
-    def __call__(self, paths) -> list[tuple[np.ndarray, int, list[int], int]]:
-        """(features, label, total spikes per member, steps) of each file,
-        in order.  The files must preprocess to equal lengths."""
+    def __call__(self, paths) -> list[tuple[np.ndarray, int]]:
+        """(features, label) of each file, in order."""
         labels, rates = [], []
         for path in paths:
             stream = eventio.read_events(path)
@@ -182,23 +181,19 @@ class Engine:
                 raise DatasetError(f"{path}: sample has no label")
             labels.append(stream.label)
             rates.append(preprocess_stream(stream, self.cfg, self.channels))
-        steps = rates[0].shape[0]
-        if any(r.shape[0] != steps for r in rates):
-            raise ConfigError("the samples of one batch must have equal lengths")
         # a lone file's rates become a batch of one as a view, not a copy
         rates = rates[0][:, None] if len(rates) == 1 else np.stack(rates, axis=1)
         params = self.cfg.neuron
         if self.cfg.ensemble.variant == "mulre":
             batch = run_mulre(rates, self.members, params)
         else:
+            steps = self.cfg.preprocessing.steps
             schedule = equal_split_schedule(steps, len(self.members))
             batch = run_tepre(rates, self.members, self.inter_links, schedule, params)
-        results = []
-        for records, label in zip(batch, labels):
-            state = extract_state(records)
-            totals = [int(r.counts.sum()) for r in records]
-            results.append((state.features, label, totals, steps))
-        return results
+        return [
+            (extract_state(records).features, label)
+            for records, label in zip(batch, labels)
+        ]
 
 
 def build_members(
@@ -277,9 +272,7 @@ def _run_split(files: list[Path], engine: Engine, threads: int, batch: int):
     results = [r for output in outputs for r in output]
     features = np.stack([r[0] for r in results])
     labels = np.array([r[1] for r in results], dtype=np.int64)
-    spike_totals = np.array([r[2] for r in results], dtype=np.int64)
-    steps = np.array([r[3] for r in results], dtype=np.int64)
-    return features, labels, spike_totals, steps
+    return features, labels
 
 
 def _sha256(arr: np.ndarray) -> str:
@@ -326,7 +319,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
     # no bigger than one worker's share, so that every worker gets a batch
     share = -(-len(files) // max(threads, 1))
     batch = max(1, min(batch_size(cfg, geometry), share))
-    features, labels, all_spikes, steps = _run_split(files, engine, threads, batch)
+    features, labels = _run_split(files, engine, threads, batch)
     n_train = len(manifest.train)
     x_train, x_test = features[:n_train], features[n_train:]
     y_train, y_test = labels[:n_train], labels[n_train:]
@@ -341,19 +334,15 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
     test_metrics = evaluate(model, (x_test, y_test))
     timings["evaluate"] = time.perf_counter() - t0
 
-    member_sizes = [topo.size for topo, _ in engine.members]
-    total_steps = int(steps.sum())
+    sizes = [topo.size for topo, _ in engine.members]
+    bounds = np.cumsum([0] + sizes)
+    total_steps = len(files) * cfg.preprocessing.steps
+    # each member's column block of spike counts, held exactly in float64
+    totals = [int(features[:, lo:hi].sum()) for lo, hi in zip(bounds[:-1], bounds[1:])]
     spike_stats = {
         "members": [
-            {
-                "neurons": member_sizes[m],
-                "mean_rate": float(
-                    all_spikes[:, m].sum()
-                    / max(member_sizes[m] * total_steps, 1)
-                ),
-                "total_spikes": int(all_spikes[:, m].sum()),
-            }
-            for m in range(len(member_sizes))
+            {"neurons": n, "mean_rate": total / (n * total_steps), "total_spikes": total}
+            for n, total in zip(sizes, totals)
         ],
     }
 

@@ -67,6 +67,14 @@ class TestNmnist:
         assert nmnist.main([str(tmp_path / "nope"), str(tmp_path / "conv")]) == 2
         assert capsys.readouterr().err.startswith("error: missing")
 
+    def test_main_non_digit_class_folder_exits_2(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        self.write_raw(raw)
+        (raw / "Train" / "0").rename(raw / "Train" / "zero")
+        assert nmnist.main([str(raw), str(tmp_path / "conv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(raw / "Train" / "zero") in err
+
 
 class TestShd:
     def test_convert(self, tmp_path):
@@ -188,6 +196,15 @@ class TestDvsGesture:
     def test_main_missing_raw_dir_exits_2(self, tmp_path, capsys):
         assert dvsgesture.main([str(tmp_path / "nope"), str(tmp_path / "conv")]) == 2
         assert capsys.readouterr().err.startswith("error: missing")
+
+    @pytest.mark.parametrize("row", ["2,0", "2,zero,100"], ids=["two-fields", "not-an-integer"])
+    def test_main_malformed_labels_row_exits_2(self, tmp_path, capsys, row):
+        data = self.write_raw(tmp_path / "raw")
+        labels = data / "u_labels.csv"
+        labels.write_text(f"class,startTime_usec,endTime_usec\n2,0,100\n{row}\n")
+        assert dvsgesture.main([str(tmp_path / "raw"), str(tmp_path / "conv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{labels}:3" in err
 
     def test_manifest_json_shape(self, tmp_path):
         self.write_raw(tmp_path / "raw")

@@ -112,7 +112,7 @@ def experiment_configs(draw):
             downscale=draw(sizes),
             gabor=draw(st.booleans()),
             merge_polarities=draw(st.booleans()),
-            steps=draw(st.none() | st.integers(1, 5000)),
+            steps=draw(st.integers(1, 5000)),
         ),
         neuron=NeuronParams(
             tau_v=draw(st.floats(1.5, 100.0)),
@@ -211,6 +211,16 @@ class TestConfigRoundTrip:
     def test_zero_partitions_rejected(self):
         with pytest.raises(ConfigError):
             EnsembleConfig(variant="tepre", partitions=0, dims=(4, 4, 6))
+
+    def test_missing_steps_rejected(self, tiny_dataset):
+        # every sample is cut to one fixed length, so there is no default
+        data = to_dict(tiny_config(tiny_dataset))
+        del data["preprocessing"]["steps"]
+        with pytest.raises(ConfigError, match="bad preprocessing section: .*'steps'"):
+            from_dict(data)
+        data["preprocessing"]["steps"] = None
+        with pytest.raises(ConfigError, match="bad preprocessing section: steps"):
+            from_dict(data)
 
     @pytest.mark.parametrize("steps", [0, -3])
     def test_nonpositive_steps_rejected(self, steps):
@@ -335,8 +345,6 @@ class TestBatching:
         assert harness.BATCH_BYTES == 8 * 2**20
         assert harness.sample_bytes(cfg, geometry) == per_sample
         assert harness.batch_size(cfg, geometry) == batch
-        free_length = replace(cfg, preprocessing=replace(cfg.preprocessing, steps=None))
-        assert harness.batch_size(free_length, geometry) == 1
 
     @pytest.fixture(scope="class")
     def odd_dataset(self, tmp_path_factory):
@@ -373,18 +381,32 @@ class TestBatching:
         assert reports[1].readout == reports[100].readout
 
 
-    def test_engine_rejects_unequal_lengths_in_one_batch(self, tiny_dataset, tmp_path):
-        # without a fixed length each sample keeps its own T
-        free_length = PreprocessingConfig(time_window=1000)
-        cfg = tiny_config(tiny_dataset, preprocessing=free_length)
+    def test_engine_batches_files_of_unequal_raw_length(
+        self, tiny_dataset, tmp_path, monkeypatch
+    ):
+        # 5 and 10 frames of 1 ms are padded and clipped to the same 6 steps
+        fixed = PreprocessingConfig(time_window=1000, steps=6)
+        cfg = tiny_config(tiny_dataset, preprocessing=fixed)
         engine = build_members(cfg, frame_geometry(cfg, load_manifest(tiny_dataset)), 2)
         paths = []
         for i, last in enumerate((4_000, 9_000)):
             paths.append(tmp_path / f"{i}.evs")
             write_events(stream_ending_at(last), paths[-1])
-        with pytest.raises(ConfigError, match="equal lengths"):
-            engine(paths)
-        assert [steps for *_, steps in engine(paths[1:])] == [10]
+        shapes = []
+        run_tepre = harness.run_tepre
+
+        def recording_run_tepre(rates, *args, **kwargs):
+            shapes.append(rates.shape[:2])
+            return run_tepre(rates, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_tepre", recording_run_tepre)
+        both = engine(paths)
+        assert shapes == [(6, 2)]
+        assert [label for _, label in both] == [0, 0]
+        for (features, _), path in zip(both, paths):
+            alone, _ = engine([path])[0]
+            assert features.tobytes() == alone.tobytes()
+        assert shapes == [(6, 2), (6, 1), (6, 1)]
 
 
 class TestReadoutReport:
@@ -479,7 +501,7 @@ class TestFrameGeometry:
             ),
             max_size=60,
         ),
-        st.none() | st.integers(1, 30),
+        st.integers(1, 30),
     )
     def test_geometry_counts_the_inputs_preprocessing_makes(self, events, steps):
         events.sort()
@@ -651,8 +673,10 @@ class TestCli:
             ('{"height": 6, "train": [], "test": []}', "'width'"),
             ('{"width": 6, "height": ', "not valid JSON"),
             ('{"width": 6, "height": 6, "train": 3, "test": []}', "malformed"),
+            ('{"width": 6, "height": 6, "train": [], "test": []}', "no train samples"),
+            ('{"width": 6, "height": 6, "train": ["a.evs"], "test": []}', "no test samples"),
         ],
-        ids=["no-width", "bad-json", "train-not-a-list"],
+        ids=["no-width", "bad-json", "train-not-a-list", "empty", "no-test"],
     )
     def test_malformed_manifest_is_an_error(self, tmp_path, capsys, text, named):
         manifest = tmp_path / "manifest.json"
@@ -663,3 +687,28 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(manifest) in err and named in err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("ensemble", None, None),
+            ("ensemble", None, {"dims": 5}),
+            ("connectivity", "c_table", [1, 2]),
+            ("ensemble", "partitions", 1.5),
+        ],
+        ids=["ensemble-null", "dims-not-a-list", "c_table-not-an-object", "partitions-float"],
+    )
+    def test_malformed_section_is_an_error(
+        self, tmp_path, tiny_dataset, capsys, section, key, value
+    ):
+        data = to_dict(tiny_config(tiny_dataset))
+        if key is None:
+            data[section] = value
+        else:
+            data[section][key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        rc = cli.main(["run", "--config", str(cfg_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad {section} section:")
