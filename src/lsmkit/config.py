@@ -24,6 +24,14 @@ pipeline consumes lives here; nothing is drawn from implicit entropy.
       "output_dir":    "runs/example"
     }
 
+Every value is checked when the config is built, alone and against the
+values it must agree with, by the rule of the code that consumes it
+(``GridDims`` for the member grid, ``GatingSchedule`` for steps against
+partitions, ``ConnectionLaw`` for lam, c_table and each d).  A value of the
+wrong type or range is a ``ConfigError`` that names its field, so a bad
+config fails before any reservoir is built; only the fit of the frames to
+the dataset's sensor waits until the manifest is read.
+
 Relative manifest paths resolve against LSMKIT_DATA_ROOT when that
 environment variable is set (with no fallback when the file is missing
 there), else against the config file's directory.
@@ -41,17 +49,36 @@ length scale.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
+from .ensemble import check_inter_links, equal_split_schedule
 from .errors import ConfigError
-from .inputs import RECEPTIVE_FIELD, STANDARD
+from .inputs import RECEPTIVE_FIELD, STANDARD, check_density, check_window
 from .neurons import NeuronParams
 from .readout import ReadoutConfig
-from .topology import DEFAULT_C_TABLE
+from .topology import DEFAULT_C_TABLE, ConnectionLaw, GridDims
 
 DATA_ROOT_ENV = "LSMKIT_DATA_ROOT"
+
+
+def _check_int(name: str, value, low: int = 1) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, not {value}")
+
+
+def _check_grid(name: str, dims) -> None:
+    """Three integers; their range is the member grid's to check."""
+    if not (
+        isinstance(dims, (tuple, list))
+        and len(dims) == 3
+        and all(isinstance(n, int) and not isinstance(n, bool) for n in dims)
+    ):
+        raise TypeError(f"{name} must be three integers, not {dims!r}")
 
 
 @dataclass(frozen=True)
@@ -63,14 +90,12 @@ class PreprocessingConfig:
     steps: int = field(kw_only=True)  # every sample is clipped/padded to it
 
     def __post_init__(self):
-        if self.time_window <= 0:
-            raise ConfigError("time_window must be positive")
-        if self.downscale < 1:
-            raise ConfigError("downscale factor must be >= 1")
-        if not isinstance(self.steps, int):
-            raise TypeError(f"steps must be an integer, not {self.steps!r}")
-        if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, not {self.steps}")
+        for name in ("time_window", "downscale", "steps"):
+            _check_int(name, getattr(self, name))
+        for name in ("gabor", "merge_polarities"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise TypeError(f"{name} must be true or false, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +106,7 @@ class ConnectivityConfig:
     def __post_init__(self):
         if not isinstance(self.c_table, dict):
             raise TypeError(f"c_table must be an object, not {self.c_table!r}")
+        ConnectionLaw(self.lam, c_table=self.c_table)  # the law's rules on both
 
 
 @dataclass(frozen=True)
@@ -93,6 +119,10 @@ class InputConfig:
     def __post_init__(self):
         if self.scheme not in (STANDARD, RECEPTIVE_FIELD):
             raise ConfigError(f"unknown input scheme {self.scheme!r}")
+        if not math.isfinite(self.weight):
+            raise ConfigError(f"weight must be finite, not {self.weight}")
+        check_density(self.density)
+        _check_int("window", self.window)
 
 
 @dataclass(frozen=True)
@@ -108,30 +138,30 @@ class EnsembleConfig:
     member_dims: tuple[int, int, int] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.partitions, int):
-            raise TypeError(f"partitions must be an integer, not {self.partitions!r}")
+        _check_int("partitions", self.partitions)
         if self.variant not in ("tepre", "mulre"):
             raise ConfigError(f"unknown ensemble variant {self.variant!r}")
         if self.variant == "tepre":
-            if self.dims is None:
-                raise ConfigError("tepre needs total grid dims")
-            if self.partitions < 1:
-                raise ConfigError("partitions must be >= 1")
+            _check_grid("dims", self.dims)
             if self.dims[2] % self.partitions != 0:
                 raise ConfigError(
                     f"nz={self.dims[2]} not divisible into {self.partitions} partitions"
                 )
+            check_inter_links(self.inter_density, self.inter_weight)
         else:
             if not self.d_list:
                 raise ConfigError("mulre needs a nonempty d_list")
-            if self.member_dims is None:
-                raise ConfigError("mulre needs member_dims")
+            for d in self.d_list:
+                ConnectionLaw(d=d)  # the law's rule on d
+            _check_grid("member_dims", self.member_dims)
+        self.member_grid()  # the grid's rule on its sides and E/I split
 
-    def member_grid(self) -> tuple[int, int, int]:
+    def member_grid(self) -> GridDims:
+        """The grid of each member reservoir."""
         if self.variant == "tepre":
             nx, ny, nz = self.dims
-            return nx, ny, nz // self.partitions
-        return tuple(self.member_dims)
+            return GridDims(nx, ny, nz // self.partitions)
+        return GridDims(*self.member_dims)
 
 
 @dataclass(frozen=True)
@@ -139,6 +169,10 @@ class Seeds:
     topology: int = 1
     input: int = 2
     training: int = 3
+
+    def __post_init__(self):
+        for name in ("topology", "input", "training"):
+            _check_int(name, getattr(self, name), low=0)
 
 
 @dataclass(frozen=True)
@@ -154,12 +188,24 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.dataset_manifest, str):
+            raise ConfigError(
+                f"dataset.manifest must be a path, not {self.dataset_manifest!r}"
+            )
+        if not isinstance(self.output_dir, (str, type(None))):
+            raise ConfigError(
+                f"output_dir must be a path or null, not {self.output_dir!r}"
+            )
         # The spatial ensemble exists to pair with windowed input; the
         # temporal ensemble is defined over flat input only.
-        if self.ensemble.variant == "mulre" and self.input.scheme != RECEPTIVE_FIELD:
-            raise ConfigError("mulre requires receptive-field input")
-        if self.ensemble.variant == "tepre" and self.input.scheme != STANDARD:
-            raise ConfigError("tepre requires standard input")
+        if self.ensemble.variant == "mulre":
+            if self.input.scheme != RECEPTIVE_FIELD:
+                raise ConfigError("mulre requires receptive-field input")
+            check_window(self.input.window, self.ensemble.member_grid())
+        else:
+            if self.input.scheme != STANDARD:
+                raise ConfigError("tepre requires standard input")
+            equal_split_schedule(self.preprocessing.steps, self.ensemble.partitions)
 
 
 def to_dict(cfg: ExperimentConfig) -> dict:
@@ -193,14 +239,14 @@ def to_dict(cfg: ExperimentConfig) -> dict:
 
 def _section(cls, raw, name: str):
     """``cls`` built from one section, whose lists become tuples; a section
-    of the wrong shape or with a value of the wrong type is a
+    of the wrong shape or with a value of the wrong type or range is a
     ``ConfigError`` that names it."""
     try:
         if not isinstance(raw, dict):
             raise TypeError(f"expected an object, not {raw!r}")
         values = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
         return cls(**values)
-    except TypeError as exc:
+    except (TypeError, ConfigError) as exc:
         raise ConfigError(f"bad {name} section: {exc}")
 
 

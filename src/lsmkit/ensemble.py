@@ -37,36 +37,28 @@ from .topology import ReservoirTopology
 
 @dataclass(frozen=True)
 class GatingSchedule:
-    """Half-open per-partition intervals tiling [0, T)."""
+    """The equal split of ``steps`` into ``partitions`` contiguous slabs,
+    one per partition reservoir; slab lengths differ by at most one."""
 
-    intervals: tuple[tuple[int, int], ...]
     steps: int
+    partitions: int
 
     def __post_init__(self):
-        cursor = 0
-        for start, end in self.intervals:
-            if start != cursor or end <= start:
-                raise ConfigError(
-                    f"intervals must tile [0, {self.steps}) contiguously"
-                )
-            cursor = end
-        if cursor != self.steps:
-            raise ConfigError(f"intervals end at {cursor}, expected {self.steps}")
+        if not 1 <= self.partitions <= self.steps:
+            raise ConfigError(
+                f"cannot split {self.steps} steps into {self.partitions} partitions"
+            )
 
     @property
-    def n_partitions(self) -> int:
-        return len(self.intervals)
+    def intervals(self) -> tuple[tuple[int, int], ...]:
+        """Half-open (start, end) slab of each partition, tiling [0, steps)."""
+        bounds = [(r * self.steps) // self.partitions for r in range(self.partitions + 1)]
+        return tuple(zip(bounds[:-1], bounds[1:]))
 
 
 def equal_split_schedule(steps: int, partitions: int) -> GatingSchedule:
-    """Balanced tiling; interval lengths differ by at most one."""
-    if steps < partitions:
-        raise ConfigError(f"cannot split {steps} steps into {partitions} slabs")
-    bounds = [(r * steps) // partitions for r in range(partitions + 1)]
-    intervals = tuple(
-        (bounds[r], bounds[r + 1]) for r in range(partitions)
-    )
-    return GatingSchedule(intervals=intervals, steps=steps)
+    """The gating schedule of ``partitions`` reservoirs over ``steps`` steps."""
+    return GatingSchedule(steps, partitions)
 
 
 @dataclass
@@ -298,6 +290,14 @@ def run_mulre(
     return _run_stacked(rates, members, slabs, [], params, record_raster=record_raster)
 
 
+def check_inter_links(inter_density: float, inter_weight: float) -> None:
+    """The rule on inter-partition couplings, also checked at config load."""
+    if not inter_weight < 0:
+        raise ConfigError(f"inter_weight must be negative (inhibitory), not {inter_weight}")
+    if not 0 <= inter_density <= 1:
+        raise ConfigError(f"inter_density must lie in [0, 1], not {inter_density}")
+
+
 def build_tepre(
     members: list[ReservoirTopology],
     inter_density: float,
@@ -312,25 +312,12 @@ def build_tepre(
     draw.  The couplings push successive partitions away from producing
     the same or highly correlated output.
     """
-    if inter_weight >= 0:
-        raise ConfigError("inter-partition connections are inhibitory; weight < 0")
-    if not 0 <= inter_density <= 1:
-        raise ConfigError("inter_density must lie in [0, 1]")
+    check_inter_links(inter_density, inter_weight)
     rng = np.random.default_rng(seed)
     links = []
     for r in range(len(members) - 1):
         sources = members[r].inhibitory_indices()
-        n_next = members[r + 1].size
-        if inter_density == 0 or sources.size == 0:
-            links.append(
-                (
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.float64),
-                )
-            )
-            continue
-        hits = rng.random((sources.size, n_next)) < inter_density
+        hits = rng.random((sources.size, members[r + 1].size)) < inter_density
         si, di = np.nonzero(hits)
         links.append(
             (
@@ -362,16 +349,15 @@ def run_tepre(
     :func:`run_mulre`.
     """
     n_parts = len(members)
-    if schedule.n_partitions != n_parts:
+    if schedule.partitions != n_parts:
         raise ConfigError(
-            f"schedule has {schedule.n_partitions} slabs for {n_parts} partitions"
+            f"schedule has {schedule.partitions} slabs for {n_parts} partitions"
         )
     if len(inter_links) != max(n_parts - 1, 0):
         raise ConfigError("need one inter-link entry per adjacent partition pair")
-    steps = schedule.steps
-    if rates.shape[0] < steps:
+    if rates.shape[0] != schedule.steps:
         raise ConfigError(
-            f"{rates.shape[0]} input steps cannot fill a {steps}-step schedule"
+            f"{rates.shape[0]} input steps do not match a {schedule.steps}-step schedule"
         )
     slabs = [(start, end, r, r + 1) for r, (start, end) in enumerate(schedule.intervals)]
     return _run_stacked(

@@ -52,7 +52,7 @@ from .readout import (
     save_model,
     train_readout,
 )
-from .topology import ConnectionLaw, GridDims, ReservoirTopology, build_reservoir
+from .topology import ConnectionLaw, ReservoirTopology, build_reservoir
 
 
 def member_seed(base: int, member: int) -> int:
@@ -144,7 +144,7 @@ def sample_bytes(cfg: ExperimentConfig, geometry: tuple[int, int, int]) -> int:
     rates, its float64 drive over each member's window and its uint8
     raster."""
     ens, steps = cfg.ensemble, cfg.preprocessing.steps
-    member = int(np.prod(ens.member_grid()))
+    member = ens.member_grid().size
     if ens.variant == "mulre":
         n_members, windows = len(ens.d_list), steps * len(ens.d_list)
     else:
@@ -203,7 +203,7 @@ def build_members(
     event files with ``channels`` polarity channels."""
     frame_channels, height, width = geometry
     ens = cfg.ensemble
-    grid = GridDims(*ens.member_grid())
+    grid = ens.member_grid()
 
     field = None
     if cfg.input.scheme == RECEPTIVE_FIELD:

@@ -24,6 +24,22 @@ STANDARD = "standard"
 RECEPTIVE_FIELD = "receptive_field"
 
 
+def check_density(density: float) -> None:
+    """The input wiring's density rule, also checked at config load."""
+    if not 0 < density <= 1:
+        raise ConfigError(f"density must lie in (0, 1], not {density}")
+
+
+def check_window(window: int, dims: GridDims) -> None:
+    """A receptive window must fit the grid's (x, y) extent; also checked
+    at config load."""
+    if window > dims.nx or window > dims.ny:
+        raise ConfigError(
+            f"window {window} does not fit inside the "
+            f"{dims.nx}x{dims.ny} reservoir extent"
+        )
+
+
 @dataclass(frozen=True)
 class ReceptiveField:
     """Square-window scheme parameters; channels share the (x, y) anchor."""
@@ -51,8 +67,7 @@ class InputSpec:
     def __post_init__(self):
         if self.n_inputs < 1:
             raise ConfigError("need at least one input neuron")
-        if not 0 < self.density <= 1:
-            raise ConfigError("density must lie in (0, 1]")
+        check_density(self.density)
         if self.scheme not in (STANDARD, RECEPTIVE_FIELD):
             raise ConfigError(f"unknown input scheme {self.scheme!r}")
         if self.scheme == RECEPTIVE_FIELD:
@@ -157,11 +172,7 @@ def build_input(spec: InputSpec, dims: GridDims, seed: int) -> InputMap:
         pool_of = np.zeros(spec.n_inputs, dtype=np.int64)
     else:
         field = spec.field
-        if field.window > dims.nx or field.window > dims.ny:
-            raise ConfigError(
-                f"window {field.window} does not fit inside the "
-                f"{dims.nx}x{dims.ny} reservoir extent"
-            )
+        check_window(field.window, dims)
         width, plane = field.input_width, field.input_width * field.input_height
         pools = [window_pool(p % width, p // width, field, dims) for p in range(plane)]
         pool_of = np.arange(spec.n_inputs, dtype=np.int64) % plane

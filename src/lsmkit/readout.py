@@ -44,6 +44,8 @@ class ReadoutConfig:
     tolerance: float = 1e-6
 
     def __post_init__(self):
+        if isinstance(self.epochs, bool) or not isinstance(self.epochs, int):
+            raise TypeError(f"epochs must be an integer, not {self.epochs!r}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, not {self.epochs}")
         if not self.learning_rate > 0:

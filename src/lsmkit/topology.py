@@ -41,7 +41,9 @@ class GridDims:
 
     def __post_init__(self):
         if min(self.nx, self.ny, self.nz) < 1:
-            raise ConfigError("grid dimensions must be positive")
+            raise ConfigError(
+                f"grid dimensions must be positive, not {self.nx}x{self.ny}x{self.nz}"
+            )
         if self.size % 2 != 0:
             raise ConfigError(
                 f"reservoir size {self.size} is odd; need an even E/I split"
@@ -69,10 +71,10 @@ class ConnectionLaw:
     c_table: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_C_TABLE))
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ConfigError("length scale lambda must be positive")
-        if self.d < 0:
-            raise ConfigError("distance offset d must be nonnegative")
+        if not self.lam > 0:
+            raise ConfigError(f"length scale lam must be positive, not {self.lam}")
+        if not self.d >= 0:
+            raise ConfigError(f"distance offset d must be nonnegative, not {self.d}")
         if set(self.c_table) != {"EE", "EI", "IE", "II"}:
             raise ConfigError("c_table needs exactly the EE/EI/IE/II entries")
         for key, c in self.c_table.items():

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from lsmkit.config import load_config, to_dict
+from lsmkit import ConfigError
+from lsmkit.config import from_dict, load_config, to_dict
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIG_NAMES = [p.name for p in sorted(CONFIG_DIR.glob("*.json"))]
@@ -34,6 +35,51 @@ class TestSharedConstants:
         data = to_dict(cfg(name))
         data["dataset"]["manifest"] = raw["dataset"]["manifest"]
         assert data == raw
+
+
+TEPRE, MULRE = "synthetic_tepre3.json", "nmnist_mulre3.json"
+NAN, INF = float("nan"), float("inf")
+
+
+class TestLoadTimeChecks:
+    """A shipped config with one value broken fails to load, naming the
+    field, before any reservoir is built."""
+
+    @pytest.mark.parametrize(
+        "name, section, key, value, named",
+        [
+            (TEPRE, "ensemble", "dims", [5, 5], "dims must be three integers"),
+            (TEPRE, "ensemble", "dims", [5, 5, 24.0], "dims must be three integers"),
+            (MULRE, "ensemble", "member_dims", [4, 4], "member_dims must be three"),
+            (TEPRE, "preprocessing", "time_window", 2.5, "time_window must be an integer"),
+            (TEPRE, "preprocessing", "downscale", 1.5, "downscale must be an integer"),
+            (TEPRE, "preprocessing", "gabor", "false", "gabor must be true or false"),
+            (TEPRE, "neuron", "theta", NAN, "theta must be positive"),
+            (TEPRE, "neuron", "theta", INF, "theta must be positive"),
+            (TEPRE, "neuron", "tau_v", NAN, "tau_v"),
+            (TEPRE, "neuron", "w_lsm", INF, "w_lsm must be finite"),
+            (TEPRE, "input", "density", 0, "density must lie in"),
+            (TEPRE, "input", "weight", NAN, "weight must be finite"),
+            (TEPRE, "ensemble", "inter_density", 2, "inter_density must lie in"),
+            (TEPRE, "ensemble", "inter_weight", 1, "inter_weight must be negative"),
+            (TEPRE, "ensemble", "dims", [5, 5, 3], "reservoir size 25 is odd"),
+            (TEPRE, "ensemble", "dims", [5, 0, 24], "grid dimensions must be positive"),
+            (MULRE, "ensemble", "member_dims", [5, 5, 5], "reservoir size 125 is odd"),
+            (MULRE, "ensemble", "member_dims", [10, -10, 12], "grid dimensions"),
+            (MULRE, "ensemble", "d_list", [0, NAN], "distance offset d"),
+            (MULRE, "input", "window", 11, "window 11 does not fit"),
+            (TEPRE, "preprocessing", "steps", 2, "cannot split 2 steps into 3"),
+            (TEPRE, "connectivity", "lam", NAN, "lam must be positive"),
+            (TEPRE, "readout", "epochs", 2.5, "epochs must be an integer"),
+            (TEPRE, "seeds", "input", -1, "input must be >= 0"),
+            (TEPRE, None, "output_dir", 5, "output_dir must be a path"),
+        ],
+    )
+    def test_broken_value_rejected(self, name, section, key, value, named):
+        data = json.loads((CONFIG_DIR / name).read_text())
+        (data if section is None else data[section])[key] = value
+        with pytest.raises(ConfigError, match=named):
+            from_dict(data)
 
 
 class TestNmnist:

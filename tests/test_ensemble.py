@@ -9,7 +9,6 @@ from lsmkit import (
     ConfigError,
     NumericsError,
     ConnectionLaw,
-    GatingSchedule,
     GridDims,
     InputSpec,
     NeuronParams,
@@ -63,17 +62,10 @@ class TestSchedule:
         assert min(lengths) >= 1
         assert max(lengths) - min(lengths) <= 1
 
-    def test_gap_rejected(self):
-        with pytest.raises(ConfigError):
-            GatingSchedule(intervals=((0, 10), (11, 20)), steps=20)
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ConfigError):
-            GatingSchedule(intervals=((0, 12), (10, 20)), steps=20)
-
-    def test_incomplete_tiling_rejected(self):
-        with pytest.raises(ConfigError):
-            GatingSchedule(intervals=((0, 10),), steps=20)
+    @pytest.mark.parametrize("steps, parts", [(2, 3), (5, 0)])
+    def test_partitions_outside_one_to_steps_rejected(self, steps, parts):
+        with pytest.raises(ConfigError, match="cannot split"):
+            equal_split_schedule(steps, parts)
 
 
 class TestMuLRE:
@@ -145,13 +137,14 @@ class TestBuildTepre:
     def test_zero_density_empty_links(self):
         links = build_tepre(self.members(3), 0.0, -1.0, seed=0)
         assert len(links) == 2
-        assert all(src.size == 0 for src, _, _ in links)
+        for src, dst, weight in links:
+            assert src.size == dst.size == weight.size == 0
+            assert (src.dtype, dst.dtype, weight.dtype) == (np.int64, np.int64, np.float64)
 
     def test_nonnegative_weight_rejected(self):
-        with pytest.raises(ConfigError):
-            build_tepre(self.members(2), 0.01, 0.5, seed=0)
-        with pytest.raises(ConfigError):
-            build_tepre(self.members(2), 0.01, 0.0, seed=0)
+        for weight in (0.5, 0.0, float("nan")):
+            with pytest.raises(ConfigError, match="inter_weight"):
+                build_tepre(self.members(2), 0.01, weight, seed=0)
 
     def test_sources_are_inhibitory_and_weights_negative(self):
         members = self.members(3)
@@ -259,13 +252,14 @@ class TestRunTepre:
             np.array([0]),
             np.array([25.0 * PARAMS.theta * PARAMS.tau_u]),
         )
-        schedule = GatingSchedule(intervals=((0, 2), (2, 8)), steps=8)
+        schedule = equal_split_schedule(8, 2)
         rates = np.zeros((8, 1))
-        rates[0, 0] = 1.0  # drives partition A only at step 0
+        rates[0, 0] = 1.0  # drives partition A, whose slab is [0, 4), at step 0
         records = run_tepre(
             rates, [(topo_a, imap_a), (topo_b, imap_b)], [kick], schedule, PARAMS,
-            record_raster=True,
+            record_raster=True, record_drive=True,
         )
+        assert not records[1].drive_l1.any()  # B spikes only through the link
         a_spikes = np.nonzero(records[0].raster[:, inh])[0]
         assert a_spikes.size > 0
         b_spikes = np.nonzero(records[1].raster[:, 0])[0]
@@ -292,6 +286,14 @@ class TestRunTepre:
         bad = equal_split_schedule(60, 2)
         with pytest.raises(ConfigError):
             run_tepre(rates, members, links, bad, PARAMS)
+
+    @pytest.mark.parametrize("steps", [59, 61])
+    def test_rates_not_of_schedule_length_rejected(self, steps):
+        # a longer array's tail would otherwise be dropped without a word
+        members, links, schedule, _ = self.build_ensemble(3)
+        rates = poisson_rates(steps, 16, seed=70)
+        with pytest.raises(ConfigError, match="60-step schedule"):
+            run_tepre(rates, members, links, schedule, PARAMS)
 
 
 class TestStackedExactness:

@@ -83,28 +83,35 @@ def tiny_config(manifest, **overrides):
 sizes = st.integers(1, 6)
 positive = st.floats(1e-3, 1e3)
 fractions = st.floats(0.0, 1.0)
+densities = st.floats(0.0, 1.0, exclude_min=True)
+# a member grid holds an even number of neurons, for the E/I split
+grids = st.tuples(sizes, sizes, sizes).filter(lambda g: math.prod(g) % 2 == 0)
 
 
 @st.composite
 def experiment_configs(draw):
     """Valid tepre and mulre configs with every field drawn."""
+    steps = draw(st.integers(1, 5000))
     if draw(st.booleans()):
-        parts = draw(sizes)
+        parts = draw(st.integers(1, min(6, steps)))
+        nx, ny, nz = draw(grids)
         ensemble = EnsembleConfig(
             variant="tepre",
             partitions=parts,
-            dims=(draw(sizes), draw(sizes), parts * draw(sizes)),
+            dims=(nx, ny, parts * nz),
             inter_density=draw(fractions),
-            inter_weight=draw(st.floats(-10.0, 0.0)),
+            inter_weight=draw(st.floats(-10.0, 0.0, exclude_max=True)),
         )
-        scheme = "standard"
+        scheme, window = "standard", draw(sizes)
     else:
         ensemble = EnsembleConfig(
             variant="mulre",
             d_list=tuple(draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4))),
-            member_dims=(draw(sizes), draw(sizes), draw(sizes)),
+            member_dims=draw(grids),
         )
+        # the receptive window fits the member grid
         scheme = "receptive_field"
+        window = draw(st.integers(1, min(ensemble.member_dims[:2])))
     return ExperimentConfig(
         dataset_manifest=draw(st.text("abc/._-", min_size=1, max_size=20)),
         preprocessing=PreprocessingConfig(
@@ -112,7 +119,7 @@ def experiment_configs(draw):
             downscale=draw(sizes),
             gabor=draw(st.booleans()),
             merge_polarities=draw(st.booleans()),
-            steps=draw(st.integers(1, 5000)),
+            steps=steps,
         ),
         neuron=NeuronParams(
             tau_v=draw(st.floats(1.5, 100.0)),
@@ -123,13 +130,13 @@ def experiment_configs(draw):
         ),
         connectivity=ConnectivityConfig(
             lam=draw(positive),
-            c_table={k: draw(fractions) for k in ("EE", "EI", "IE", "II")},
+            c_table={k: draw(densities) for k in ("EE", "EI", "IE", "II")},
         ),
         input=InputConfig(
             weight=draw(positive),
-            density=draw(fractions),
+            density=draw(densities),
             scheme=scheme,
-            window=draw(sizes),
+            window=window,
         ),
         ensemble=ensemble,
         readout=ReadoutConfig(
@@ -695,8 +702,12 @@ class TestCli:
             ("ensemble", None, {"dims": 5}),
             ("connectivity", "c_table", [1, 2]),
             ("ensemble", "partitions", 1.5),
+            ("neuron", "theta", float("nan")),
         ],
-        ids=["ensemble-null", "dims-not-a-list", "c_table-not-an-object", "partitions-float"],
+        ids=[
+            "ensemble-null", "dims-not-a-list", "c_table-not-an-object", "partitions-float",
+            "theta-nan",
+        ],
     )
     def test_malformed_section_is_an_error(
         self, tmp_path, tiny_dataset, capsys, section, key, value
