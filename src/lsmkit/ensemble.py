@@ -84,7 +84,12 @@ class SpikeRecord:
 
 def drive_through_map(rates: np.ndarray, imap: InputMap) -> np.ndarray:
     """(T, N) reservoir drive from (T, n_inputs) input rates, as the
-    transpose of the C-ordered (N, T) product, which is not copied."""
+    transpose of the C-ordered (N, T) product, which is not copied.
+
+    The input-major map walks the inputs in order, one rate row each.  The
+    product reads ``rates.T`` as one C-ordered block: F-ordered rates are
+    read in place, any other layout is first copied into that order.
+    """
     rates = np.asarray(rates, dtype=np.float64)
     if rates.ndim != 2 or rates.shape[1] != imap.n_inputs:
         raise ConfigError(
@@ -141,9 +146,10 @@ class GatedDrive:
 
     def _map(self, start: int, end: int, first: int, last: int) -> np.ndarray:
         """The drive of members ``first`` to ``last - 1`` over their slab."""
-        # rows ordered (step, sample): one mapping call drives the whole batch
+        # rows ordered (step, sample): one mapping call drives the whole batch;
+        # one input-major copy of the window serves every member of the slab
         window = self.rates[start:end]
-        window = window.reshape(-1, window.shape[2])
+        window = np.asfortranarray(window.reshape(-1, window.shape[2]), dtype=np.float64)
         base, shape = self.offsets[first], (-1, end - start, self.shape[2])
         mapped = (
             drive_through_map(window, self.members[r][1]).T.reshape(shape)

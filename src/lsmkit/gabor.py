@@ -10,7 +10,7 @@ inputs are nonnegative rates.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal
+from scipy import fft as sp_fft
 
 from .errors import ConfigError
 from .events import FrameSequence
@@ -54,22 +54,29 @@ def gabor_bank(seq: FrameSequence) -> FrameSequence:
     """Correlate every frame of every channel with the bank; rectify at zero.
 
     Each input channel is filtered separately, giving channels * N_KERNELS
-    output channels, channel-major.
+    output channels, channel-major.  The arithmetic is that of
+    ``signal.fftconvolve(frames, flipped_kernel, mode="same")`` per channel
+    and kernel: real FFTs of the full output's fast length, a product of
+    spectra, one inverse FFT and the centred crop.  Each channel's spectrum
+    and each kernel's are computed once and shared across the bank.
     """
     t, c, h, w = seq.frames.shape
     if SIZE > h or SIZE > w:
         raise ConfigError(f"kernel {SIZE} larger than frame {h}x{w}")
-    if t == 0:  # fftconvolve cannot broadcast an empty frame stack
+    if t == 0:  # nothing to filter: skip the kernel spectra
         return FrameSequence(np.zeros((0, c * N_KERNELS, h, w)))
-    kernels = build_bank()
+    fshape = [sp_fft.next_fast_len(n + SIZE - 1, True) for n in (h, w)]
+    # correlation = convolution with the flipped kernel
+    kernels = sp_fft.rfftn(build_bank()[:, ::-1, ::-1], fshape, axes=(1, 2))
+    lo = (SIZE - 1) // 2  # the centred crop of the full output
     out = np.empty((t, c * N_KERNELS, h, w), dtype=np.float64)
     frames = seq.frames.astype(np.float64)
+    product = np.empty((t,) + kernels.shape[1:], dtype=kernels.dtype)
     for ci in range(c):
-        for ki, kernel in enumerate(kernels):
-            # correlation = convolution with the flipped kernel
-            flipped = kernel[::-1, ::-1]
-            out[:, ci * N_KERNELS + ki] = signal.fftconvolve(
-                frames[:, ci], flipped[None, :, :], mode="same", axes=(1, 2)
-            )
+        spectrum = sp_fft.rfftn(frames[:, ci], fshape, axes=(1, 2))
+        for ki in range(N_KERNELS):
+            np.multiply(spectrum, kernels[ki : ki + 1], out=product)
+            full = sp_fft.irfftn(product, fshape, axes=(1, 2), overwrite_x=True)
+            out[:, ci * N_KERNELS + ki] = full[:, lo : lo + h, lo : lo + w]
     np.maximum(out, 0.0, out=out)
     return FrameSequence(out)

@@ -98,11 +98,16 @@ class InputMap:
     def n_edges(self) -> int:
         return self.input_idx.shape[0]
 
-    def matrix(self) -> sparse.csr_matrix:
-        """Sparse (reservoir x input) matrix: drive = M @ input_rates; memoized."""
+    def matrix(self) -> sparse.csc_matrix:
+        """Sparse (reservoir x input) matrix: drive = M @ input_rates; memoized.
+
+        Stored input-major (CSC), so a product walks the inputs in order and
+        reads each input's rate row once; every output still adds its terms
+        in ascending input order, as a row-major product would.
+        """
         cached = getattr(self, "_matrix", None)
         if cached is None:
-            cached = sparse.csr_matrix(
+            cached = sparse.csc_matrix(
                 (self.weight, (self.reservoir_idx, self.input_idx)),
                 shape=(self.n_reservoir, self.n_inputs),
             )

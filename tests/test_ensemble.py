@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+from lsmkit import ensemble as ensemble_module
 from lsmkit import (
     ConfigError,
     NumericsError,
@@ -13,6 +15,7 @@ from lsmkit import (
     InputSpec,
     NeuronParams,
     PopulationState,
+    ReceptiveField,
     build_input,
     build_reservoir,
     build_tepre,
@@ -427,3 +430,81 @@ class TestStackedExactness:
         stack[4, 1, :] = np.inf
         with pytest.raises(NumericsError):
             run_mulre(stack, self.members(2), self.PARAMS)
+
+
+def receptive_member(seed, width=10, height=10, channels=18, dims=GridDims(6, 6, 4)):
+    """A member wired like an nmnist-mulre3 one: every Gabor channel of a
+    pixel shares that pixel's receptive window."""
+    field = ReceptiveField(window=3, input_width=width, input_height=height, channels=channels)
+    spec = InputSpec(
+        n_inputs=width * height * channels, input_weight=3.7, density=0.3,
+        scheme="receptive_field", field=field,
+    )
+    return build_reservoir(dims, ConnectionLaw(lam=2.0, d=1.0), PARAMS, seed), build_input(
+        spec, dims, seed + 1
+    )
+
+
+class TestDriveMap:
+    """The input-major product adds each output's terms in the order a
+    row-major one does, so the drive is bit-identical to it."""
+
+    def rates(self, n_inputs):
+        rng = np.random.default_rng(4)
+        rates = rng.gamma(0.8, 1.3, size=(70, n_inputs))
+        # exact zeros and FFT-round-off-sized values among ordinary ones
+        pick = rng.random(rates.shape)
+        rates[pick < 0.3] = 0.0
+        rates[(pick >= 0.3) & (pick < 0.5)] = 1e-15
+        return rates
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_equals_row_major_product(self, order):
+        _, imap = receptive_member(seed=21)
+        rates = np.asarray(self.rates(imap.n_inputs), order=order)
+        reference = sparse.csr_matrix(
+            (imap.weight, (imap.reservoir_idx, imap.input_idx)),
+            shape=(imap.n_reservoir, imap.n_inputs),
+        )
+        want = reference.dot(rates.T).T
+        got = drive_through_map(rates, imap)
+        assert got.shape == (70, imap.n_reservoir)
+        assert np.count_nonzero(want) > 0
+        assert np.array_equal(
+            np.ascontiguousarray(got).view(np.uint64),
+            np.ascontiguousarray(want).view(np.uint64),
+        )
+
+    def test_slab_makes_one_window_copy_for_all_members(self, monkeypatch):
+        """Three members of a multi-length-scale slab at a scaled-down
+        nmnist geometry (18 Gabor channels of 10x10 pixels) map one shared
+        input-major copy of the window: no member's mapping copies the
+        rates again, and the slab holds at most that one copy beside its
+        output block."""
+        members = [receptive_member(seed=30 + 2 * r) for r in range(3)]
+        for _, imap in members:
+            imap.matrix()  # memoized outside the measurement
+        steps, n_inputs = 100, members[0][1].n_inputs
+        stack = np.random.default_rng(6).gamma(0.8, 1.3, size=(steps, 1, n_inputs))
+        window_bytes = stack.nbytes
+        original, extra = ensemble_module.drive_through_map, []
+
+        def traced(rates, imap):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            drive = original(rates, imap)
+            extra.append(tracemalloc.get_traced_memory()[1] - before - drive.nbytes)
+            return drive
+
+        monkeypatch.setattr(ensemble_module, "drive_through_map", traced)
+        tracemalloc.start()
+        try:
+            ensemble_module.GatedDrive(stack, members, [(0, steps, 0, 3)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(extra) == 3
+        assert max(extra) < window_bytes // 10
+        block_bytes = sum(topo.size for topo, _ in members) * steps * 8
+        # the window copy, the output block and one member's block being filled in
+        assert peak < window_bytes + block_bytes + block_bytes // 3 + 256 * 1024

@@ -2,8 +2,9 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import signal
 
 from lsmkit import (
     ConfigError,
@@ -242,6 +243,27 @@ class TestGaborBank:
             alone = gabor_bank(FrameSequence(frames[:, ci : ci + 1])).frames
             assert np.array_equal(split.frames[:, 18 * ci : 18 * (ci + 1)], alone)
 
+    @pytest.mark.parametrize(
+        "shape", [(4, 1, 7, 7), (6, 1, 34, 34), (5, 1, 9, 20), (3, 2, 16, 12)]
+    )
+    def test_bit_identical_to_fftconvolve_per_kernel(self, shape):
+        """The shared spectra do fftconvolve's arithmetic; a SciPy change to
+        its padding or crop rule shows here as a mismatch."""
+        frames = np.random.default_rng(12).poisson(0.7, size=shape)
+        got = gabor_bank(FrameSequence(frames)).frames
+        want = np.empty_like(got)
+        for ci in range(shape[1]):
+            for ki, kernel in enumerate(build_bank()):
+                want[:, ci * N_KERNELS + ki] = signal.fftconvolve(
+                    frames[:, ci].astype(np.float64),
+                    kernel[::-1, ::-1][None],
+                    mode="same",
+                    axes=(1, 2),
+                )
+        np.maximum(want, 0.0, out=want)
+        assert np.count_nonzero(want) > 0
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_empty_sequence(self):
         out = gabor_bank(FrameSequence(np.zeros((0, 2, 8, 8), dtype=int)))
         assert out.frames.shape == (0, 36, 8, 8)
@@ -300,6 +322,38 @@ class TestClipOrPad:
         assert merged.frames[0, 0, 0, 0] == 5
 
 
+@st.composite
+def event_streams(draw, t_range, size_max, coord_max, p_max, label_max):
+    """Streams ``EventStream`` accepts, drawn inside a format's field ranges:
+    sorted t, x and y inside the sensor and below ``coord_max``, p up to
+    ``p_max``, and no label or one up to ``label_max``."""
+    width, height = draw(st.integers(1, size_max)), draw(st.integers(1, size_max))
+    n = draw(st.integers(0, 40))
+
+    def column(lo, hi):
+        return draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))
+
+    return EventStream(
+        t=sorted(column(*t_range)),
+        x=column(0, min(width, coord_max) - 1),
+        y=column(0, min(height, coord_max) - 1),
+        p=column(0, p_max),
+        width=width,
+        height=height,
+        label=draw(st.none() | st.integers(0, label_max)),
+    )
+
+
+def assert_same_stream(got, want):
+    assert (got.width, got.height, got.label) == (want.width, want.height, want.label)
+    for fieldname in ("t", "x", "y", "p"):
+        assert np.array_equal(getattr(got, fieldname), getattr(want, fieldname))
+
+
+EMPTY_UNLABELED = EventStream(t=[], x=[], y=[], p=[], width=1, height=1)
+INT64 = (-(2**63), 2**63 - 1)
+
+
 class TestEventFiles:
     def sample_stream(self):
         rng = np.random.default_rng(8)
@@ -323,6 +377,35 @@ class TestEventFiles:
         assert loaded.width == 34 and loaded.height == 34
         for fieldname in ("t", "x", "y", "p"):
             assert np.array_equal(getattr(loaded, fieldname), getattr(stream, fieldname))
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(
+        event_streams(
+            t_range=(0, INT64[1]), size_max=2**32 - 1, coord_max=2**16,
+            p_max=255, label_max=2**32 - 2,
+        )
+    )
+    @example(EMPTY_UNLABELED)
+    def test_binary_round_trip_property(self, tmp_path_factory, stream):
+        # every valid stream whose fields fit the EVS1 record and header
+        path = tmp_path_factory.getbasetemp() / "property.evs"
+        write_events(stream, path)
+        assert_same_stream(read_events(path), stream)
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(
+        event_streams(
+            t_range=INT64, size_max=INT64[1], coord_max=2**63,
+            p_max=INT64[1], label_max=INT64[1],
+        )
+    )
+    @example(EMPTY_UNLABELED)
+    def test_csv_round_trip_property(self, tmp_path_factory, stream):
+        # CSV carries t,x,y,p only; the reader is given the geometry and label
+        path = tmp_path_factory.getbasetemp() / "property.csv"
+        write_csv_events(stream, path)
+        back = read_csv_events(path, stream.width, stream.height, label=stream.label)
+        assert_same_stream(back, stream)
 
     def test_unlabeled_round_trip(self, tmp_path):
         stream = EventStream(t=[0], x=[0], y=[0], p=[0], width=2, height=2)
