@@ -111,12 +111,20 @@ def cmd_synth(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    # the EVS1 header carries the sensor size and label; CSV has no header
+    header = {"--width": args.width, "--height": args.height, "--label": args.label}
     if args.to_binary:
+        for flag in ("--width", "--height"):
+            if header[flag] is None:
+                raise ConfigError(f"--to-binary needs {flag}")
         stream = eventio.read_csv_events(
             args.input, width=args.width, height=args.height, label=args.label
         )
         eventio.write_events(stream, args.output)
     else:
+        given = [flag for flag, value in header.items() if value is not None]
+        if given:
+            raise ConfigError(f"--to-csv takes no {', '.join(given)}")
         stream = eventio.read_events(args.input)
         eventio.write_csv_events(stream, args.output)
     print(f"wrote {args.output}")
@@ -196,9 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     direction.add_argument("--to-csv", action="store_true")
     p_conv.add_argument("input")
     p_conv.add_argument("output")
-    p_conv.add_argument("--width", type=int, default=0)
-    p_conv.add_argument("--height", type=int, default=0)
-    p_conv.add_argument("--label", type=int, default=None)
+    p_conv.add_argument("--width", type=int, help="sensor width (--to-binary)")
+    p_conv.add_argument("--height", type=int, help="sensor height (--to-binary)")
+    p_conv.add_argument("--label", type=int, help="sample label (--to-binary)")
     p_conv.set_defaults(func=cmd_convert)
 
     p_topo = sub.add_parser("topo-export", help="dump built topologies as text")

@@ -11,8 +11,7 @@ pipeline consumes lives here; nothing is drawn from implicit entropy.
                         "w_lsm": 1},
       "connectivity":  {"lam": 2.0, "c_table": {"EE": 0.2, "EI": 0.1,
                         "IE": 0.05, "II": 0.3}},
-      "input":         {"weight": 8.0, "density": 0.15,
-                        "scheme": "standard", "window": 5},
+      "input":         {"weight": 8.0, "density": 0.15, "scheme": "standard"},
       "ensemble":      {"variant": "tepre", "partitions": 3,
                         "dims": [5, 5, 24], "inter_density": 0.01,
                         "inter_weight": -1.0}
@@ -23,6 +22,10 @@ pipeline consumes lives here; nothing is drawn from implicit entropy.
       "seeds":         {"topology": 1, "input": 2, "training": 3},
       "output_dir":    "runs/example"
     }
+
+Each ensemble variant and input scheme reads only its fields in
+``FIELDS_READ`` (mulre pairs with receptive-field input, which adds the
+window); any other field must keep its default and is not written out.
 
 Every value is checked when the config is built, alone and against the
 values it must agree with, by the rule of the code that consumes it
@@ -51,7 +54,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .ensemble import check_inter_links, equal_split_schedule
@@ -62,6 +65,14 @@ from .readout import ReadoutConfig
 from .topology import DEFAULT_C_TABLE, ConnectionLaw, GridDims
 
 DATA_ROOT_ENV = "LSMKIT_DATA_ROOT"
+
+# The fields each ensemble variant and input scheme reads.
+FIELDS_READ = {
+    "tepre": ("variant", "partitions", "dims", "inter_density", "inter_weight"),
+    "mulre": ("variant", "d_list", "member_dims"),
+    STANDARD: ("weight", "density", "scheme"),
+    RECEPTIVE_FIELD: ("weight", "density", "scheme", "window"),
+}
 
 
 def _check_int(name: str, value, low: int = 1) -> None:
@@ -79,6 +90,17 @@ def _check_grid(name: str, dims) -> None:
         and all(isinstance(n, int) and not isinstance(n, bool) for n in dims)
     ):
         raise TypeError(f"{name} must be three integers, not {dims!r}")
+
+
+def _fields_read(section, kind: str) -> dict:
+    """The fields of ``section`` that ``kind`` reads, as JSON values; any
+    other field that differs from its declared default is a ``ConfigError``."""
+    read = FIELDS_READ[kind]
+    for f in fields(section):
+        if f.name not in read and getattr(section, f.name) != f.default:
+            raise ConfigError(f"{f.name} does not apply to {kind}")
+    values = {name: getattr(section, name) for name in read}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
 @dataclass(frozen=True)
@@ -119,6 +141,7 @@ class InputConfig:
     def __post_init__(self):
         if self.scheme not in (STANDARD, RECEPTIVE_FIELD):
             raise ConfigError(f"unknown input scheme {self.scheme!r}")
+        _fields_read(self, self.scheme)
         if not math.isfinite(self.weight):
             raise ConfigError(f"weight must be finite, not {self.weight}")
         check_density(self.density)
@@ -141,6 +164,7 @@ class EnsembleConfig:
         _check_int("partitions", self.partitions)
         if self.variant not in ("tepre", "mulre"):
             raise ConfigError(f"unknown ensemble variant {self.variant!r}")
+        _fields_read(self, self.variant)
         if self.variant == "tepre":
             _check_grid("dims", self.dims)
             if self.dims[2] % self.partitions != 0:
@@ -209,32 +233,17 @@ class ExperimentConfig:
 
 
 def to_dict(cfg: ExperimentConfig) -> dict:
-    out = {
+    return {
         "dataset": {"manifest": cfg.dataset_manifest},
         "preprocessing": asdict(cfg.preprocessing),
         "neuron": asdict(cfg.neuron),
         "connectivity": asdict(cfg.connectivity),
-        "input": asdict(cfg.input),
+        "input": _fields_read(cfg.input, cfg.input.scheme),
+        "ensemble": _fields_read(cfg.ensemble, cfg.ensemble.variant),
         "readout": asdict(cfg.readout),
         "seeds": asdict(cfg.seeds),
         "output_dir": cfg.output_dir,
     }
-    ens = cfg.ensemble
-    if ens.variant == "tepre":
-        out["ensemble"] = {
-            "variant": "tepre",
-            "partitions": ens.partitions,
-            "dims": list(ens.dims),
-            "inter_density": ens.inter_density,
-            "inter_weight": ens.inter_weight,
-        }
-    else:
-        out["ensemble"] = {
-            "variant": "mulre",
-            "d_list": list(ens.d_list),
-            "member_dims": list(ens.member_dims),
-        }
-    return out
 
 
 def _section(cls, raw, name: str):

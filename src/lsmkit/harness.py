@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import eventio
-from .config import ExperimentConfig, Seeds, to_dict
+from .config import FIELDS_READ, ExperimentConfig, Seeds, to_dict
 from .ensemble import (
     build_tepre,
     equal_split_schedule,
@@ -221,10 +221,8 @@ def build_members(
         field=field,
     )
 
-    if ens.variant == "mulre":
-        d_values = list(ens.d_list)
-    else:
-        d_values = [0.0] * ens.partitions
+    # tepre leaves d_list unset: its members all use the plain law
+    d_values = ens.d_list or [0.0] * ens.partitions
 
     members = []
     for i, d in enumerate(d_values):
@@ -383,26 +381,19 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
     return report
 
 
-SWEEP_AXES = ("partitions", "d_list", "window")
+SWEEP_AXES = {"partitions": int, "d_list": lambda v: tuple(map(float, v)), "window": int}
 
 
 def sweep_config(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
     """A copy of the config with one swept hyperparameter replaced."""
-    if axis == "partitions":
-        if cfg.ensemble.variant != "tepre":
-            raise ConfigError("partitions axis applies to tepre configs")
-        ens = replace(cfg.ensemble, partitions=int(value))
-        return replace(cfg, ensemble=ens)
-    if axis == "d_list":
-        if cfg.ensemble.variant != "mulre":
-            raise ConfigError("d_list axis applies to mulre configs")
-        ens = replace(cfg.ensemble, d_list=tuple(float(v) for v in value))
-        return replace(cfg, ensemble=ens)
-    if axis == "window":
-        if cfg.input.scheme != RECEPTIVE_FIELD:
-            raise ConfigError("window axis applies to receptive-field input")
-        return replace(cfg, input=replace(cfg.input, window=int(value)))
-    raise ConfigError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}; pick one of {tuple(SWEEP_AXES)}")
+    ens, inp = cfg.ensemble, cfg.input
+    for name, kind in (("ensemble", ens.variant), ("input", inp.scheme)):
+        if axis in FIELDS_READ[kind]:
+            section = replace(getattr(cfg, name), **{axis: SWEEP_AXES[axis](value)})
+            return replace(cfg, **{name: section})
+    raise ConfigError(f"{axis} axis does not apply to {ens.variant} with {inp.scheme} input")
 
 
 def run_sweep(

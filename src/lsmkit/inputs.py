@@ -81,6 +81,8 @@ class InputSpec:
                     f"n_inputs={self.n_inputs} does not match "
                     f"width*height*channels={expected}"
                 )
+        elif self.field is not None:
+            raise ConfigError("standard scheme takes no receptive field")
 
 
 @dataclass

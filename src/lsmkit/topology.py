@@ -32,6 +32,10 @@ INH = "I"
 
 DEFAULT_C_TABLE = {"EE": 0.2, "EI": 0.1, "IE": 0.05, "II": 0.3}
 
+# Source rows whose pair probabilities are held at once; this bounds peak
+# memory only, the sampled stream is identical for any value.
+CHUNK_ROWS = 512
+
 
 @dataclass(frozen=True)
 class GridDims:
@@ -146,8 +150,6 @@ def build_reservoir(
     law: ConnectionLaw,
     params,
     seed: int,
-    *,
-    chunk_rows: int = 512,
 ) -> ReservoirTopology:
     """Sample a reservoir topology.
 
@@ -155,8 +157,6 @@ def build_reservoir(
     permuted indices become excitatory), then one uniform per ordered pair
     in row-major order; an edge exists where the uniform falls below the
     law's probability.  ``params.w_lsm`` sets the weight magnitude.
-    ``chunk_rows`` only bounds peak memory; the sampled stream is identical
-    for any chunking.
     """
     n = dims.size
     rng = np.random.default_rng(seed)
@@ -167,8 +167,8 @@ def build_reservoir(
 
     src_parts: list[np.ndarray] = []
     dst_parts: list[np.ndarray] = []
-    for start in range(0, n, chunk_rows):
-        stop = min(start + chunk_rows, n)
+    for start in range(0, n, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, n)
         prob = pair_probabilities(dims, law, signs, rows=slice(start, stop))
         adjacency = rng.random((stop - start, n)) < prob
         local = np.arange(start, stop)

@@ -73,6 +73,14 @@ class TestLoadTimeChecks:
             (TEPRE, "readout", "epochs", 2.5, "epochs must be an integer"),
             (TEPRE, "seeds", "input", -1, "input must be >= 0"),
             (TEPRE, None, "output_dir", 5, "output_dir must be a path"),
+            # a field its variant or scheme does not read, set off its default
+            (MULRE, "ensemble", "partitions", 6, "partitions does not apply to mulre"),
+            (MULRE, "ensemble", "dims", [5, 5, 24], "dims does not apply to mulre"),
+            (MULRE, "ensemble", "inter_density", 0.5, "inter_density does not apply"),
+            (MULRE, "ensemble", "inter_weight", -2.0, "inter_weight does not apply"),
+            (TEPRE, "ensemble", "d_list", [0, 4], "d_list does not apply to tepre"),
+            (TEPRE, "ensemble", "member_dims", [5, 5, 8], "member_dims does not apply"),
+            (TEPRE, "input", "window", 11, "window does not apply to standard"),
         ],
     )
     def test_broken_value_rejected(self, name, section, key, value, named):
@@ -80,6 +88,13 @@ class TestLoadTimeChecks:
         (data if section is None else data[section])[key] = value
         with pytest.raises(ConfigError, match=named):
             from_dict(data)
+
+    def test_foreign_field_at_default_loads_and_is_not_written(self):
+        data = json.loads((CONFIG_DIR / MULRE).read_text())
+        data["ensemble"]["partitions"] = 1
+        c = from_dict(data)
+        assert c == from_dict(json.loads((CONFIG_DIR / MULRE).read_text()))
+        assert "partitions" not in to_dict(c)["ensemble"]
 
 
 class TestNmnist:

@@ -26,7 +26,7 @@ from lsmkit import (
     load_config,
     save_config,
 )
-from lsmkit.config import from_dict, to_dict
+from lsmkit.config import FIELDS_READ, from_dict, to_dict
 from lsmkit.eventio import write_events
 from lsmkit.harness import (
     Manifest,
@@ -102,7 +102,7 @@ def experiment_configs(draw):
             inter_density=draw(fractions),
             inter_weight=draw(st.floats(-10.0, 0.0, exclude_max=True)),
         )
-        scheme, window = "standard", draw(sizes)
+        input_fields = {"scheme": "standard"}  # the window stays at its default
     else:
         ensemble = EnsembleConfig(
             variant="mulre",
@@ -110,8 +110,8 @@ def experiment_configs(draw):
             member_dims=draw(grids),
         )
         # the receptive window fits the member grid
-        scheme = "receptive_field"
         window = draw(st.integers(1, min(ensemble.member_dims[:2])))
+        input_fields = {"scheme": "receptive_field", "window": window}
     return ExperimentConfig(
         dataset_manifest=draw(st.text("abc/._-", min_size=1, max_size=20)),
         preprocessing=PreprocessingConfig(
@@ -135,8 +135,7 @@ def experiment_configs(draw):
         input=InputConfig(
             weight=draw(positive),
             density=draw(densities),
-            scheme=scheme,
-            window=window,
+            **input_fields,
         ),
         ensemble=ensemble,
         readout=ReadoutConfig(
@@ -154,8 +153,12 @@ class TestConfigRoundTrip:
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(experiment_configs())
     def test_dict_round_trip_property(self, cfg):
-        assert from_dict(to_dict(cfg)) == cfg
-        assert from_dict(json.loads(json.dumps(to_dict(cfg)))) == cfg
+        data = to_dict(cfg)
+        assert from_dict(data) == cfg
+        assert from_dict(json.loads(json.dumps(data))) == cfg
+        # each section holds exactly the fields its variant or scheme reads
+        assert tuple(data["ensemble"]) == FIELDS_READ[cfg.ensemble.variant]
+        assert tuple(data["input"]) == FIELDS_READ[cfg.input.scheme]
 
     @pytest.mark.parametrize("key", ["seed", "backtracking", "state_mode"])
     def test_retired_readout_keys_rejected(self, tiny_dataset, key):
@@ -462,9 +465,22 @@ class TestSweep:
         with pytest.raises(ConfigError):
             run_sweep(tiny_config(tiny_dataset), "partitions", [], repeats=1)
 
-    def test_wrong_axis_for_variant_rejected(self, tiny_dataset):
-        with pytest.raises(ConfigError):
-            sweep_config(tiny_config(tiny_dataset), "d_list", (0.0,))
+    @pytest.mark.parametrize(
+        "variant, axis, value",
+        [("mulre", "partitions", 3), ("tepre", "d_list", (0.0,)), ("tepre", "window", 3)],
+    )
+    def test_wrong_axis_for_variant_rejected(self, tiny_dataset, variant, axis, value):
+        cfg = tiny_config(tiny_dataset)
+        if variant == "mulre":
+            cfg = replace(
+                cfg,
+                ensemble=EnsembleConfig(
+                    variant="mulre", d_list=(0.0,), member_dims=(6, 6, 2)
+                ),
+                input=InputConfig(scheme="receptive_field", window=3),
+            )
+        with pytest.raises(ConfigError, match=f"{axis} axis does not apply"):
+            sweep_config(cfg, axis, value)
 
     def test_window_axis(self, tiny_dataset):
         cfg = tiny_config(
@@ -581,6 +597,30 @@ class TestCli:
         ) == 0
         assert cli.main(["convert", "--to-csv", str(evs), str(back)]) == 0
         assert back.read_text() == csv.read_text()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--to-binary", "--height", "4"], "error: --to-binary needs --width"),
+            (["--to-binary", "--width", "4"], "error: --to-binary needs --height"),
+            (
+                ["--to-csv", "--width", "99", "--height", "7", "--label", "9"],
+                "error: --to-csv takes no --width, --height, --label",
+            ),
+            (["--to-csv", "--label", "0"], "error: --to-csv takes no --label"),
+        ],
+        ids=["binary-no-width", "binary-no-height", "csv-with-header", "csv-with-label"],
+    )
+    def test_convert_flag_its_direction_does_not_read(
+        self, tmp_path, capsys, flags, message
+    ):
+        src = tmp_path / "ev.csv"
+        src.write_text("t,x,y,p\n0,1,2,1\n")
+        out = tmp_path / "out"
+        rc = cli.main(["convert", str(src), str(out)] + flags)
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
 
     def test_topo_export(self, tmp_path, tiny_dataset):
         cfg = tiny_config(tiny_dataset)
@@ -703,15 +743,21 @@ class TestCli:
             ("connectivity", "c_table", [1, 2]),
             ("ensemble", "partitions", 1.5),
             ("neuron", "theta", float("nan")),
+            ("ensemble", "d_list", [0, 4]),
+            ("input", "window", 3),
         ],
         ids=[
             "ensemble-null", "dims-not-a-list", "c_table-not-an-object", "partitions-float",
-            "theta-nan",
+            "theta-nan", "d_list-on-tepre", "window-on-standard",
         ],
     )
     def test_malformed_section_is_an_error(
-        self, tmp_path, tiny_dataset, capsys, section, key, value
+        self, tmp_path, tiny_dataset, capsys, monkeypatch, section, key, value
     ):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a reservoir was built from a bad config")
+
+        monkeypatch.setattr(harness, "build_reservoir", no_build)
         data = to_dict(tiny_config(tiny_dataset))
         if key is None:
             data[section] = value

@@ -95,6 +95,16 @@ class TestStandardInput:
         assert result.pvalue > 0.001
         assert counts.sum() == n_seeds * 300
 
+    def test_receptive_field_rejected(self):
+        # a standard map spans the whole reservoir and would ignore the field
+        with pytest.raises(ConfigError, match="standard scheme takes no receptive"):
+            InputSpec(
+                n_inputs=64,
+                input_weight=1.0,
+                density=0.15,
+                field=ReceptiveField(window=3, input_width=8, input_height=8),
+            )
+
 
 class TestReceptiveFieldInput:
     def test_corner_pixel_pool_clipped(self):

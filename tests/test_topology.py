@@ -13,6 +13,7 @@ from lsmkit import (
     build_reservoir,
     save_topology,
 )
+from lsmkit import topology
 from lsmkit.topology import pair_probabilities
 
 PARAMS = NeuronParams()
@@ -76,11 +77,13 @@ class TestBuildReservoir:
         assert np.array_equal(a.dst, b.dst)
         assert np.array_equal(a.weight, b.weight)
 
-    def test_chunking_does_not_change_the_stream(self):
+    def test_chunking_does_not_change_the_stream(self, monkeypatch):
         dims = GridDims(4, 4, 4)
         law = ConnectionLaw()
-        a = build_reservoir(dims, law, PARAMS, seed=3, chunk_rows=7)
-        b = build_reservoir(dims, law, PARAMS, seed=3, chunk_rows=64)
+        monkeypatch.setattr(topology, "CHUNK_ROWS", 7)
+        a = build_reservoir(dims, law, PARAMS, seed=3)
+        monkeypatch.setattr(topology, "CHUNK_ROWS", 64)
+        b = build_reservoir(dims, law, PARAMS, seed=3)
         assert np.array_equal(a.src, b.src) and np.array_equal(a.dst, b.dst)
 
     def test_half_and_half_kinds(self):
