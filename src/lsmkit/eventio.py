@@ -25,6 +25,7 @@ from .events import EventStream
 
 MAGIC = b"EVS1"
 NO_LABEL = 0xFFFFFFFF
+_HEADER = struct.Struct("<IIIQ")  # width, height, label, count
 
 _RECORD = np.dtype(
     [("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1")]
@@ -56,7 +57,7 @@ def write_events(stream: EventStream, path) -> None:
     records["p"] = stream.p
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<IIIQ", stream.width, stream.height, label, stream.n_events))
+        fh.write(_HEADER.pack(stream.width, stream.height, label, stream.n_events))
         fh.write(records.tobytes())
 
 
@@ -65,7 +66,13 @@ def read_events(path) -> EventStream:
         magic = fh.read(4)
         if magic != MAGIC:
             raise ConfigError(f"{path}: not an EVS1 file")
-        width, height, label, count = struct.unpack("<IIIQ", fh.read(20))
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ConfigError(
+                f"{path}: truncated EVS1 header, {len(header)} of "
+                f"{_HEADER.size} bytes after the magic"
+            )
+        width, height, label, count = _HEADER.unpack(header)
         # check the header's count before trusting it with an allocation
         body = os.fstat(fh.fileno()).st_size - fh.tell()
         if count * _RECORD.itemsize != body:

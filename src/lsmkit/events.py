@@ -14,6 +14,10 @@ import numpy as np
 
 from .errors import ConfigError
 
+# Time steps pooled at once; this bounds the pooling temporary only, the
+# pooled counts are identical for any value.
+POOL_BLOCK_STEPS = 8
+
 
 @dataclass
 class EventStream:
@@ -112,16 +116,38 @@ def bin_events(
 
 
 def downscale(seq: FrameSequence, factor: int) -> FrameSequence:
-    """Count-preserving factor x factor block pooling."""
+    """Count-preserving factor x factor block pooling.
+
+    The result has the dtype ``frames.sum()`` gives: int64 for int64,
+    int32 or bool counts, uint64 for uint8.  Frames are pooled
+    ``POOL_BLOCK_STEPS`` steps at a time: the rows of each pooled row are
+    added into a block-sized temporary, then every factor-th column of it
+    into the output.  Integer sums are exact in any order; float frames
+    (never pooled by the pipeline) are summed rows first, so their
+    rounding may differ from a single reduction.
+    """
     if factor < 1:
         raise ConfigError("downscale factor must be >= 1")
     if factor == 1:
         return seq
-    t, c, h, w = seq.frames.shape
+    frames = seq.frames
+    t, c, h, w = frames.shape
     if h % factor or w % factor:
         raise ConfigError(f"frame dims {h}x{w} not divisible by factor {factor}")
-    pooled = seq.frames.reshape(t, c, h // factor, factor, w // factor, factor)
-    pooled = pooled.sum(axis=(3, 5))
+    dtype = frames[:0].sum().dtype
+    pooled = np.empty((t, c, h // factor, w // factor), dtype=dtype)
+    rows = np.empty((min(t, POOL_BLOCK_STEPS), c, h // factor, w), dtype=dtype)
+    # dtype= picks the accumulating loop: without it bool input would add
+    # as a logical OR and uint8 would wrap before the cast to the output
+    for start in range(0, t, POOL_BLOCK_STEPS):
+        block = frames[start:start + POOL_BLOCK_STEPS]
+        r, out = rows[:block.shape[0]], pooled[start:start + POOL_BLOCK_STEPS]
+        np.add(block[:, :, 0::factor], block[:, :, 1::factor], out=r, dtype=dtype)
+        for i in range(2, factor):
+            np.add(r, block[:, :, i::factor], out=r, dtype=dtype)
+        np.add(r[..., 0::factor], r[..., 1::factor], out=out, dtype=dtype)
+        for j in range(2, factor):
+            np.add(out, r[..., j::factor], out=out, dtype=dtype)
     return FrameSequence(pooled)
 
 

@@ -598,6 +598,34 @@ class TestCli:
         assert cli.main(["convert", "--to-csv", str(evs), str(back)]) == 0
         assert back.read_text() == csv.read_text()
 
+    def test_truncated_binary_is_an_error(self, tmp_path, capsys):
+        evs = tmp_path / "trunc.evs"
+        evs.write_bytes(b"EVS1abc")
+        out = tmp_path / "out.csv"
+        rc = cli.main(["convert", "--to-csv", str(evs), str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {evs}: truncated EVS1 header"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "axis, values, token",
+        [("partitions", "1,1.5", "'1.5' is not an integer"),
+         ("d_list", "0;x", "'x' is not a number")],
+        ids=["fractional-partitions", "word-in-d_list"],
+    )
+    def test_malformed_sweep_values_are_an_error(
+        self, tmp_path, tiny_dataset, capsys, axis, values, token
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        save_config(tiny_config(tiny_dataset), cfg_path)
+        rc = cli.main(
+            ["sweep", "--config", str(cfg_path), "--axis", axis, "--values", values]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --values for axis {axis}: {token}\n"
+
     @pytest.mark.parametrize(
         "flags, message",
         [

@@ -1,4 +1,6 @@
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from lsmkit import (
     gabor_bank,
     merge_channels,
 )
+from lsmkit.events import POOL_BLOCK_STEPS
 from lsmkit.eventio import (
     read_csv_events,
     read_events,
@@ -156,6 +159,52 @@ class TestDownscale:
         seq = FrameSequence(np.zeros((1, 1, 9, 9), dtype=int))
         with pytest.raises(ConfigError):
             downscale(seq, 2)
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(
+        st.tuples(
+            st.integers(1, 4),  # factor
+            # none, under one block, past two blocks with a ragged last one
+            st.one_of(
+                st.just(0),
+                st.integers(1, POOL_BLOCK_STEPS - 1),
+                st.integers(2 * POOL_BLOCK_STEPS + 1, 3 * POOL_BLOCK_STEPS - 1),
+            ),
+            st.integers(1, 2),  # channels
+            st.integers(1, 3),  # cells down
+            st.integers(1, 3),  # cells across
+            st.sampled_from([np.int64, np.int32, np.uint8, np.bool_]),
+        ).flatmap(
+            lambda d: st.tuples(
+                st.just(d[0]),
+                arrays(d[5], (d[1], d[2], d[0] * d[3], d[0] * d[4])),
+            )
+        )
+    )
+    @example((2, np.ones((1, 1, 2, 2), dtype=bool)))  # added, not ORed
+    def test_equals_one_reduction(self, factor_and_frames):
+        # the single 6-D reduction pooling used to be, in values and dtype
+        factor, frames = factor_and_frames
+        t, c, h, w = frames.shape
+        blocks = frames.reshape(t, c, h // factor, factor, w // factor, factor)
+        expected = frames if factor == 1 else blocks.sum(axis=(3, 5))
+        out = downscale(FrameSequence(frames), factor).frames
+        assert out.dtype == expected.dtype
+        assert np.array_equal(out, expected)
+
+    def test_allocates_only_the_output_and_a_block(self):
+        # a dvs-shaped sequence: a whole-array temporary (even a half-size
+        # one, 39 MB) would show, a block of rows (1 MiB) does not
+        frames = np.zeros((300, 2, 128, 128), dtype=np.int64)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = downscale(FrameSequence(frames), 2).frames
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (300, 2, 64, 64)
+        assert peak <= out.nbytes + 4 * 2**20
 
 
 def brute_force_correlate(frame, kernel):
@@ -430,6 +479,18 @@ class TestEventFiles:
         write_events(read_csv_events(csv_a, 34, 34, label=7), evs)
         write_csv_events(read_events(evs), csv_b)
         assert csv_a.read_text() == csv_b.read_text()
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [(b"EVS1abc", "truncated EVS1 header, 3 of 20 bytes"),
+         (b"", "not an EVS1 file")],
+        ids=["short-header", "empty"],
+    )
+    def test_short_file_rejected(self, tmp_path, data, message):
+        path = tmp_path / "short.evs"
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
+            read_events(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.evs"
