@@ -8,7 +8,7 @@ full-window spike counts are nearly blind to phase order, partitioning is
 worth a lot here; this is the desk-scale version of the partition-count
 comparison on the neuromorphic benchmarks.
 
-Runtime: a couple of minutes on a laptop.
+Runtime: about 25 s on a 2-core host.
 """
 
 import tempfile

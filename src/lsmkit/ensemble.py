@@ -14,17 +14,18 @@ partitions' outputs.
 
 Both ensembles are simulated the same way: the members are stacked into
 one population whose recurrent weights are block-diagonal and whose drive
-holds one block per member, and :func:`simulate_population`, the only time
-loop, steps it, for one sample or for a batch of equal-length samples at
-once.  A multi-length-scale ensemble is that population with ungated drive
-and no links; a temporal one gates each member's block to its slab and
-adds the inter-partition links.  The one record is then cut back into
-per-sample, per-member records by neuron offsets.
+holds one block per member, and the one time loop, which
+:func:`simulate_population` runs too, steps it for one sample or for a
+batch of equal-length samples at once, counting spikes as it goes.  A
+multi-length-scale ensemble is that population with ungated drive and no
+links; a temporal one gates each member's block to its slab and adds the
+inter-partition links.  The counts are cut per sample and member.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -98,81 +99,60 @@ def drive_through_map(rates: np.ndarray, imap: InputMap) -> np.ndarray:
     return imap.matrix().dot(rates.T).T
 
 
-class GatedDrive:
-    """The injected current of B samples stepped together, one slab at a time.
+def gated_drive(rates, members, offsets, slabs, l1=None):
+    """Yield each step's (N, B) injected current of B samples stepped together.
 
-    ``slabs`` lists (start, end, first member, last member + 1) in order,
-    tiling [0, T): members ``first`` to ``last - 1`` map ``rates``, stacked
-    as (T, B, n_inputs), through their input maps and are driven only
-    inside [start, end).  Only the open slab's (neurons, steps, B) block is
-    held.  ``drive[t]``, read for t = 0, 1, ..., T - 1 in turn, is step t's
-    (N, B) current in one reused buffer.  With ``record_l1`` set,
-    ``l1[r, b]`` is the (T,) L1 norm of member r's drive into sample b.
+    ``slabs`` tile [0, T) in order as (start, end, first member, last
+    member + 1): those members, whose neuron blocks start at ``offsets``,
+    map ``rates``, stacked as (T, B, n_inputs), through their input maps
+    and are driven only inside [start, end).  A slab's drive is mapped as
+    it opens and dropped as it closes; each step reuses one buffer.  A
+    given ``l1[r, b]`` gets the (T,) L1 norm of member r's drive into b.
     """
+    buffer = np.zeros((offsets[-1], rates.shape[1]))
+    for start, end, first, last in slabs:
+        values = _map_slab(rates, members, offsets, l1, start, end, first, last)
+        rows = buffer[offsets[first] : offsets[last]]
+        for t in range(end - start):
+            rows[...] = values[:, t]
+            yield buffer
+        rows[...] = 0.0
+        del values  # dropped before the next slab is mapped
 
-    def __init__(self, rates, members, slabs, record_l1: bool = False):
-        self.rates, self.members, self.slabs = rates, members, slabs
-        self.offsets = np.cumsum([0] + [imap.n_reservoir for _, imap in members])
-        steps = slabs[-1][1]
-        self.shape = (steps, int(self.offsets[-1]), rates.shape[1])
-        self.l1 = np.zeros((len(members), rates.shape[1], steps)) if record_l1 else None
-        # Members sharing a slab share one block: one copy per step, and for
-        # a multi-length-scale ensemble one allocation the size of its whole
-        # drive, which lifts glibc's adaptive mmap threshold above the Gabor
-        # bank's temporaries (with one block per member nmnist-mulre3 took
-        # 4-10x the page faults and about 12% more total_s).  Slab 0 is
-        # mapped before the loop allocates its raster and state, which keeps
-        # the heap and so the peak RSS smaller.
-        self._slab = 0
-        self._values = self._map(*slabs[0])
-        self._buffer = np.zeros(self.shape[1:])
-        self._take_rows()
 
-    def _take_rows(self) -> None:
-        """Cache the open slab's bounds and its members' rows of the buffer."""
-        self._start, self._end, first, last = self.slabs[self._slab]
-        self._rows = self._buffer[self.offsets[first] : self.offsets[last]]
-
-    def __getitem__(self, t: int) -> np.ndarray:
-        """Step t's current; steps are read in order, each once."""
-        if t == self._end:  # the open slab closes and the next one opens
-            self._rows[...] = 0.0
-            self._values = None  # dropped before the next block is mapped
-            self._slab += 1
-            self._values = self._map(*self.slabs[self._slab])
-            self._take_rows()
-        self._rows[...] = self._values[:, t - self._start]
-        return self._buffer
-
-    def _map(self, start: int, end: int, first: int, last: int) -> np.ndarray:
-        """The drive of members ``first`` to ``last - 1`` over their slab."""
-        # rows ordered (step, sample): one mapping call drives the whole batch;
-        # one input-major copy of the window serves every member of the slab
-        window = self.rates[start:end]
-        window = np.asfortranarray(window.reshape(-1, window.shape[2]), dtype=np.float64)
-        base, shape = self.offsets[first], (-1, end - start, self.shape[2])
-        mapped = (
-            drive_through_map(window, self.members[r][1]).T.reshape(shape)
-            for r in range(first, last)
-        )
-        if last - first == 1:
-            values = next(mapped)
-        else:  # filled member by member: one mapped block at a time beside it
-            values = np.empty((self.offsets[last] - base,) + shape[1:])
-            for r, block in zip(range(first, last), mapped):
-                values[self.offsets[r] - base : self.offsets[r + 1] - base] = block
-        if self.l1 is not None:
-            for r in range(first, last):
-                block = values[self.offsets[r] - base : self.offsets[r + 1] - base]
-                # each step's norm summed over a contiguous row, as for one sample
-                rows = np.ascontiguousarray(block.transpose(2, 1, 0))
-                self.l1[r, :, start:end] = np.abs(rows).sum(axis=2)
-        return values
+def _map_slab(rates, members, offsets, l1, start, end, first, last) -> np.ndarray:
+    """The (neurons, end - start, B) drive of members ``first`` to ``last - 1``."""
+    # rows ordered (step, sample): one mapping call drives the whole batch;
+    # one input-major copy of the window serves every member of the slab
+    window = rates[start:end]
+    window = np.asfortranarray(window.reshape(-1, window.shape[2]), dtype=np.float64)
+    base, shape = offsets[first], (-1, end - start, rates.shape[1])
+    mapped = (
+        drive_through_map(window, members[r][1]).T.reshape(shape)
+        for r in range(first, last)
+    )
+    # Members sharing a slab share one block: one copy per step, and for a
+    # multi-length-scale ensemble one allocation the size of its drive, which
+    # lifts glibc's adaptive mmap threshold above the Gabor bank's temporaries
+    # (one block per member took 4-10x the page faults on nmnist-mulre3).
+    if last - first == 1:
+        values = next(mapped)
+    else:  # filled member by member: one mapped block at a time beside it
+        values = np.empty((offsets[last] - base,) + shape[1:])
+        for r, block in zip(range(first, last), mapped):
+            values[offsets[r] - base : offsets[r + 1] - base] = block
+    if l1 is not None:
+        for r in range(first, last):
+            block = values[offsets[r] - base : offsets[r + 1] - base]
+            # each step's norm summed over a contiguous row, as for one sample
+            rows = np.ascontiguousarray(block.transpose(2, 1, 0))
+            l1[r, :, start:end] = np.abs(rows).sum(axis=2)
+    return values
 
 
 def simulate_population(
     weights: sparse.spmatrix | None,
-    drive: np.ndarray | GatedDrive,
+    drive: np.ndarray,
     params: NeuronParams,
     *,
     links: sparse.spmatrix | None = None,
@@ -182,35 +162,42 @@ def simulate_population(
     """Run one population for T steps from a zero state.
 
     ``drive`` is the pre-weighted injected current: (T, N) for one sample,
-    or (T, N, B), such as a :class:`GatedDrive`, for B samples stepped
-    together, whose record's arrays then keep the trailing batch axis.
-    ``links`` is an optional (N x N) coupling whose spikes, like recurrent
-    ones, arrive one step later; they are added to the injected current,
-    not to the recurrent sum, so a stacked ensemble sums in the same order
-    as its members stepped one by one.  ``slab`` additionally counts spikes
-    inside its interval.
+    or (T, N, B) for B samples stepped together, whose record's arrays then
+    keep the trailing batch axis.  ``links`` is an optional (N x N)
+    coupling whose spikes, like recurrent ones, arrive one step later; they
+    are added to the injected current, not to the recurrent sum, so a
+    stacked ensemble sums in the same order as its members stepped one by
+    one.  ``slab``, a part of [0, T], additionally counts spikes inside it.
+    The (T, N[, B]) uint8 raster is held only with ``record_raster``.
     """
-    steps, n = drive.shape[:2]
-    state = PopulationState.zeros(n, *drive.shape[2:])
-    raster = np.zeros(drive.shape, dtype=np.uint8)
-    for t in range(steps):
-        injected = drive[t]
+    steps = drive.shape[0]
+    if slab is not None and not 0 <= slab[0] <= slab[1] <= steps:
+        raise ConfigError(f"slab {slab} does not lie in [0, {steps}]")
+    at, raster = _loop(weights, drive, drive.shape, params, links, slab or (), record_raster)
+    inside = None if slab is None else at[slab[1]] - at[slab[0]]
+    return SpikeRecord(at[steps], steps, slab_counts=inside, raster=raster)
+
+
+def _loop(weights, drive, shape, params, links, bounds, record_raster):
+    """The one time loop.  A zero state of ``shape[1:]`` steps through the
+    ``shape[0]`` = T currents ``drive`` yields, adding its spikes to int64
+    running counts.  Returns the counts after t steps, keyed by t, for t = T
+    and each t in ``bounds``, and the ``shape`` raster if ``record_raster``."""
+    state = PopulationState.zeros(*shape[1:])
+    counts = np.zeros(shape[1:], dtype=np.int64)
+    raster = np.zeros(shape, dtype=np.uint8) if record_raster else None
+    at = {}
+    for t, injected in enumerate(drive):
+        if t in bounds:
+            at[t] = counts.copy()
         if links is not None and state.spikes.any():
             injected = injected + links.dot(state.spikes.astype(np.float64))
         state = lif_step(state, injected, weights, params)
-        raster[t] = state.spikes
-    return SpikeRecord(
-        counts=raster.sum(axis=0, dtype=np.int64),
-        steps=steps,
-        slab_counts=_slab_counts(raster, slab),
-        raster=raster if record_raster else None,
-    )
-
-
-def _slab_counts(raster: np.ndarray, slab: tuple[int, int] | None):
-    if slab is None:
-        return None
-    return raster[slab[0] : slab[1]].sum(axis=0, dtype=np.int64)
+        counts += state.spikes
+        if raster is not None:
+            raster[t] = state.spikes
+    at[shape[0]] = counts
+    return at, raster
 
 
 def _run_stacked(
@@ -244,35 +231,42 @@ def _run_stacked(
     if rates.ndim not in (2, 3):
         raise ConfigError(f"rates of shape {rates.shape} are not (T, n) or (T, B, n)")
     stack = rates if rates.ndim == 3 else rates[:, None]
-    drive = GatedDrive(stack, members, slabs, record_l1=record_drive)
-    offsets, steps = drive.offsets, drive.shape[0]
+    steps, batch = stack.shape[:2]
+    offsets = np.cumsum([0] + [topo.size for topo, _ in members])
+    n = int(offsets[-1])  # neurons in the stacked population
+    l1 = np.zeros((len(members), batch, steps)) if record_drive else None
+    drive = gated_drive(stack, members, offsets, slabs, l1)
+    # slab 0 is mapped before the weights are built, which lowers the peak
+    drive = chain([next(drive)], drive)
     weights = sparse.block_diag(
         [topo.weight_matrix() for topo, _ in members], format="csr"
     )
     links = None
     if inter_links:
-        n = drive.shape[1]  # neurons in the stacked population
         src = np.concatenate([s + offsets[r] for r, (s, _, _) in enumerate(inter_links)])
         dst = np.concatenate([d + offsets[r + 1] for r, (_, d, _) in enumerate(inter_links)])
         weight = np.concatenate([w for _, _, w in inter_links])
         links = sparse.csr_matrix((weight, (dst, src)), shape=(n, n))
-
-    whole = simulate_population(weights, drive, params, links=links, record_raster=True)
-    samples = []
-    for b in range(stack.shape[1]):
-        records = []
-        for r, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
-            raster = whole.raster[:, lo:hi, b]
-            records.append(
-                SpikeRecord(
-                    counts=whole.counts[lo:hi, b],
-                    steps=steps,
-                    slab_counts=_slab_counts(raster, slabs[r][:2] if count_slabs else None),
-                    raster=raster if record_raster else None,
-                    drive_l1=drive.l1[r, b] if record_drive else None,
-                )
+    bounds = [start for start, _, _, _ in slabs] if count_slabs else ()
+    at, raster = _loop(
+        weights, drive, (steps, n, batch), params, links, bounds, record_raster
+    )
+    cuts = list(zip(offsets[:-1], offsets[1:]))
+    if count_slabs:  # one (neurons, B) difference per member, a column per sample
+        inside = [at[s[1]][lo:hi] - at[s[0]][lo:hi] for s, (lo, hi) in zip(slabs, cuts)]
+    samples = [
+        [
+            SpikeRecord(
+                counts=at[steps][lo:hi, b],
+                steps=steps,
+                slab_counts=inside[r][:, b] if count_slabs else None,
+                raster=raster[:, lo:hi, b] if record_raster else None,
+                drive_l1=l1[r, b] if record_drive else None,
             )
-        samples.append(records)
+            for r, (lo, hi) in enumerate(cuts)
+        ]
+        for b in range(batch)
+    ]
     return samples if rates.ndim == 3 else samples[0]
 
 

@@ -134,23 +134,22 @@ def frame_geometry(cfg: ExperimentConfig, manifest: Manifest) -> tuple[int, int,
     return c, h, w
 
 
-# Memory one engine call may spend on its samples' rates, gated drive and
-# spike raster; the batch size is what fits in it.
+# Memory one engine call may spend on its samples' rates and on the window
+# copy and drive of the open slab; the batch size is what fits in it.
 BATCH_BYTES = 8 * 2**20
 
 
 def sample_bytes(cfg: ExperimentConfig, geometry: tuple[int, int, int]) -> int:
     """Bytes one fixed-length sample takes in a batch: its float64 input
-    rates, its float64 drive over each member's window and its uint8
-    raster."""
+    rates over T steps, and over the longest slab the float64 input-major
+    copy of its rates and the float64 drive of the slab's members."""
     ens, steps = cfg.ensemble, cfg.preprocessing.steps
-    member = ens.member_grid().size
-    if ens.variant == "mulre":
-        n_members, windows = len(ens.d_list), steps * len(ens.d_list)
-    else:
-        n_members, windows = ens.partitions, steps  # the slabs tile T once
-    rates = steps * int(np.prod(geometry)) * 8
-    return rates + windows * member * 8 + steps * n_members * member
+    n_inputs, member = int(np.prod(geometry)), ens.member_grid().size
+    if ens.variant == "mulre":  # one slab over T drives every member
+        window, neurons = steps, len(ens.d_list) * member
+    else:  # the longest of the equal slabs drives one member
+        window, neurons = -(-steps // ens.partitions), member
+    return (steps * n_inputs + window * (n_inputs + neurons)) * 8
 
 
 def batch_size(cfg: ExperimentConfig, geometry: tuple[int, int, int]) -> int:
@@ -174,20 +173,26 @@ class Engine:
 
     def __call__(self, paths) -> list[tuple[np.ndarray, int]]:
         """(features, label) of each file, in order."""
-        labels, rates = [], []
-        for path in paths:
+        steps, n_inputs = self.cfg.preprocessing.steps, self.members[0][1].n_inputs
+        # B > 1 samples' rates fill one array; a lone file's are a view of its own
+        rates = np.empty((steps, len(paths), n_inputs)) if len(paths) > 1 else None
+        labels = []
+        for b, path in enumerate(paths):
             stream = eventio.read_events(path)
             if stream.label is None:
                 raise DatasetError(f"{path}: sample has no label")
             labels.append(stream.label)
-            rates.append(preprocess_stream(stream, self.cfg, self.channels))
-        # a lone file's rates become a batch of one as a view, not a copy
-        rates = rates[0][:, None] if len(rates) == 1 else np.stack(rates, axis=1)
+            sample = preprocess_stream(stream, self.cfg, self.channels)
+            if sample.shape[1] != n_inputs:  # a sensor other than the manifest's
+                raise DatasetError(f"{path}: {sample.shape[1]} inputs, not {n_inputs}")
+            if rates is None:
+                rates = sample[:, None]
+            else:
+                rates[:, b] = sample
         params = self.cfg.neuron
         if self.cfg.ensemble.variant == "mulre":
             batch = run_mulre(rates, self.members, params)
         else:
-            steps = self.cfg.preprocessing.steps
             schedule = equal_split_schedule(steps, len(self.members))
             batch = run_tepre(rates, self.members, self.inter_links, schedule, params)
         return [

@@ -77,8 +77,9 @@ class ConnectionLaw:
     def __post_init__(self):
         if not self.lam > 0:
             raise ConfigError(f"length scale lam must be positive, not {self.lam}")
-        if not self.d >= 0:
-            raise ConfigError(f"distance offset d must be nonnegative, not {self.d}")
+        # an infinite offset would make every pair probability 0: no edges
+        if not 0 <= self.d < np.inf:
+            raise ConfigError(f"distance offset d must be finite and >= 0, not {self.d}")
         if set(self.c_table) != {"EE", "EI", "IE", "II"}:
             raise ConfigError("c_table needs exactly the EE/EI/IE/II entries")
         for key, c in self.c_table.items():

@@ -67,6 +67,7 @@ class TestLoadTimeChecks:
             (MULRE, "ensemble", "member_dims", [5, 5, 5], "reservoir size 125 is odd"),
             (MULRE, "ensemble", "member_dims", [10, -10, 12], "grid dimensions"),
             (MULRE, "ensemble", "d_list", [0, NAN], "distance offset d"),
+            (MULRE, "ensemble", "d_list", [0, INF], "distance offset d"),
             (MULRE, "input", "window", 11, "window 11 does not fit"),
             (TEPRE, "preprocessing", "steps", 2, "cannot split 2 steps into 3"),
             (TEPRE, "connectivity", "lam", NAN, "lam must be positive"),
@@ -88,6 +89,16 @@ class TestLoadTimeChecks:
         (data if section is None else data[section])[key] = value
         with pytest.raises(ConfigError, match=named):
             from_dict(data)
+
+    def test_infinite_offset_in_a_config_file_rejected(self, tmp_path):
+        # JSON's Infinity token parses to an infinite float
+        data = json.loads((CONFIG_DIR / MULRE).read_text())
+        data["ensemble"]["d_list"] = [0, float("inf")]
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(data))
+        assert "Infinity" in path.read_text()
+        with pytest.raises(ConfigError, match="distance offset d must be finite"):
+            load_config(path)
 
     def test_foreign_field_at_default_loads_and_is_not_written(self):
         data = json.loads((CONFIG_DIR / MULRE).read_text())

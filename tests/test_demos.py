@@ -1,8 +1,8 @@
 """Demos 01-06 run to completion against the current API.
 
 Each demo runs in-process inside a temporary working directory, since some
-write files there (demo 02 saves a topology).  Demo 07 runs a full sweep,
-about a minute, and is left out.
+write files there (demo 02 saves a topology).  Demo 07 runs a full sweep
+(about 25 s on a 2-core host) and is run by its own CI step instead.
 """
 
 import runpy

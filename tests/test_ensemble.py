@@ -284,6 +284,14 @@ class TestRunTepre:
         for record in records:
             assert np.all(record.slab_counts <= record.counts)
 
+    @pytest.mark.parametrize("slab", [(0, 61), (30, 20), (-1, 10)])
+    def test_slab_outside_the_run_rejected(self, slab):
+        # a slab count of steps never run would silently read as a count
+        topo, imap = make_member(GridDims(4, 4, 4), d=0.0, topo_seed=1, input_seed=2)
+        drive = drive_through_map(poisson_rates(60, 16, seed=3), imap)
+        with pytest.raises(ConfigError, match="does not lie in"):
+            simulate_population(topo.weight_matrix(), drive, PARAMS, slab=slab)
+
     def test_schedule_partition_mismatch_rejected(self):
         members, links, _, rates = self.build_ensemble(3)
         bad = equal_split_schedule(60, 2)
@@ -425,6 +433,28 @@ class TestStackedExactness:
                 else:
                     assert got.slab_counts is None and want.slab_counts is None
 
+    def test_raster_is_held_only_when_recorded(self):
+        """Spikes are counted as the loop runs: without ``record_raster`` a
+        batch holds no (T, N, B) raster, so its run peaks about one raster
+        lower under tracemalloc."""
+        params, steps, batch = self.PARAMS, 600, 4
+        members = self.members(3)
+        links = build_tepre([t for t, _ in members], 0.08, -0.37, seed=7)
+        schedule = equal_split_schedule(steps, len(members))
+        stack = np.random.default_rng(12).gamma(0.8, 1.3, size=(steps, batch, 16))
+        peaks = {}
+        for record_raster in (True, False):
+            tracemalloc.start()
+            try:
+                run_tepre(
+                    stack, members, links, schedule, params, record_raster=record_raster
+                )
+                peaks[record_raster] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        raster_bytes = steps * sum(topo.size for topo, _ in members) * batch
+        assert peaks[True] - peaks[False] >= 0.9 * raster_bytes
+
     def test_non_finite_sample_in_a_batch_rejected(self):
         stack = np.ones((20, 3, 16))
         stack[4, 1, :] = np.inf
@@ -499,7 +529,9 @@ class TestDriveMap:
         monkeypatch.setattr(ensemble_module, "drive_through_map", traced)
         tracemalloc.start()
         try:
-            ensemble_module.GatedDrive(stack, members, [(0, steps, 0, 3)])
+            offsets = np.cumsum([0] + [topo.size for topo, _ in members])
+            slabs = [(0, steps, 0, 3)]
+            next(ensemble_module.gated_drive(stack, members, offsets, slabs))  # maps it
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

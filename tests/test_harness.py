@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -342,19 +343,42 @@ class TestBatching:
 
     @pytest.mark.parametrize(
         "name, sensor, per_sample, batch",
-        [("synthetic_tepre3.json", (8, 8, 2), 813_600, 10),
-         ("shd_tepre6.json", (700, 1, 1), 12_600_000, 1),
-         ("nmnist_mulre3.json", (34, 34, 2), 59_659_200, 1),
-         ("dvsgesture_rf.json", (128, 128, 2), 30_460_800, 1)],
+        [("synthetic_tepre3.json", (8, 8, 2), 364_800, 22),
+         ("shd_tepre6.json", (700, 1, 1), 7_203_200, 1),
+         ("nmnist_mulre3.json", (34, 34, 2), 108_518_400, 1),
+         ("dvsgesture_rf.json", (128, 128, 2), 48_921_600, 1)],
     )
     def test_batch_size_rule_on_shipped_geometry(self, name, sensor, per_sample, batch):
-        # rates T*n_inputs*8 + drive over each member's window *8 + raster T*N
+        # rates T*n_inputs*8 + over the longest slab S (T/partitions rounded
+        # up for tepre, T for mulre) its window copy S*n_inputs*8 and the
+        # drive S*neurons*8 of the slab's members (one partition, or all)
         cfg = load_config(self.CONFIG_DIR / name)
         width, height, channels = sensor
         geometry = frame_geometry(cfg, Manifest(width, height, channels, [], []))
         assert harness.BATCH_BYTES == 8 * 2**20
         assert harness.sample_bytes(cfg, geometry) == per_sample
         assert harness.batch_size(cfg, geometry) == batch
+
+    def test_engine_call_stays_within_the_model(self, tmp_path):
+        """The model is checked, not assumed: one engine call at
+        synth-tepre3 geometry and its full batch traces no more than the
+        batch times ``sample_bytes``, plus a fixed margin."""
+        cfg = load_config(self.CONFIG_DIR / "synthetic_tepre3.json")
+        params = MultiPhaseParams(n_classes=4, n_train=22, n_test=2, seed=7)
+        manifest_path = generate_multiphase(params, tmp_path)
+        cfg = replace(cfg, dataset_manifest=str(manifest_path), output_dir=None)
+        manifest = load_manifest(manifest_path)
+        geometry = frame_geometry(cfg, manifest)
+        batch = harness.batch_size(cfg, geometry)
+        assert batch == 22
+        engine = build_members(cfg, geometry, manifest.channels)
+        tracemalloc.start()
+        try:
+            assert len(engine(manifest.train[:batch])) == batch
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= batch * harness.sample_bytes(cfg, geometry) + 2 * 2**20
 
     @pytest.fixture(scope="class")
     def odd_dataset(self, tmp_path_factory):
@@ -418,6 +442,17 @@ class TestBatching:
             assert features.tobytes() == alone.tobytes()
         assert shapes == [(6, 2), (6, 1), (6, 1)]
 
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_file_from_another_sensor_is_an_error(self, tiny_dataset, tmp_path, batch):
+        cfg = tiny_config(tiny_dataset)
+        manifest = load_manifest(tiny_dataset)
+        engine = build_members(cfg, frame_geometry(cfg, manifest), 2)
+        wide = tmp_path / "wide.evs"
+        stream = stream_ending_at(9_000)
+        write_events(replace(stream, x=stream.x + 2, width=8, height=8), wide)
+        with pytest.raises(DatasetError, match=r"wide.evs: \d+ inputs, not \d+"):
+            engine(manifest.train[: batch - 1] + [wide])
+
 
 class TestReadoutReport:
     def test_shipped_synthetic_readout_does_not_converge(self, tmp_path):
@@ -436,7 +471,7 @@ class TestReadoutReport:
         assert saved["readout"]["converged"] is False
         assert saved["readout"]["epochs"] == 500
         assert saved["readout"]["grad_norm"] > 1e-4
-        assert saved["batch"] == 10
+        assert saved["batch"] == 22  # all 40 samples in batches of 22 and 18
 
         loose = replace(cfg, readout=replace(cfg.readout, tolerance=1.0), output_dir=None)
         fit = run_experiment(loose).readout
@@ -625,6 +660,22 @@ class TestCli:
         )
         assert rc == 2
         assert capsys.readouterr().err == f"error: --values for axis {axis}: {token}\n"
+
+    def test_infinite_sweep_offset_is_an_error(self, tmp_path, tiny_dataset, capsys):
+        cfg = tiny_config(
+            tiny_dataset,
+            ensemble=EnsembleConfig(variant="mulre", d_list=(0.0,), member_dims=(6, 6, 2)),
+            input=InputConfig(scheme="receptive_field", window=3),
+        )
+        cfg_path = tmp_path / "cfg.json"
+        save_config(cfg, cfg_path)
+        rc = cli.main(
+            ["sweep", "--config", str(cfg_path), "--axis", "d_list", "--values", "0,inf"]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: distance offset d must be finite and >= 0, not inf"
+        )
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -51,6 +51,12 @@ class TestConnectionProbability:
         law = ConnectionLaw()
         assert law.c_table == {"EE": 0.2, "EI": 0.1, "IE": 0.05, "II": 0.3}
 
+    @pytest.mark.parametrize("d", [math.inf, math.nan, -1.0])
+    def test_offset_not_finite_and_nonnegative_rejected(self, d):
+        # an infinite offset would give every pair probability 0: no edges
+        with pytest.raises(ConfigError, match="distance offset d must be finite"):
+            ConnectionLaw(d=d)
+
 
 class TestGridDims:
     def test_odd_size_rejected(self):
