@@ -49,7 +49,7 @@ print("member spike statistics on the same 200-step stimulus:")
 for (topo, _), rec in zip(members, records):
     print(
         f"  d = {topo.law.d}: total spikes {rec.counts.sum():>6}, "
-        f"mean rate {rec.mean_rate():.4f}, "
+        f"mean rate {rec.counts.sum() / (topo.size * rates.shape[0]):.4f}, "
         f"active neurons {(rec.counts > 0).sum()}/{topo.size}"
     )
 

@@ -55,7 +55,6 @@ from .readout import (
     SampleStateVector,
     evaluate,
     extract_state,
-    load_model,
     save_model,
     train_readout,
 )

@@ -67,20 +67,9 @@ class SpikeRecord:
     """Per-member simulation output used for state extraction."""
 
     counts: np.ndarray  # (N,) full-window spike counts
-    steps: int
     slab_counts: np.ndarray | None = None  # counts inside the member's own slab
     raster: np.ndarray | None = None  # (T, N) uint8
     drive_l1: np.ndarray | None = None  # (T,) L1 norm of injected input drive
-
-    @property
-    def size(self) -> int:
-        return self.counts.shape[0]
-
-    def mean_rate(self) -> float:
-        """Mean spikes per neuron per step."""
-        if self.steps == 0:
-            return 0.0
-        return float(self.counts.sum()) / (self.size * self.steps)
 
 
 def drive_through_map(rates: np.ndarray, imap: InputMap) -> np.ndarray:
@@ -175,7 +164,7 @@ def simulate_population(
         raise ConfigError(f"slab {slab} does not lie in [0, {steps}]")
     at, raster = _loop(weights, drive, drive.shape, params, links, slab or (), record_raster)
     inside = None if slab is None else at[slab[1]] - at[slab[0]]
-    return SpikeRecord(at[steps], steps, slab_counts=inside, raster=raster)
+    return SpikeRecord(at[steps], slab_counts=inside, raster=raster)
 
 
 def _loop(weights, drive, shape, params, links, bounds, record_raster):
@@ -258,7 +247,6 @@ def _run_stacked(
         [
             SpikeRecord(
                 counts=at[steps][lo:hi, b],
-                steps=steps,
                 slab_counts=inside[r][:, b] if count_slabs else None,
                 raster=raster[:, lo:hi, b] if record_raster else None,
                 drive_l1=l1[r, b] if record_drive else None,

@@ -85,6 +85,10 @@ def load_manifest(path) -> Manifest:
         raise DatasetError(f"dataset manifest {path} is not valid JSON: {exc}")
     base = path.parent
     try:
+        for split in ("train", "test"):
+            names = data[split]
+            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                raise TypeError(f"{split} is not a list of file names")
         manifest = Manifest(
             width=int(data["width"]),
             height=int(data["height"]),
@@ -104,8 +108,21 @@ def load_manifest(path) -> Manifest:
 
 def preprocess_stream(stream, cfg: ExperimentConfig, n_channels: int) -> np.ndarray:
     """(T, n_inputs) float64 input rates of one event stream: bin, pool,
-    merge polarities, filter, fix the length, flatten."""
+    merge polarities, filter, fix the length, flatten.
+
+    Events at or past the end of the last step are dropped before binning:
+    every later stage acts frame by frame and the length is clipped to
+    ``steps``, so they change no rate, but binning them would allocate
+    frames over the whole span up to the latest timestamp."""
     prep = cfg.preprocessing
+    if stream.n_events:
+        end = stream.t[0] + prep.steps * prep.time_window
+        keep = int(np.searchsorted(stream.t, end))
+        if keep < stream.n_events:
+            stream = replace(
+                stream, t=stream.t[:keep], x=stream.x[:keep], y=stream.y[:keep],
+                p=stream.p[:keep],
+            )
     seq = bin_events(stream, prep.time_window, n_channels=n_channels)
     if prep.downscale > 1:
         seq = downscale(seq, prep.downscale)
@@ -167,13 +184,14 @@ class Engine:
     """
 
     cfg: ExperimentConfig
-    channels: int  # polarity channels of the raw event files
+    sensor: tuple[int, int, int]  # (width, height, channels) of the raw event files
     members: list[tuple[ReservoirTopology, InputMap]]
     inter_links: list | None
 
     def __call__(self, paths) -> list[tuple[np.ndarray, int]]:
         """(features, label) of each file, in order."""
         steps, n_inputs = self.cfg.preprocessing.steps, self.members[0][1].n_inputs
+        width, height, channels = self.sensor
         # B > 1 samples' rates fill one array; a lone file's are a view of its own
         rates = np.empty((steps, len(paths), n_inputs)) if len(paths) > 1 else None
         labels = []
@@ -181,10 +199,13 @@ class Engine:
             stream = eventio.read_events(path)
             if stream.label is None:
                 raise DatasetError(f"{path}: sample has no label")
+            if (stream.width, stream.height) != (width, height):
+                raise DatasetError(
+                    f"{path}: sensor {stream.width}x{stream.height}, "
+                    f"not the manifest's {width}x{height}"
+                )
             labels.append(stream.label)
-            sample = preprocess_stream(stream, self.cfg, self.channels)
-            if sample.shape[1] != n_inputs:  # a sensor other than the manifest's
-                raise DatasetError(f"{path}: {sample.shape[1]} inputs, not {n_inputs}")
+            sample = preprocess_stream(stream, self.cfg, channels)
             if rates is None:
                 rates = sample[:, None]
             else:
@@ -205,7 +226,8 @@ def build_members(
     cfg: ExperimentConfig, geometry: tuple[int, int, int], channels: int
 ) -> Engine:
     """The run's engine for preprocessed frames of ``geometry`` cut from
-    event files with ``channels`` polarity channels."""
+    event files with ``channels`` polarity channels, on the sensor those
+    frames were pooled from."""
     frame_channels, height, width = geometry
     ens = cfg.ensemble
     grid = ens.member_grid()
@@ -246,7 +268,8 @@ def build_members(
             ens.inter_weight,
             inter_link_seed(cfg.seeds.topology, len(members)),
         )
-    return Engine(cfg, channels, members, inter_links)
+    factor = cfg.preprocessing.downscale
+    return Engine(cfg, (width * factor, height * factor, channels), members, inter_links)
 
 
 _ENGINE: Engine | None = None  # set once in each pool worker process

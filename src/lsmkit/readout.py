@@ -74,7 +74,7 @@ class ReadoutModel:
     bias: np.ndarray  # (classes,)
     feature_scale: np.ndarray  # (features,) divisor fit on the training set
     classes: np.ndarray  # label value per row of the weight matrix
-    fit: FitTrace | None = None  # None for a model loaded from a file
+    fit: FitTrace
 
     @property
     def n_classes(self) -> int:
@@ -202,7 +202,9 @@ def evaluate(
 
 
 def save_model(model: ReadoutModel, path) -> None:
-    """Plain text: header, standardization vector, bias, then weight rows."""
+    """Plain text: header, standardization vector, bias, then weight rows.
+
+    The file is write-only: nothing in lsmkit reads it back."""
     with open(path, "w") as fh:
         fh.write("lsm-readout v1\n")
         fh.write(f"classes {model.n_classes}\n")
@@ -213,20 +215,3 @@ def save_model(model: ReadoutModel, path) -> None:
         for row in model.weights:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
-
-def load_model(path) -> ReadoutModel:
-    with open(path) as fh:
-        magic = fh.readline().strip()
-        if magic != "lsm-readout v1":
-            raise ConfigError(f"not a readout model file: {magic!r}")
-        n_classes = int(fh.readline().split()[1])
-        n_features = int(fh.readline().split()[1])
-        classes = np.array([int(v) for v in fh.readline().split()[1:]], dtype=np.int64)
-        scale = np.array([float(v) for v in fh.readline().split()[1:]])
-        bias = np.array([float(v) for v in fh.readline().split()[1:]])
-        weights = np.empty((n_classes, n_features))
-        for i in range(n_classes):
-            weights[i] = [float(v) for v in fh.readline().split()]
-    return ReadoutModel(
-        weights=weights, bias=bias, feature_scale=scale, classes=classes
-    )

@@ -29,6 +29,7 @@ from lsmkit import (
 )
 from lsmkit.config import FIELDS_READ, from_dict, to_dict
 from lsmkit.eventio import write_events
+from lsmkit.events import bin_events
 from lsmkit.harness import (
     Manifest,
     build_members,
@@ -443,15 +444,25 @@ class TestBatching:
         assert shapes == [(6, 2), (6, 1), (6, 1)]
 
     @pytest.mark.parametrize("batch", [1, 2])
-    def test_file_from_another_sensor_is_an_error(self, tiny_dataset, tmp_path, batch):
-        cfg = tiny_config(tiny_dataset)
-        manifest = load_manifest(tiny_dataset)
-        engine = build_members(cfg, frame_geometry(cfg, manifest), 2)
-        wide = tmp_path / "wide.evs"
-        stream = stream_ending_at(9_000)
-        write_events(replace(stream, x=stream.x + 2, width=8, height=8), wide)
-        with pytest.raises(DatasetError, match=r"wide.evs: \d+ inputs, not \d+"):
-            engine(manifest.train[: batch - 1] + [wide])
+    @pytest.mark.parametrize(
+        "sensor, other", [((6, 6), (8, 8)), ((6, 3), (3, 6))], ids=["wider", "transposed"]
+    )
+    def test_file_from_another_sensor_is_an_error(self, tmp_path, batch, sensor, other):
+        # a transposed file yields as many inputs as the manifest's, so
+        # only the header's size tells it apart
+        cfg = tiny_config("unused")
+        width, height = sensor
+        engine = build_members(cfg, frame_geometry(cfg, Manifest(width, height, 2, [], [])), 2)
+        paths = []
+        for name, (w, h) in (("same", sensor), ("other", other)):
+            paths.append(tmp_path / f"{name}.evs")
+            stream = EventStream(
+                t=[0, 9_000], x=[0, w - 1], y=[0, h - 1], p=[0, 1], width=w, height=h, label=0
+            )
+            write_events(stream, paths[-1])
+        match = rf"other.evs: sensor {other[0]}x{other[1]}, not the manifest's {width}x{height}"
+        with pytest.raises(DatasetError, match=match):
+            engine(paths[2 - batch :])
 
 
 class TestReadoutReport:
@@ -582,6 +593,35 @@ class TestFrameGeometry:
             rates = preprocess_stream(stream, cfg, channels)
             assert rates.dtype == np.float64
             assert rates.shape[1] == math.prod(frame_geometry(cfg, manifest))
+
+    def test_late_events_are_never_binned(self, monkeypatch):
+        # 30 steps of 1 ms from the first event at 5 ms end at 35 ms: the
+        # events at 35 ms and at 2 s fall outside every step
+        t = np.concatenate([np.arange(5_000, 35_000, 250), [35_000, 2_000_000]])
+        rng = np.random.default_rng(4)
+        x, y, p = rng.integers(0, 16, t.size), rng.integers(0, 16, t.size), t % 2
+        binned = []
+
+        def recording_bin_events(*args, **kwargs):
+            seq = bin_events(*args, **kwargs)
+            binned.append(seq.steps)
+            return seq
+
+        monkeypatch.setattr(harness, "bin_events", recording_bin_events)
+        for merge, gabor, factor in itertools.product((False, True), (False, True), (1, 2)):
+            prep = PreprocessingConfig(
+                downscale=factor, gabor=gabor, merge_polarities=merge, steps=30
+            )
+            cfg = ExperimentConfig(dataset_manifest="unused", preprocessing=prep)
+            rates = [
+                preprocess_stream(
+                    EventStream(t[:n], x[:n], y[:n], p[:n], width=16, height=16), cfg, 2
+                )
+                for n in (t.size - 2, t.size)
+            ]
+            assert rates[0].shape[0] == 30
+            assert rates[0].tobytes() == rates[1].tobytes()
+        assert max(binned) == 30
 
 
 class TestCli:
@@ -798,11 +838,12 @@ class TestCli:
         [
             ('{"height": 6, "train": [], "test": []}', "'width'"),
             ('{"width": 6, "height": ', "not valid JSON"),
-            ('{"width": 6, "height": 6, "train": 3, "test": []}', "malformed"),
+            ('{"width": 6, "height": 6, "train": 3, "test": []}', "is malformed"),
+            ('{"width": 6, "height": 6, "train": "a.evs", "test": ["b.evs"]}', "is malformed"),
             ('{"width": 6, "height": 6, "train": [], "test": []}', "no train samples"),
             ('{"width": 6, "height": 6, "train": ["a.evs"], "test": []}', "no test samples"),
         ],
-        ids=["no-width", "bad-json", "train-not-a-list", "empty", "no-test"],
+        ids=["no-width", "bad-json", "train-not-a-list", "train-a-string", "empty", "no-test"],
     )
     def test_malformed_manifest_is_an_error(self, tmp_path, capsys, text, named):
         manifest = tmp_path / "manifest.json"
