@@ -25,8 +25,6 @@ from .errors import ConfigError, DatasetError, NumericsError
 from .harness import (
     SWEEP_AXES,
     build_members,
-    frame_geometry,
-    load_manifest,
     run_experiment,
     run_sweep,
     sweep_table,
@@ -142,8 +140,7 @@ def cmd_convert(args) -> int:
 
 def cmd_topo_export(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
-    manifest = load_manifest(cfg.dataset_manifest)
-    engine = build_members(cfg, frame_geometry(cfg, manifest), manifest.channels)
+    engine = build_members(cfg, eventio.load_manifest(cfg.dataset_manifest))
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     for i, (topo, imap) in enumerate(engine.members):

@@ -1,7 +1,9 @@
 """Converters from dataset-native formats to the EVS1 container.
 
 These are offline preparation tools: the engine core only reads EVS1
-files listed in a manifest.  Each module converts one benchmark:
+files listed in a manifest.  Each module decodes one benchmark into
+labeled streams and hands them to ``eventio.write_dataset``, which writes
+the files and the manifest:
 
     python -m lsmkit.datasets.nmnist     <raw_dir> <out_dir>
     python -m lsmkit.datasets.shd        <raw_dir> <out_dir>
@@ -11,26 +13,9 @@ Raw downloads are never fetched here; see the README for dataset sources.
 """
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from ..errors import ConfigError, DatasetError
-
-
-def write_manifest(out_dir, width, height, channels, train_files, test_files) -> Path:
-    out_dir = Path(out_dir)
-    manifest = {
-        "width": width,
-        "height": height,
-        "channels": channels,
-        "train": [str(p.relative_to(out_dir)) for p in train_files],
-        "test": [str(p.relative_to(out_dir)) for p in test_files],
-    }
-    path = out_dir / "manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=1)
-    return path
 
 
 def converter_main(convert, description: str, argv=None) -> int:

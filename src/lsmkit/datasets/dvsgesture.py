@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DatasetError
-from ..eventio import write_events
+from ..eventio import write_dataset
 from ..events import EventStream
-from . import converter_main, write_manifest
+from . import converter_main
 
 WIDTH = 128
 HEIGHT = 128
@@ -97,41 +97,33 @@ def _split_list(raw_dir: Path, name: str) -> list[str]:
     return [ln.strip() for ln in path.read_text().splitlines() if ln.strip()]
 
 
+def read_split(data_dir: Path, listing: str, names: list[str]):
+    """Labeled streams of every trial of the recordings ``names`` (read
+    from ``listing``), in order; each recording is read when its first
+    trial is drawn."""
+    for name in names:
+        aedat = data_dir / name
+        labels_csv = data_dir / name.replace(".aedat", "_labels.csv")
+        for needed in (aedat, labels_csv):
+            if not needed.exists():
+                raise DatasetError(f"{listing} names {name}, but {needed} is missing")
+        t, x, y, p = read_aedat(aedat)
+        for cls, start, end in read_trials(labels_csv):
+            sel = (t >= start) & (t < end)
+            yield EventStream(
+                t=t[sel], x=x[sel], y=y[sel], p=p[sel],
+                width=WIDTH, height=HEIGHT, label=cls - 1,
+            )
+
+
 def convert(raw_dir, out_dir, limit_per_split: int | None = None) -> Path:
     raw_dir = Path(raw_dir)
     data_dir = raw_dir / "DvsGesture" if (raw_dir / "DvsGesture").is_dir() else raw_dir
-    out_dir = Path(out_dir)
-    split_files: dict[str, list[Path]] = {}
-    for split, listing in (("train", "trials_to_train.txt"),
-                           ("test", "trials_to_test.txt")):
-        names = _split_list(data_dir, listing)
-        dst = out_dir / split
-        dst.mkdir(parents=True, exist_ok=True)
-        written: list[Path] = []
-        for name in names:
-            aedat = data_dir / name
-            labels_csv = data_dir / name.replace(".aedat", "_labels.csv")
-            for needed in (aedat, labels_csv):
-                if not needed.exists():
-                    raise DatasetError(f"{listing} names {name}, but {needed} is missing")
-            t, x, y, p = read_aedat(aedat)
-            for cls, start, end in read_trials(labels_csv):
-                if limit_per_split is not None and len(written) >= limit_per_split:
-                    break
-                sel = (t >= start) & (t < end)
-                stream = EventStream(
-                    t=t[sel], x=x[sel], y=y[sel], p=p[sel],
-                    width=WIDTH, height=HEIGHT, label=cls - 1,
-                )
-                target = dst / f"{split}_{len(written):06d}.evs"
-                write_events(stream, target)
-                written.append(target)
-            if limit_per_split is not None and len(written) >= limit_per_split:
-                break
-        split_files[split] = written
-    return write_manifest(
-        out_dir, WIDTH, HEIGHT, 2, split_files["train"], split_files["test"]
-    )
+    splits = {}
+    for split in ("train", "test"):
+        listing = f"trials_to_{split}.txt"
+        splits[split] = read_split(data_dir, listing, _split_list(data_dir, listing))
+    return write_dataset(out_dir, WIDTH, HEIGHT, 2, splits, limit_per_split)
 
 
 def main(argv=None) -> int:

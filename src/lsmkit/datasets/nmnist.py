@@ -8,14 +8,15 @@ remaining bits.
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import DatasetError
-from ..eventio import write_events
+from ..eventio import write_dataset
 from ..events import EventStream
-from . import converter_main, write_manifest
+from . import converter_main
 
 WIDTH = 34
 HEIGHT = 34
@@ -37,32 +38,31 @@ def read_bin(path) -> EventStream:
     )
 
 
-def convert(raw_dir, out_dir, limit_per_split: int | None = None) -> Path:
-    raw_dir = Path(raw_dir)
-    out_dir = Path(out_dir)
-    split_files = {}
-    for split in ("Train", "Test"):
-        src = raw_dir / split
-        if not src.is_dir():
-            raise DatasetError(f"missing {src}; unpack the N-MNIST archive first")
-        dst = out_dir / split.lower()
-        dst.mkdir(parents=True, exist_ok=True)
-        written = []
-        sources = sorted(src.glob("*/*.bin"))
-        if limit_per_split is not None:
-            sources = sources[:limit_per_split]
-        for i, bin_path in enumerate(sources):
+def read_split(src: Path):
+    """Labeled streams of one split's .bin files, taken from the class
+    folders in turn (each folder sorted), so every prefix covers the
+    digits evenly."""
+    folders: dict[Path, list[Path]] = {}
+    for bin_path in sorted(src.glob("*/*.bin")):
+        folders.setdefault(bin_path.parent, []).append(bin_path)
+    for row in itertools.zip_longest(*folders.values()):
+        for bin_path in filter(None, row):
             if not bin_path.parent.name.isdecimal():
                 raise DatasetError(f"{bin_path.parent}: class folder is not a digit")
             stream = read_bin(bin_path)
             stream.label = int(bin_path.parent.name)
-            target = dst / f"{split.lower()}_{i:06d}.evs"
-            write_events(stream, target)
-            written.append(target)
-        split_files[split] = written
-    return write_manifest(
-        out_dir, WIDTH, HEIGHT, 2, split_files["Train"], split_files["Test"]
-    )
+            yield stream
+
+
+def convert(raw_dir, out_dir, limit_per_split: int | None = None) -> Path:
+    raw_dir = Path(raw_dir)
+    splits = {}
+    for split in ("Train", "Test"):
+        src = raw_dir / split
+        if not src.is_dir():
+            raise DatasetError(f"missing {src}; unpack the N-MNIST archive first")
+        splits[split.lower()] = read_split(src)
+    return write_dataset(out_dir, WIDTH, HEIGHT, 2, splits, limit_per_split)
 
 
 def main(argv=None) -> int:

@@ -12,31 +12,29 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DatasetError
-from ..eventio import write_events
+from ..eventio import write_dataset
 from ..events import EventStream
-from . import converter_main, write_manifest
+from . import converter_main
 
 CHANNELS = 700
 
 
-def convert_h5(h5_path, dst_dir, prefix, limit: int | None = None) -> list[Path]:
+def read_h5(h5_path):
+    """Labeled streams of one SHD HDF5 file, in file order."""
     try:
         import h5py
     except ImportError as exc:
         raise DatasetError("SHD conversion needs h5py (pip install h5py)") from exc
 
-    dst_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     with h5py.File(h5_path, "r") as fh:
         times = fh["spikes"]["times"]
         units = fh["spikes"]["units"]
         labels = fh["labels"]
-        count = len(labels) if limit is None else min(limit, len(labels))
-        for i in range(count):
+        for i in range(len(labels)):
             t = np.rint(np.asarray(times[i], dtype=np.float64) * 1e6).astype(np.int64)
             x = np.asarray(units[i], dtype=np.int64)
             order = np.argsort(t, kind="stable")
-            stream = EventStream(
+            yield EventStream(
                 t=t[order],
                 x=x[order],
                 y=np.zeros(t.shape[0], dtype=np.int64),
@@ -45,23 +43,16 @@ def convert_h5(h5_path, dst_dir, prefix, limit: int | None = None) -> list[Path]
                 height=1,
                 label=int(labels[i]),
             )
-            target = dst_dir / f"{prefix}_{i:06d}.evs"
-            write_events(stream, target)
-            written.append(target)
-    return written
 
 
 def convert(raw_dir, out_dir, limit_per_split: int | None = None) -> Path:
     raw_dir = Path(raw_dir)
-    out_dir = Path(out_dir)
-    train_h5 = raw_dir / "shd_train.h5"
-    test_h5 = raw_dir / "shd_test.h5"
-    for path in (train_h5, test_h5):
+    splits = {split: raw_dir / f"shd_{split}.h5" for split in ("train", "test")}
+    for path in splits.values():
         if not path.exists():
             raise DatasetError(f"missing {path}")
-    train = convert_h5(train_h5, out_dir / "train", "train", limit_per_split)
-    test = convert_h5(test_h5, out_dir / "test", "test", limit_per_split)
-    return write_manifest(out_dir, CHANNELS, 1, 1, train, test)
+    streams = {split: read_h5(path) for split, path in splits.items()}
+    return write_dataset(out_dir, CHANNELS, 1, 1, streams, limit_per_split)
 
 
 def main(argv=None) -> int:

@@ -9,14 +9,28 @@ EVS1 layout (little-endian):
     count   u64
     then ``count`` records of (t u64 microseconds, x u16, y u16, p u8)
 
-Dataset-native formats (N-MNIST .bin, AEDAT, HDF5) are converted to EVS1
-by the modules under ``lsmkit.datasets``; the engine core only reads EVS1.
+A dataset is a directory of EVS1 files and a ``manifest.json`` that lists
+them per split, relative to the directory, under the sensor they share:
+
+    {"width": 34, "height": 34, "channels": 2,
+     "train": ["train/sample_00000.evs", ...],
+     "test": ["test/sample_00000.evs", ...]}
+
+``write_dataset`` is the one writer of that layout and ``load_manifest``
+its one reader.  Dataset-native formats (N-MNIST .bin, AEDAT, HDF5) are
+decoded by the modules under ``lsmkit.datasets``, which hand their labeled
+streams to ``write_dataset``; the engine core only reads EVS1.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
 import os
 import struct
+from collections.abc import Iterable
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -124,3 +138,83 @@ def write_csv_events(stream: EventStream, path) -> None:
         fh.write("t,x,y,p\n")
         for t, x, y, p in zip(stream.t, stream.x, stream.y, stream.p):
             fh.write(f"{t},{x},{y},{p}\n")
+
+
+SPLITS = ("train", "test")
+
+
+@dataclass
+class Manifest:
+    width: int
+    height: int
+    channels: int
+    train: list[Path]
+    test: list[Path]
+
+
+def write_dataset(
+    out_dir, width: int, height: int, channels: int,
+    splits: dict[str, Iterable[EventStream]], limit: int | None = None,
+) -> Path:
+    """Write the first ``limit`` (all when None) labeled streams of each
+    split as ``{split}/sample_{i:05d}.evs`` under ``out_dir``, then the
+    manifest listing them; returns the manifest path.
+
+    ``splits`` maps "train" and "test" to iterables of ``EventStream``; the
+    train streams are drawn to the end before the first test stream, so
+    generators sharing one random generator keep their draw order.
+    """
+    if limit is not None and limit < 0:
+        raise ConfigError(f"a split limit must be >= 0, not {limit}")
+    out = Path(out_dir)
+    manifest: dict = {"width": width, "height": height, "channels": channels}
+    for split in SPLITS:
+        (out / split).mkdir(parents=True, exist_ok=True)
+        names = []
+        for i, stream in enumerate(itertools.islice(splits[split], limit)):
+            names.append(f"{split}/sample_{i:05d}.evs")
+            write_events(stream, out / names[-1])
+        manifest[split] = names
+    path = out / "manifest.json"
+    with open(path, "w") as fh:
+        json.dump(manifest, fh, indent=1)
+    return path
+
+
+def _positive_int(name: str, value) -> int:
+    # JSON true is a Python bool, which is an int
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} is {value!r}, not an integer >= 1")
+    return value
+
+
+def load_manifest(path) -> Manifest:
+    path = Path(path)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except FileNotFoundError:
+        raise DatasetError(f"dataset manifest not found: {path}")
+    except ValueError as exc:
+        raise DatasetError(f"dataset manifest {path} is not valid JSON: {exc}")
+    base = path.parent
+    try:
+        for split in SPLITS:
+            names = data[split]
+            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                raise TypeError(f"{split} is not a list of file names")
+        manifest = Manifest(
+            width=_positive_int("width", data["width"]),
+            height=_positive_int("height", data["height"]),
+            channels=_positive_int("channels", data.get("channels", 2)),
+            train=[base / p for p in data["train"]],
+            test=[base / p for p in data["test"]],
+        )
+    except KeyError as exc:
+        raise DatasetError(f"dataset manifest {path} has no key {exc}")
+    except (TypeError, ValueError) as exc:
+        raise DatasetError(f"dataset manifest {path} is malformed: {exc}")
+    for split in SPLITS:
+        if not getattr(manifest, split):
+            raise DatasetError(f"dataset manifest {path} lists no {split} samples")
+    return manifest

@@ -31,6 +31,7 @@ from .ensemble import (
     run_tepre,
 )
 from .errors import ConfigError, DatasetError
+from .eventio import Manifest, load_manifest
 from .events import (
     bin_events,
     clip_or_pad,
@@ -63,47 +64,6 @@ def member_seed(base: int, member: int) -> int:
 
 def inter_link_seed(base: int, n_members: int) -> int:
     return base + n_members
-
-
-@dataclass
-class Manifest:
-    width: int
-    height: int
-    channels: int
-    train: list[Path]
-    test: list[Path]
-
-
-def load_manifest(path) -> Manifest:
-    path = Path(path)
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise DatasetError(f"dataset manifest not found: {path}")
-    except ValueError as exc:
-        raise DatasetError(f"dataset manifest {path} is not valid JSON: {exc}")
-    base = path.parent
-    try:
-        for split in ("train", "test"):
-            names = data[split]
-            if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-                raise TypeError(f"{split} is not a list of file names")
-        manifest = Manifest(
-            width=int(data["width"]),
-            height=int(data["height"]),
-            channels=int(data.get("channels", 2)),
-            train=[base / p for p in data["train"]],
-            test=[base / p for p in data["test"]],
-        )
-    except KeyError as exc:
-        raise DatasetError(f"dataset manifest {path} has no key {exc}")
-    except (TypeError, ValueError) as exc:
-        raise DatasetError(f"dataset manifest {path} is malformed: {exc}")
-    for split in ("train", "test"):
-        if not getattr(manifest, split):
-            raise DatasetError(f"dataset manifest {path} lists no {split} samples")
-    return manifest
 
 
 def preprocess_stream(stream, cfg: ExperimentConfig, n_channels: int) -> np.ndarray:
@@ -222,13 +182,9 @@ class Engine:
         ]
 
 
-def build_members(
-    cfg: ExperimentConfig, geometry: tuple[int, int, int], channels: int
-) -> Engine:
-    """The run's engine for preprocessed frames of ``geometry`` cut from
-    event files with ``channels`` polarity channels, on the sensor those
-    frames were pooled from."""
-    frame_channels, height, width = geometry
+def build_members(cfg: ExperimentConfig, manifest: Manifest) -> Engine:
+    """The run's engine for the event files of ``manifest``'s sensor."""
+    frame_channels, height, width = frame_geometry(cfg, manifest)
     ens = cfg.ensemble
     grid = ens.member_grid()
 
@@ -268,8 +224,8 @@ def build_members(
             ens.inter_weight,
             inter_link_seed(cfg.seeds.topology, len(members)),
         )
-    factor = cfg.preprocessing.downscale
-    return Engine(cfg, (width * factor, height * factor, channels), members, inter_links)
+    sensor = (manifest.width, manifest.height, manifest.channels)
+    return Engine(cfg, sensor, members, inter_links)
 
 
 _ENGINE: Engine | None = None  # set once in each pool worker process
@@ -337,7 +293,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
     timings["load"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    engine = build_members(cfg, geometry, manifest.channels)
+    engine = build_members(cfg, manifest)
     timings["build"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

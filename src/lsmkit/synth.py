@@ -14,14 +14,13 @@ partitioning.
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
-from .eventio import write_events
+from .eventio import write_dataset
 from .events import EventStream
 
 
@@ -126,31 +125,15 @@ def generate_multiphase(params: MultiPhaseParams, out_dir) -> Path:
 
     Labels cycle through the classes so splits stay balanced.  Everything is
     a pure function of the params (one seeded generator drives patterns and
-    all samples in a fixed order).
+    all samples in a fixed order: patterns, train, test).
     """
-    out = Path(out_dir)
-    (out / "train").mkdir(parents=True, exist_ok=True)
-    (out / "test").mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(params.seed)
     patterns = base_patterns(params, rng)
     orders = class_orders(params)
 
-    manifest = {
-        "width": params.width,
-        "height": params.height,
-        "channels": 1,
-        "train": [],
-        "test": [],
-        "meta": {"kind": "multi-phase-classification", **asdict(params)},
-    }
-    for split, count in (("train", params.n_train), ("test", params.n_test)):
+    def streams(count: int):
         for i in range(count):
-            label = i % params.n_classes
-            stream = sample_stream(label, orders, patterns, params, rng)
-            rel = f"{split}/sample_{i:05d}.evs"
-            write_events(stream, out / rel)
-            manifest[split].append(rel)
-    manifest_path = out / "manifest.json"
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=1)
-    return manifest_path
+            yield sample_stream(i % params.n_classes, orders, patterns, params, rng)
+
+    splits = {"train": streams(params.n_train), "test": streams(params.n_test)}
+    return write_dataset(out_dir, params.width, params.height, 1, splits)

@@ -5,9 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from lsmkit import DatasetError
+from lsmkit import ConfigError, DatasetError, EventStream
 from lsmkit.datasets import dvsgesture, nmnist, shd
-from lsmkit.eventio import read_events
+from lsmkit.eventio import read_events, write_dataset
 from lsmkit.harness import load_manifest
 
 
@@ -211,3 +211,123 @@ class TestDvsGesture:
         manifest_path = dvsgesture.convert(tmp_path / "raw", tmp_path / "conv")
         data = json.loads(manifest_path.read_text())
         assert data["width"] == 128 and data["channels"] == 2
+
+
+def labeled_stream(label, n_events):
+    """A small labeled stream on a 6x4 sensor whose events identify it."""
+    t = np.arange(n_events, dtype=np.int64) * 100 + label
+    return EventStream(
+        t=t, x=t % 6, y=t % 4, p=t % 2, width=6, height=4, label=label,
+    )
+
+
+class TestWriteDataset:
+    SPLITS = {"train": [(2, 3), (0, 5), (1, 1)], "test": [(1, 4), (2, 0)]}
+
+    @pytest.mark.parametrize("limit", [None, 2, 10], ids=["all", "below-end", "past-end"])
+    def test_round_trip(self, tmp_path, limit):
+        drawn = {split: 0 for split in self.SPLITS}
+
+        def streams(split):
+            for label, n_events in self.SPLITS[split]:
+                drawn[split] += 1
+                yield labeled_stream(label, n_events)
+
+        path = write_dataset(
+            tmp_path, 6, 4, 2, {split: streams(split) for split in self.SPLITS}, limit
+        )
+        assert path == tmp_path / "manifest.json"
+        manifest = load_manifest(path)
+        assert (manifest.width, manifest.height, manifest.channels) == (6, 4, 2)
+        for split, specs in self.SPLITS.items():
+            kept = specs[:limit]
+            files = getattr(manifest, split)
+            assert files == [tmp_path / split / f"sample_{i:05d}.evs" for i in range(len(kept))]
+            assert drawn[split] == len(kept)  # no stream is drawn past the limit
+            for file, (label, n_events) in zip(files, kept):
+                loaded, expected = read_events(file), labeled_stream(label, n_events)
+                assert loaded.label == label
+                for name in ("t", "x", "y", "p"):
+                    assert np.array_equal(getattr(loaded, name), getattr(expected, name))
+
+    def test_negative_limit_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="limit must be >= 0, not -1"):
+            write_dataset(tmp_path, 6, 4, 2, {"train": [], "test": []}, limit=-1)
+
+
+def write_nmnist_raw(raw, digits, per_digit):
+    for split in ("Train", "Test"):
+        for digit in digits:
+            folder = raw / split / str(digit)
+            folder.mkdir(parents=True)
+            for k in range(per_digit):
+                (folder / f"{k:05d}.bin").write_bytes(
+                    pack_nmnist_events([10, 500 + k], [digit, k], [1, 2], [0, 1])
+                )
+
+
+def write_dvs_raw(raw):
+    """Two recordings of two trials each, listed for both splits."""
+    data = raw / "DvsGesture"
+    data.mkdir(parents=True)
+    for user, classes in (("u1", (3, 7)), ("u2", (1, 5))):
+        write_aedat(data / f"{user}.aedat", [(1000 * i, i, 2 * i, i % 2) for i in range(50)])
+        (data / f"{user}_labels.csv").write_text(
+            "class,startTime_usec,endTime_usec\n"
+            f"{classes[0]},0,20000\n{classes[1]},20000,50000\n"
+        )
+    for split in ("train", "test"):
+        (data / f"trials_to_{split}.txt").write_text("u1.aedat\nu2.aedat\n")
+
+
+def write_shd_raw(raw):
+    h5py = pytest.importorskip("h5py")
+    raw.mkdir(parents=True)
+    vlen_f = h5py.special_dtype(vlen=np.dtype("float64"))
+    vlen_u = h5py.special_dtype(vlen=np.dtype("int64"))
+    for name in ("shd_train.h5", "shd_test.h5"):
+        with h5py.File(raw / name, "w") as fh:
+            times = fh.create_dataset("spikes/times", (4,), dtype=vlen_f)
+            units = fh.create_dataset("spikes/units", (4,), dtype=vlen_u)
+            for i in range(4):
+                times[i] = np.array([0.001 * i, 0.25])
+                units[i] = np.array([i, 699])
+            fh.create_dataset("labels", data=[3, 1, 4, 1])
+
+
+class TestConverterLimit:
+    @pytest.mark.parametrize(
+        "converter, write_raw",
+        [(nmnist, lambda raw: write_nmnist_raw(raw, (0, 3), 2)),
+         (dvsgesture, write_dvs_raw),
+         (shd, write_shd_raw)],
+        ids=["nmnist", "dvsgesture", "shd"],
+    )
+    def test_limit_keeps_the_first_samples(self, tmp_path, capsys, converter, write_raw):
+        write_raw(tmp_path / "raw")
+        full = load_manifest(converter.convert(tmp_path / "raw", tmp_path / "full"))
+        assert converter.main([str(tmp_path / "raw"), str(tmp_path / "cut"), "--limit", "3"]) == 0
+        assert capsys.readouterr().out.startswith("manifest:")
+        cut = load_manifest(tmp_path / "cut" / "manifest.json")
+        for split in ("train", "test"):
+            files, whole = getattr(cut, split), getattr(full, split)
+            assert len(whole) == 4
+            assert [f.relative_to(tmp_path / "cut") for f in files] == [
+                f.relative_to(tmp_path / "full") for f in whole[:3]
+            ]
+            assert [f.read_bytes() for f in files] == [f.read_bytes() for f in whole[:3]]
+
+    def test_dvsgesture_limit_stops_before_the_next_recording(self, tmp_path):
+        # the limit falls on the last trial of u1, so the missing u2 is never opened
+        write_dvs_raw(tmp_path / "raw")
+        (tmp_path / "raw" / "DvsGesture" / "u2.aedat").unlink()
+        cut = load_manifest(dvsgesture.convert(tmp_path / "raw", tmp_path / "cut", 2))
+        assert [read_events(f).label for f in cut.train] == [2, 6]
+        with pytest.raises(DatasetError, match="u2.aedat is missing"):
+            dvsgesture.convert(tmp_path / "raw", tmp_path / "cut", 3)
+
+    def test_nmnist_limit_takes_the_digits_in_turn(self, tmp_path):
+        write_nmnist_raw(tmp_path / "raw", range(10), 3)
+        cut = load_manifest(nmnist.convert(tmp_path / "raw", tmp_path / "cut", 12))
+        for files in (cut.train, cut.test):
+            assert [read_events(f).label for f in files] == [*range(10), 0, 1]

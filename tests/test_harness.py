@@ -372,7 +372,7 @@ class TestBatching:
         geometry = frame_geometry(cfg, manifest)
         batch = harness.batch_size(cfg, geometry)
         assert batch == 22
-        engine = build_members(cfg, geometry, manifest.channels)
+        engine = build_members(cfg, manifest)
         tracemalloc.start()
         try:
             assert len(engine(manifest.train[:batch])) == batch
@@ -422,7 +422,7 @@ class TestBatching:
         # 5 and 10 frames of 1 ms are padded and clipped to the same 6 steps
         fixed = PreprocessingConfig(time_window=1000, steps=6)
         cfg = tiny_config(tiny_dataset, preprocessing=fixed)
-        engine = build_members(cfg, frame_geometry(cfg, load_manifest(tiny_dataset)), 2)
+        engine = build_members(cfg, replace(load_manifest(tiny_dataset), channels=2))
         paths = []
         for i, last in enumerate((4_000, 9_000)):
             paths.append(tmp_path / f"{i}.evs")
@@ -452,7 +452,7 @@ class TestBatching:
         # only the header's size tells it apart
         cfg = tiny_config("unused")
         width, height = sensor
-        engine = build_members(cfg, frame_geometry(cfg, Manifest(width, height, 2, [], [])), 2)
+        engine = build_members(cfg, Manifest(width, height, 2, [], []))
         paths = []
         for name, (w, h) in (("same", sensor), ("other", other)):
             paths.append(tmp_path / f"{name}.evs")
@@ -842,8 +842,19 @@ class TestCli:
             ('{"width": 6, "height": 6, "train": "a.evs", "test": ["b.evs"]}', "is malformed"),
             ('{"width": 6, "height": 6, "train": [], "test": []}', "no train samples"),
             ('{"width": 6, "height": 6, "train": ["a.evs"], "test": []}', "no test samples"),
+            ('{"width": 8.9, "height": 8, "train": ["a.evs"], "test": ["b.evs"]}',
+             "is malformed: width is 8.9"),
+            ('{"width": "8", "height": 8, "train": ["a.evs"], "test": ["b.evs"]}',
+             "is malformed: width is '8'"),
+            ('{"width": 8, "height": 8, "channels": true, "train": ["a.evs"], "test": ["b.evs"]}',
+             "is malformed: channels is True"),
+            ('{"width": 8, "height": 8, "channels": 0, "train": ["a.evs"], "test": ["b.evs"]}',
+             "is malformed: channels is 0"),
+            ('{"width": -8, "height": -8, "train": ["a.evs"], "test": ["b.evs"]}',
+             "is malformed: width is -8"),
         ],
-        ids=["no-width", "bad-json", "train-not-a-list", "train-a-string", "empty", "no-test"],
+        ids=["no-width", "bad-json", "train-not-a-list", "train-a-string", "empty", "no-test",
+             "float-width", "string-width", "bool-channels", "zero-channels", "negative-sizes"],
     )
     def test_malformed_manifest_is_an_error(self, tmp_path, capsys, text, named):
         manifest = tmp_path / "manifest.json"
