@@ -3,9 +3,10 @@
 Subcommands:
     run          execute one experiment config, write report.json
     sweep        repeat a config along one hyperparameter axis
-    synth        generate the multi-phase synthetic event dataset
-    convert      CSV <-> EVS1 event file conversion
-    topo-export  build and dump reservoir topologies as text
+    synth            generate the multi-phase synthetic event dataset
+    convert          CSV <-> EVS1 event file conversion
+    convert-dataset  N-MNIST, SHD or DVSGesture raw files to EVS1 plus a manifest
+    topo-export      build and dump reservoir topologies as text
 
 Dataset manifests referenced with relative paths resolve against the
 LSMKIT_DATA_ROOT environment variable when it is set.
@@ -16,11 +17,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import eventio
 from .config import Seeds, load_config
+from .datasets import dvsgesture, nmnist, shd
 from .errors import ConfigError, DatasetError, NumericsError
 from .harness import (
     SWEEP_AXES,
@@ -32,6 +34,14 @@ from .harness import (
 from .inputs import save_input_map
 from .synth import MultiPhaseParams, generate_multiphase
 from .topology import save_topology
+
+CONVERTERS = {
+    "nmnist": nmnist.convert, "shd": shd.convert, "dvsgesture": dvsgesture.convert
+}
+# synth flags whose names differ from the MultiPhaseParams field they set
+SYNTH_FLAGS = {
+    "n_classes": "classes", "n_phases": "phases", "n_train": "train", "n_test": "test"
+}
 
 
 def _apply_overrides(cfg, args):
@@ -96,23 +106,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.kind != "multi-phase-classification":
-        raise ConfigError(f"unknown synthetic kind {args.kind!r}")
-    params = MultiPhaseParams(
-        n_classes=args.classes,
-        n_phases=args.phases,
-        width=args.width,
-        height=args.height,
-        steps_per_phase=args.steps_per_phase,
-        time_window=args.time_window,
-        hi_rate=args.hi_rate,
-        lo_rate=args.lo_rate,
-        active_fraction=args.active_fraction,
-        n_train=args.train,
-        n_test=args.test,
-        seed=args.seed,
-    )
-    manifest = generate_multiphase(params, args.out)
+    # only the flags given are in args (argument_default=SUPPRESS); the
+    # dataclass supplies every other field's default
+    given = {f.name: getattr(args, f.name) for f in fields(MultiPhaseParams)
+             if f.name in args}
+    manifest = generate_multiphase(MultiPhaseParams(**given), args.out)
     print(f"manifest: {manifest}")
     return 0
 
@@ -135,6 +133,13 @@ def cmd_convert(args) -> int:
         stream = eventio.read_events(args.input)
         eventio.write_csv_events(stream, args.output)
     print(f"wrote {args.output}")
+    return 0
+
+
+def cmd_convert_dataset(args) -> int:
+    convert = CONVERTERS[args.dataset]
+    manifest = convert(args.raw_dir, args.out_dir, limit_per_split=args.limit)
+    print(f"manifest: {manifest}")
     return 0
 
 
@@ -170,14 +175,15 @@ def build_parser() -> argparse.ArgumentParser:
             "(the training seed is reserved and unused)",
         )
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1)
 
     p_run = sub.add_parser("run", help="run one experiment")
     add_common(p_run)
+    p_run.add_argument("--threads", type=int, default=1)
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="sweep one hyperparameter axis")
     add_common(p_sweep)
+    p_sweep.add_argument("--threads", type=int, default=1)
     p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p_sweep.add_argument(
         "--values",
@@ -187,21 +193,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--repeats", type=int, default=3)
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_synth = sub.add_parser("synth", help="generate synthetic event data")
-    p_synth.add_argument("--kind", default="multi-phase-classification")
+    p_synth = sub.add_parser(
+        "synth", help="generate synthetic event data",
+        argument_default=argparse.SUPPRESS,
+    )
+    kind = "multi-phase-classification"
+    p_synth.add_argument("--kind", default=kind, choices=[kind])
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--classes", type=int, default=4)
-    p_synth.add_argument("--phases", type=int, default=3)
-    p_synth.add_argument("--width", type=int, default=8)
-    p_synth.add_argument("--height", type=int, default=8)
-    p_synth.add_argument("--steps-per-phase", type=int, default=100)
-    p_synth.add_argument("--time-window", type=int, default=1000)
-    p_synth.add_argument("--hi-rate", type=float, default=0.45)
-    p_synth.add_argument("--lo-rate", type=float, default=0.2)
-    p_synth.add_argument("--active-fraction", type=float, default=0.5)
-    p_synth.add_argument("--train", type=int, default=500)
-    p_synth.add_argument("--test", type=int, default=500)
-    p_synth.add_argument("--seed", type=int, default=2024)
+    for f in fields(MultiPhaseParams):  # one flag per field, of its default's type
+        name = SYNTH_FLAGS.get(f.name, f.name)
+        p_synth.add_argument(
+            "--" + name.replace("_", "-"), dest=f.name, metavar=name.upper(),
+            type=type(f.default), help=f"default {f.default}",
+        )
     p_synth.set_defaults(func=cmd_synth)
 
     p_conv = sub.add_parser("convert", help="CSV <-> EVS1 conversion")
@@ -214,6 +218,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--height", type=int, help="sensor height (--to-binary)")
     p_conv.add_argument("--label", type=int, help="sample label (--to-binary)")
     p_conv.set_defaults(func=cmd_convert)
+
+    p_data = sub.add_parser(
+        "convert-dataset", help="convert a raw benchmark download to EVS1"
+    )
+    p_data.add_argument("dataset", choices=CONVERTERS)
+    p_data.add_argument("raw_dir")
+    p_data.add_argument("out_dir")
+    p_data.add_argument("--limit", type=int, default=None, help="samples per split")
+    p_data.set_defaults(func=cmd_convert_dataset)
 
     p_topo = sub.add_parser("topo-export", help="dump built topologies as text")
     add_common(p_topo)

@@ -1,7 +1,9 @@
 """Experiment configuration: JSON-backed, explicit seeds, lossless round-trip.
 
 A config file is one JSON object with the sections below.  Every value the
-pipeline consumes lives here; nothing is drawn from implicit entropy.
+pipeline consumes lives here; nothing is drawn from implicit entropy.  Its
+top-level keys are ``dataset`` (whose one key is ``manifest``), the sections
+in ``SECTIONS`` and ``output_dir``; any other key fails to load.
 
     {
       "dataset":       {"manifest": "synth/manifest.json"},
@@ -75,7 +77,7 @@ FIELDS_READ = {
 }
 
 
-def _check_int(name: str, value, low: int = 1) -> None:
+def check_int(name: str, value, low: int = 1) -> None:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be an integer, not {value!r}")
     if value < low:
@@ -113,7 +115,7 @@ class PreprocessingConfig:
 
     def __post_init__(self):
         for name in ("time_window", "downscale", "steps"):
-            _check_int(name, getattr(self, name))
+            check_int(name, getattr(self, name))
         for name in ("gabor", "merge_polarities"):
             value = getattr(self, name)
             if not isinstance(value, bool):
@@ -145,7 +147,7 @@ class InputConfig:
         if not math.isfinite(self.weight):
             raise ConfigError(f"weight must be finite, not {self.weight}")
         check_density(self.density)
-        _check_int("window", self.window)
+        check_int("window", self.window)
 
 
 @dataclass(frozen=True)
@@ -161,7 +163,7 @@ class EnsembleConfig:
     member_dims: tuple[int, int, int] | None = None
 
     def __post_init__(self):
-        _check_int("partitions", self.partitions)
+        check_int("partitions", self.partitions)
         if self.variant not in ("tepre", "mulre"):
             raise ConfigError(f"unknown ensemble variant {self.variant!r}")
         _fields_read(self, self.variant)
@@ -196,7 +198,7 @@ class Seeds:
 
     def __post_init__(self):
         for name in ("topology", "input", "training"):
-            _check_int(name, getattr(self, name), low=0)
+            check_int(name, getattr(self, name), low=0)
 
 
 @dataclass(frozen=True)
@@ -232,6 +234,18 @@ class ExperimentConfig:
             equal_split_schedule(self.preprocessing.steps, self.ensemble.partitions)
 
 
+# Each section's name (the ExperimentConfig field it fills) and dataclass.
+SECTIONS = {
+    "preprocessing": PreprocessingConfig,
+    "neuron": NeuronParams,
+    "connectivity": ConnectivityConfig,
+    "input": InputConfig,
+    "ensemble": EnsembleConfig,
+    "readout": ReadoutConfig,
+    "seeds": Seeds,
+}
+
+
 def to_dict(cfg: ExperimentConfig) -> dict:
     return {
         "dataset": {"manifest": cfg.dataset_manifest},
@@ -264,23 +278,15 @@ def from_dict(data: dict) -> ExperimentConfig:
         dataset = data["dataset"]["manifest"]
     except (KeyError, TypeError):
         raise ConfigError("config needs dataset.manifest")
-    prep = _section(PreprocessingConfig, data.get("preprocessing", {}), "preprocessing")
-    neuron = _section(NeuronParams, data.get("neuron", {}), "neuron")
-    conn = _section(ConnectivityConfig, data.get("connectivity", {}), "connectivity")
-    inp = _section(InputConfig, data.get("input", {}), "input")
-    ensemble = _section(EnsembleConfig, data.get("ensemble", {}), "ensemble")
-    readout = _section(ReadoutConfig, data.get("readout", {}), "readout")
-    seeds = _section(Seeds, data.get("seeds", {}), "seeds")
+    unknown = sorted(set(data) - {*SECTIONS, "dataset", "output_dir"})
+    unknown += [f"dataset.{k}" for k in sorted(set(data["dataset"]) - {"manifest"})]
+    if unknown:
+        raise ConfigError(f"unknown config key {', '.join(map(repr, unknown))}")
+    sections = {
+        name: _section(cls, data.get(name, {}), name) for name, cls in SECTIONS.items()
+    }
     return ExperimentConfig(
-        dataset_manifest=dataset,
-        preprocessing=prep,
-        neuron=neuron,
-        connectivity=conn,
-        input=inp,
-        ensemble=ensemble,
-        readout=readout,
-        seeds=seeds,
-        output_dir=data.get("output_dir"),
+        dataset_manifest=dataset, output_dir=data.get("output_dir"), **sections
     )
 
 

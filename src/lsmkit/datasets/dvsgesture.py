@@ -16,7 +16,6 @@ import numpy as np
 from ..errors import DatasetError
 from ..eventio import write_dataset
 from ..events import EventStream
-from . import converter_main
 
 WIDTH = 128
 HEIGHT = 128
@@ -124,11 +123,3 @@ def convert(raw_dir, out_dir, limit_per_split: int | None = None) -> Path:
         listing = f"trials_to_{split}.txt"
         splits[split] = read_split(data_dir, listing, _split_list(data_dir, listing))
     return write_dataset(out_dir, WIDTH, HEIGHT, 2, splits, limit_per_split)
-
-
-def main(argv=None) -> int:
-    return converter_main(convert, __doc__, argv)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -16,7 +16,6 @@ import numpy as np
 from ..errors import DatasetError
 from ..eventio import write_dataset
 from ..events import EventStream
-from . import converter_main
 
 WIDTH = 34
 HEIGHT = 34
@@ -63,11 +62,3 @@ def convert(raw_dir, out_dir, limit_per_split: int | None = None) -> Path:
             raise DatasetError(f"missing {src}; unpack the N-MNIST archive first")
         splits[split.lower()] = read_split(src)
     return write_dataset(out_dir, WIDTH, HEIGHT, 2, splits, limit_per_split)
-
-
-def main(argv=None) -> int:
-    return converter_main(convert, __doc__, argv)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -14,7 +14,6 @@ import numpy as np
 from ..errors import DatasetError
 from ..eventio import write_dataset
 from ..events import EventStream
-from . import converter_main
 
 CHANNELS = 700
 
@@ -53,11 +52,3 @@ def convert(raw_dir, out_dir, limit_per_split: int | None = None) -> Path:
             raise DatasetError(f"missing {path}")
     streams = {split: read_h5(path) for split, path in splits.items()}
     return write_dataset(out_dir, CHANNELS, 1, 1, streams, limit_per_split)
-
-
-def main(argv=None) -> int:
-    return converter_main(convert, __doc__, argv)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

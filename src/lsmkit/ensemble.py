@@ -144,7 +144,6 @@ def simulate_population(
     drive: np.ndarray,
     params: NeuronParams,
     *,
-    links: sparse.spmatrix | None = None,
     slab: tuple[int, int] | None = None,
     record_raster: bool = False,
 ) -> SpikeRecord:
@@ -152,17 +151,14 @@ def simulate_population(
 
     ``drive`` is the pre-weighted injected current: (T, N) for one sample,
     or (T, N, B) for B samples stepped together, whose record's arrays then
-    keep the trailing batch axis.  ``links`` is an optional (N x N)
-    coupling whose spikes, like recurrent ones, arrive one step later; they
-    are added to the injected current, not to the recurrent sum, so a
-    stacked ensemble sums in the same order as its members stepped one by
-    one.  ``slab``, a part of [0, T], additionally counts spikes inside it.
-    The (T, N[, B]) uint8 raster is held only with ``record_raster``.
+    keep the trailing batch axis.  ``slab``, a part of [0, T], additionally
+    counts spikes inside it.  The (T, N[, B]) uint8 raster is held only with
+    ``record_raster``.
     """
     steps = drive.shape[0]
     if slab is not None and not 0 <= slab[0] <= slab[1] <= steps:
         raise ConfigError(f"slab {slab} does not lie in [0, {steps}]")
-    at, raster = _loop(weights, drive, drive.shape, params, links, slab or (), record_raster)
+    at, raster = _loop(weights, drive, drive.shape, params, None, slab or (), record_raster)
     inside = None if slab is None else at[slab[1]] - at[slab[0]]
     return SpikeRecord(at[steps], slab_counts=inside, raster=raster)
 
@@ -170,8 +166,12 @@ def simulate_population(
 def _loop(weights, drive, shape, params, links, bounds, record_raster):
     """The one time loop.  A zero state of ``shape[1:]`` steps through the
     ``shape[0]`` = T currents ``drive`` yields, adding its spikes to int64
-    running counts.  Returns the counts after t steps, keyed by t, for t = T
-    and each t in ``bounds``, and the ``shape`` raster if ``record_raster``."""
+    running counts.  Spikes through the optional (N x N) ``links``, like
+    recurrent ones, arrive one step later; they are added to the injected
+    current, not to the recurrent sum, so a stacked ensemble sums in the same
+    order as its members stepped one by one.  Returns the counts after t
+    steps, keyed by t, for t = T and each t in ``bounds``, and the ``shape``
+    raster if ``record_raster``."""
     state = PopulationState.zeros(*shape[1:])
     counts = np.zeros(shape[1:], dtype=np.int64)
     raster = np.zeros(shape, dtype=np.uint8) if record_raster else None

@@ -158,7 +158,8 @@ def write_dataset(
 ) -> Path:
     """Write the first ``limit`` (all when None) labeled streams of each
     split as ``{split}/sample_{i:05d}.evs`` under ``out_dir``, then the
-    manifest listing them; returns the manifest path.
+    manifest listing them; returns the manifest path.  A manifest already
+    in ``out_dir`` is removed before the first sample is written.
 
     ``splits`` maps "train" and "test" to iterables of ``EventStream``; the
     train streams are drawn to the end before the first test stream, so
@@ -167,6 +168,8 @@ def write_dataset(
     if limit is not None and limit < 0:
         raise ConfigError(f"a split limit must be >= 0, not {limit}")
     out = Path(out_dir)
+    path = out / "manifest.json"
+    path.unlink(missing_ok=True)  # a run that fails part-way leaves no manifest
     manifest: dict = {"width": width, "height": height, "channels": channels}
     for split in SPLITS:
         (out / split).mkdir(parents=True, exist_ok=True)
@@ -175,7 +178,6 @@ def write_dataset(
             names.append(f"{split}/sample_{i:05d}.evs")
             write_events(stream, out / names[-1])
         manifest[split] = names
-    path = out / "manifest.json"
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=1)
     return path

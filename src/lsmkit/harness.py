@@ -125,7 +125,8 @@ def sample_bytes(cfg: ExperimentConfig, geometry: tuple[int, int, int]) -> int:
     if ens.variant == "mulre":  # one slab over T drives every member
         window, neurons = steps, len(ens.d_list) * member
     else:  # the longest of the equal slabs drives one member
-        window, neurons = -(-steps // ens.partitions), member
+        slabs = equal_split_schedule(steps, ens.partitions).intervals
+        window, neurons = max(end - start for start, end in slabs), member
     return (steps * n_inputs + window * (n_inputs + neurons)) * 8
 
 

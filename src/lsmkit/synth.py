@@ -14,11 +14,13 @@ partitioning.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .config import check_int
 from .errors import ConfigError
 from .eventio import write_dataset
 from .events import EventStream
@@ -40,10 +42,13 @@ class MultiPhaseParams:
     seed: int = 2024
 
     def __post_init__(self):
-        import math
-
-        if self.n_phases < 1 or self.n_classes < 2:
-            raise ConfigError("need >= 1 phase and >= 2 classes")
+        for name in (
+            "n_phases", "width", "height", "steps_per_phase", "time_window",
+            "n_train", "n_test",
+        ):
+            check_int(name, getattr(self, name))
+        check_int("n_classes", self.n_classes, low=2)
+        check_int("seed", self.seed, low=0)
         if self.n_classes > math.factorial(self.n_phases):
             raise ConfigError(
                 f"{self.n_classes} classes need {self.n_classes} distinct "

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+import lsmkit.cli as cli
 from lsmkit import ConfigError, DatasetError, EventStream
 from lsmkit.datasets import dvsgesture, nmnist, shd
 from lsmkit.eventio import read_events, write_dataset
@@ -59,19 +60,21 @@ class TestNmnist:
     def test_main_writes_manifest(self, tmp_path, capsys):
         raw = tmp_path / "raw"
         self.write_raw(raw)
-        assert nmnist.main([str(raw), str(tmp_path / "conv")]) == 0
+        assert cli.main(["convert-dataset", "nmnist", str(raw), str(tmp_path / "conv")]) == 0
         assert (tmp_path / "conv" / "manifest.json").exists()
         assert capsys.readouterr().out.startswith("manifest:")
 
     def test_main_missing_raw_dir_exits_2(self, tmp_path, capsys):
-        assert nmnist.main([str(tmp_path / "nope"), str(tmp_path / "conv")]) == 2
+        assert cli.main(
+            ["convert-dataset", "nmnist", str(tmp_path / "nope"), str(tmp_path / "conv")]
+        ) == 2
         assert capsys.readouterr().err.startswith("error: missing")
 
     def test_main_non_digit_class_folder_exits_2(self, tmp_path, capsys):
         raw = tmp_path / "raw"
         self.write_raw(raw)
         (raw / "Train" / "0").rename(raw / "Train" / "zero")
-        assert nmnist.main([str(raw), str(tmp_path / "conv")]) == 2
+        assert cli.main(["convert-dataset", "nmnist", str(raw), str(tmp_path / "conv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(raw / "Train" / "zero") in err
 
@@ -189,12 +192,16 @@ class TestDvsGesture:
 
     def test_main_writes_manifest(self, tmp_path, capsys):
         self.write_raw(tmp_path / "raw")
-        assert dvsgesture.main([str(tmp_path / "raw"), str(tmp_path / "conv")]) == 0
+        assert cli.main(
+            ["convert-dataset", "dvsgesture", str(tmp_path / "raw"), str(tmp_path / "conv")]
+        ) == 0
         assert (tmp_path / "conv" / "manifest.json").exists()
         assert capsys.readouterr().out.startswith("manifest:")
 
     def test_main_missing_raw_dir_exits_2(self, tmp_path, capsys):
-        assert dvsgesture.main([str(tmp_path / "nope"), str(tmp_path / "conv")]) == 2
+        assert cli.main(
+            ["convert-dataset", "dvsgesture", str(tmp_path / "nope"), str(tmp_path / "conv")]
+        ) == 2
         assert capsys.readouterr().err.startswith("error: missing")
 
     @pytest.mark.parametrize("row", ["2,0", "2,zero,100"], ids=["two-fields", "not-an-integer"])
@@ -202,7 +209,9 @@ class TestDvsGesture:
         data = self.write_raw(tmp_path / "raw")
         labels = data / "u_labels.csv"
         labels.write_text(f"class,startTime_usec,endTime_usec\n2,0,100\n{row}\n")
-        assert dvsgesture.main([str(tmp_path / "raw"), str(tmp_path / "conv")]) == 2
+        assert cli.main(
+            ["convert-dataset", "dvsgesture", str(tmp_path / "raw"), str(tmp_path / "conv")]
+        ) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{labels}:3" in err
 
@@ -253,6 +262,17 @@ class TestWriteDataset:
     def test_negative_limit_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="limit must be >= 0, not -1"):
             write_dataset(tmp_path, 6, 4, 2, {"train": [], "test": []}, limit=-1)
+
+    def test_failed_rewrite_leaves_no_manifest(self, tmp_path):
+        # the second conversion into the same directory fails part-way, after
+        # some of its samples replaced the first one's
+        write_nmnist_raw(tmp_path / "raw", (0, 3), 2)
+        nmnist.convert(tmp_path / "raw", tmp_path / "out")
+        (tmp_path / "raw" / "Test" / "3").rename(tmp_path / "raw" / "Test" / "three")
+        with pytest.raises(DatasetError, match="class folder is not a digit"):
+            nmnist.convert(tmp_path / "raw", tmp_path / "out")
+        with pytest.raises(DatasetError, match="not found"):
+            load_manifest(tmp_path / "out" / "manifest.json")
 
 
 def write_nmnist_raw(raw, digits, per_digit):
@@ -306,7 +326,11 @@ class TestConverterLimit:
     def test_limit_keeps_the_first_samples(self, tmp_path, capsys, converter, write_raw):
         write_raw(tmp_path / "raw")
         full = load_manifest(converter.convert(tmp_path / "raw", tmp_path / "full"))
-        assert converter.main([str(tmp_path / "raw"), str(tmp_path / "cut"), "--limit", "3"]) == 0
+        name = converter.__name__.rsplit(".", 1)[1]
+        assert cli.main(
+            ["convert-dataset", name, str(tmp_path / "raw"), str(tmp_path / "cut"),
+             "--limit", "3"]
+        ) == 0
         assert capsys.readouterr().out.startswith("manifest:")
         cut = load_manifest(tmp_path / "cut" / "manifest.json")
         for split in ("train", "test"):

@@ -834,6 +834,52 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "section, key, named",
+        [(None, "readuot", "unknown config key 'readuot'"),
+         ("dataset", "manfest", "unknown config key 'dataset.manfest'")],
+        ids=["section", "dataset-key"],
+    )
+    def test_unknown_config_key_exits_2(self, tmp_path, tiny_dataset, capsys,
+                                        section, key, named):
+        # a misspelt key fails to load instead of leaving its defaults in force
+        data = to_dict(tiny_config(tiny_dataset))
+        (data if section is None else data[section])[key] = {"epochs": 5}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--width", "0"], "width must be >= 1, not 0"),
+         (["--time-window", "0"], "time_window must be >= 1, not 0"),
+         (["--seed", "-1"], "seed must be >= 0, not -1"),
+         (["--train", "0"], "n_train must be >= 1, not 0"),
+         (["--train", "-3"], "n_train must be >= 1, not -3"),
+         (["--steps-per-phase", "0"], "steps_per_phase must be >= 1, not 0")],
+        ids=["width", "time-window", "seed", "train-0", "train-negative", "steps-per-phase"],
+    )
+    def test_synth_bad_integer_exits_2(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "synth"
+        rc = cli.main(["synth", "--out", str(out), "--train", "2", "--test", "2"] + flags)
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not out.exists()
+
+    def test_synth_defaults_are_the_params_defaults(self, tmp_path, capsys):
+        via_cli, direct = tmp_path / "cli", tmp_path / "direct"
+        rc = cli.main(["synth", "--out", str(via_cli), "--train", "8", "--test", "4"])
+        assert rc == 0
+        generate_multiphase(MultiPhaseParams(n_train=8, n_test=4), direct)
+        files = sorted(f.relative_to(direct) for f in direct.rglob("*") if f.is_file())
+        assert len(files) == 8 + 4 + 1
+        assert files == sorted(
+            f.relative_to(via_cli) for f in via_cli.rglob("*") if f.is_file()
+        )
+        for f in files:
+            assert (via_cli / f).read_bytes() == (direct / f).read_bytes()
+
+    @pytest.mark.parametrize(
         "text, named",
         [
             ('{"height": 6, "train": [], "test": []}', "'width'"),
