@@ -68,23 +68,20 @@ def cmd_run(args) -> int:
 
 
 def _parse_axis_values(axis: str, raw: str):
-    def number(kind, token):
-        try:
-            return kind(token)
-        except ValueError:
-            raise ConfigError(
-                f"--values for axis {axis}: {token!r} is not "
-                + ("an integer" if kind is int else "a number")
-            ) from None
+    # an integer literal is an int, any other number a float; the swept
+    # section checks its type and range as it would in a config file
+    def number(token):
+        for kind in (int, float):
+            try:
+                return kind(token)
+            except ValueError:
+                pass
+        raise ConfigError(f"--values for axis {axis}: {token!r} is not a number")
 
     if axis == "d_list":
         # semicolon-separated offset lists: "0;0,5;0,4,6"
-        return [
-            tuple(number(float, v) for v in group.split(","))
-            for group in raw.split(";")
-            if group
-        ]
-    return [number(int, v) for v in raw.split(",") if v]
+        return [[number(v) for v in group.split(",")] for group in raw.split(";") if group]
+    return [number(v) for v in raw.split(",") if v]
 
 
 def cmd_sweep(args) -> int:

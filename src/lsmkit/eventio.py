@@ -159,7 +159,8 @@ def write_dataset(
     """Write the first ``limit`` (all when None) labeled streams of each
     split as ``{split}/sample_{i:05d}.evs`` under ``out_dir``, then the
     manifest listing them; returns the manifest path.  A manifest already
-    in ``out_dir`` is removed before the first sample is written.
+    in ``out_dir`` is removed before the first sample is written, and each
+    split's old ``sample_*.evs`` files before its first.
 
     ``splits`` maps "train" and "test" to iterables of ``EventStream``; the
     train streams are drawn to the end before the first test stream, so
@@ -173,6 +174,8 @@ def write_dataset(
     manifest: dict = {"width": width, "height": height, "channels": channels}
     for split in SPLITS:
         (out / split).mkdir(parents=True, exist_ok=True)
+        for old in (out / split).glob("sample_*.evs"):
+            old.unlink()
         names = []
         for i, stream in enumerate(itertools.islice(splits[split], limit)):
             names.append(f"{split}/sample_{i:05d}.evs")
@@ -208,7 +211,7 @@ def load_manifest(path) -> Manifest:
         manifest = Manifest(
             width=_positive_int("width", data["width"]),
             height=_positive_int("height", data["height"]),
-            channels=_positive_int("channels", data.get("channels", 2)),
+            channels=_positive_int("channels", data["channels"]),
             train=[base / p for p in data["train"]],
             test=[base / p for p in data["test"]],
         )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -23,7 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import eventio
-from .config import FIELDS_READ, ExperimentConfig, Seeds, to_dict
+from .config import (
+    FIELDS_READ, SECTIONS, ExperimentConfig, _fields_read, _section, check_int, to_dict,
+)
 from .ensemble import (
     build_tepre,
     equal_split_schedule,
@@ -33,13 +36,15 @@ from .ensemble import (
 from .errors import ConfigError, DatasetError
 from .eventio import Manifest, load_manifest
 from .events import (
+    EventStream,
+    FrameSequence,
     bin_events,
     clip_or_pad,
     downscale,
     frames_to_spike_drive,
     merge_channels,
 )
-from .gabor import N_KERNELS, gabor_bank
+from .gabor import gabor_bank
 from .inputs import (
     RECEPTIVE_FIELD,
     InputMap,
@@ -66,9 +71,8 @@ def inter_link_seed(base: int, n_members: int) -> int:
     return base + n_members
 
 
-def preprocess_stream(stream, cfg: ExperimentConfig, n_channels: int) -> np.ndarray:
-    """(T, n_inputs) float64 input rates of one event stream: bin, pool,
-    merge polarities, filter, fix the length, flatten.
+def _frames(stream, cfg: ExperimentConfig, n_channels: int) -> FrameSequence:
+    """One stream's frames before the length is fixed: bin, pool, merge, filter.
 
     Events at or past the end of the last step are dropped before binning:
     every later stage acts frame by frame and the length is clipped to
@@ -90,25 +94,20 @@ def preprocess_stream(stream, cfg: ExperimentConfig, n_channels: int) -> np.ndar
         seq = merge_channels(seq)
     if prep.gabor:
         seq = gabor_bank(seq)
-    seq = clip_or_pad(seq, prep.steps)
+    return seq
+
+
+def preprocess_stream(stream, cfg: ExperimentConfig, n_channels: int) -> np.ndarray:
+    """(T, n_inputs) float64 input rates of one event stream."""
+    seq = clip_or_pad(_frames(stream, cfg, n_channels), cfg.preprocessing.steps)
     return frames_to_spike_drive(seq)
 
 
 def frame_geometry(cfg: ExperimentConfig, manifest: Manifest) -> tuple[int, int, int]:
-    """(channels, height, width) of preprocessed frames."""
-    prep = cfg.preprocessing
-    h, w = manifest.height, manifest.width
-    if prep.downscale > 1:
-        if h % prep.downscale or w % prep.downscale:
-            raise ConfigError(
-                f"sensor {w}x{h} not divisible by downscale {prep.downscale}"
-            )
-        h //= prep.downscale
-        w //= prep.downscale
-    c = 1 if prep.merge_polarities else manifest.channels
-    if prep.gabor:
-        c *= N_KERNELS
-    return c, h, w
+    """(channels, height, width) the front end gives an empty stream of the
+    manifest's sensor; a sensor it cannot take fails with the stage's error."""
+    empty = EventStream([], [], [], [], manifest.width, manifest.height)
+    return _frames(empty, cfg, manifest.channels).frames.shape[1:]
 
 
 # Memory one engine call may spend on its samples' rates and on the window
@@ -166,7 +165,10 @@ class Engine:
                     f"not the manifest's {width}x{height}"
                 )
             labels.append(stream.label)
-            sample = preprocess_stream(stream, self.cfg, channels)
+            try:  # the config's shape rules passed at load: this file broke one
+                sample = preprocess_stream(stream, self.cfg, channels)
+            except ConfigError as exc:
+                raise DatasetError(f"{path}: {exc}") from exc
             if rates is None:
                 rates = sample[:, None]
             else:
@@ -245,11 +247,12 @@ def _run_split(files: list[Path], engine: Engine, threads: int, batch: int):
     """Run the files in consecutive batches of ``batch``; a pool of
     ``threads`` workers maps whole batches."""
     batches = [files[i : i + batch] for i in range(0, len(files), batch)]
-    if threads <= 1:
+    if threads == 1:
         outputs = map(engine, batches)
     else:
         with ProcessPoolExecutor(
-            max_workers=threads, initializer=_install_engine, initargs=(engine,)
+            max_workers=threads, mp_context=multiprocessing.get_context("spawn"),
+            initializer=_install_engine, initargs=(engine,),
         ) as pool:
             outputs = list(pool.map(_run_installed, batches))
     results = [r for output in outputs for r in output]
@@ -287,6 +290,7 @@ class RunReport:
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
     """Execute the full pipeline and assemble the report."""
+    check_int("threads", threads)
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     manifest = load_manifest(cfg.dataset_manifest)
@@ -300,7 +304,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
     t0 = time.perf_counter()
     files = manifest.train + manifest.test
     # no bigger than one worker's share, so that every worker gets a batch
-    share = -(-len(files) // max(threads, 1))
+    share = -(-len(files) // threads)
     batch = max(1, min(batch_size(cfg, geometry), share))
     features, labels = _run_split(files, engine, threads, batch)
     n_train = len(manifest.train)
@@ -366,18 +370,19 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
     return report
 
 
-SWEEP_AXES = {"partitions": int, "d_list": lambda v: tuple(map(float, v)), "window": int}
+SWEEP_AXES = ("partitions", "d_list", "window")
 
 
 def sweep_config(cfg: ExperimentConfig, axis: str, value) -> ExperimentConfig:
-    """A copy of the config with one swept hyperparameter replaced."""
+    """A copy of the config with one swept hyperparameter replaced, its
+    section rebuilt and checked as if read from a config file."""
     if axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r}; pick one of {tuple(SWEEP_AXES)}")
+        raise ConfigError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
     ens, inp = cfg.ensemble, cfg.input
     for name, kind in (("ensemble", ens.variant), ("input", inp.scheme)):
         if axis in FIELDS_READ[kind]:
-            section = replace(getattr(cfg, name), **{axis: SWEEP_AXES[axis](value)})
-            return replace(cfg, **{name: section})
+            raw = {**_fields_read(getattr(cfg, name), kind), axis: value}
+            return replace(cfg, **{name: _section(SECTIONS[name], raw, name)})
     raise ConfigError(f"{axis} axis does not apply to {ens.variant} with {inp.scheme} input")
 
 
@@ -397,24 +402,19 @@ def run_sweep(
         raise ConfigError("sweep needs at least one axis value")
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
+    configs = [sweep_config(cfg, axis, v) for v in values]  # checked before any run
     rows = []
-    for value in values:
-        vcfg = sweep_config(cfg, axis, value)
-        accs = []
-        reports = []
+    for value, vcfg in zip(values, configs):
+        accs, reports = [], []
         for j in range(repeats):
-            seeds = Seeds(
-                topology=cfg.seeds.topology + 1000 * j,
-                input=cfg.seeds.input + 1000 * j,
-                training=cfg.seeds.training + 1000 * j,
-            )
-            rcfg = replace(vcfg, seeds=seeds, output_dir=None)
+            seeds = {k: v + 1000 * j for k, v in asdict(cfg.seeds).items()}
+            rcfg = replace(vcfg, seeds=replace(cfg.seeds, **seeds), output_dir=None)
             report = run_experiment(rcfg, threads=threads)
             accs.append(report.test_accuracy)
             reports.append(report.to_dict())
         rows.append(
             {
-                "value": value if axis != "d_list" else list(value),
+                "value": value,
                 "test_accuracy_mean": float(np.mean(accs)),
                 "test_accuracy_std": float(np.std(accs)),
                 "per_seed": accs,

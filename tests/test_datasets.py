@@ -274,6 +274,16 @@ class TestWriteDataset:
         with pytest.raises(DatasetError, match="not found"):
             load_manifest(tmp_path / "out" / "manifest.json")
 
+    def test_reconversion_removes_stale_samples(self, tmp_path):
+        out = tmp_path / "D"
+        for train, test in (("6", "3"), ("2", "1")):
+            assert cli.main(["synth", "--out", str(out), "--train", train, "--test", test]) == 0
+            (out / "train" / "notes.txt").write_text("kept")
+        assert sorted(f.name for f in (out / "train").iterdir()) == [
+            "notes.txt", "sample_00000.evs", "sample_00001.evs"
+        ]
+        assert sorted(f.name for f in (out / "test").iterdir()) == ["sample_00000.evs"]
+
 
 def write_nmnist_raw(raw, digits, per_digit):
     for split in ("Train", "Test"):

@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import math
+import re
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -28,7 +29,7 @@ from lsmkit import (
     save_config,
 )
 from lsmkit.config import FIELDS_READ, from_dict, to_dict
-from lsmkit.eventio import write_events
+from lsmkit.eventio import read_events, write_events
 from lsmkit.events import bin_events
 from lsmkit.harness import (
     Manifest,
@@ -464,6 +465,27 @@ class TestBatching:
         with pytest.raises(DatasetError, match=match):
             engine(paths[2 - batch :])
 
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_front_end_error_names_its_file(self, tmp_path, monkeypatch, batch):
+        # a polarity-1 event in a single-polarity set breaks only its file
+        params = MultiPhaseParams(
+            n_classes=2, n_phases=2, width=6, height=6, steps_per_phase=20,
+            n_train=2, n_test=2, seed=1,
+        )
+        manifest_path = generate_multiphase(params, tmp_path)
+        manifest = load_manifest(manifest_path)
+        assert manifest.channels == 1
+        bad = manifest.train[1]
+        stream = read_events(bad)
+        assert stream.n_events
+        write_events(replace(stream, p=np.ones_like(stream.p)), bad)
+        cfg = tiny_config(manifest_path)
+        per_sample = harness.sample_bytes(cfg, frame_geometry(cfg, manifest))
+        monkeypatch.setattr(harness, "BATCH_BYTES", batch * per_sample)
+        match = re.escape(f"{bad}: polarity 1 exceeds channel count 1")
+        with pytest.raises(DatasetError, match=match):
+            run_experiment(cfg)
+
 
 class TestReadoutReport:
     def test_shipped_synthetic_readout_does_not_converge(self, tmp_path):
@@ -528,6 +550,31 @@ class TestSweep:
         with pytest.raises(ConfigError, match=f"{axis} axis does not apply"):
             sweep_config(cfg, axis, value)
 
+    @pytest.mark.parametrize("value", [2.7, True, "3"], ids=["float", "bool", "string"])
+    def test_swept_value_is_checked_like_a_config_value(self, tiny_dataset, value):
+        cfg = tiny_config(tiny_dataset)
+        message = f"bad ensemble section: partitions must be an integer, not {value!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            sweep_config(cfg, "partitions", value)
+
+    def test_sweep_of_a_bad_value_runs_nothing(self, tiny_dataset, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a sweep ran before checking its values")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        with pytest.raises(ConfigError, match="partitions must be an integer, not 2.7"):
+            run_sweep(tiny_config(tiny_dataset), "partitions", [3, 2.7], repeats=1)
+
+    def test_swept_offsets_become_a_tuple(self, tiny_dataset):
+        cfg = tiny_config(
+            tiny_dataset,
+            ensemble=EnsembleConfig(variant="mulre", d_list=(0.0,), member_dims=(6, 6, 2)),
+            input=InputConfig(scheme="receptive_field", window=3),
+        )
+        # as from a config file: the list becomes a tuple, its numbers stay as given
+        d_list = sweep_config(cfg, "d_list", [0, 4]).ensemble.d_list
+        assert d_list == (0, 4) and [type(d) for d in d_list] == [int, int]
+
     def test_window_axis(self, tiny_dataset):
         cfg = tiny_config(
             tiny_dataset,
@@ -548,8 +595,20 @@ class TestFrameGeometry:
             tiny_dataset,
             preprocessing=PreprocessingConfig(time_window=1000, gabor=True, steps=60),
         )
-        manifest = load_manifest(cfg.dataset_manifest)
-        assert frame_geometry(cfg, manifest) == (18, 6, 6)
+        assert frame_geometry(cfg, Manifest(8, 8, 2, [], [])) == (18, 8, 8)
+
+    def test_sensor_the_front_end_cannot_take_fails_at_load(self, tiny_dataset, monkeypatch):
+        # the 7x7 Gabor kernels do not fit the 6x6 frames
+        def no_build(*args, **kwargs):
+            raise AssertionError("a reservoir was built for an unusable sensor")
+
+        monkeypatch.setattr(harness, "build_reservoir", no_build)
+        cfg = tiny_config(
+            tiny_dataset,
+            preprocessing=PreprocessingConfig(time_window=1000, gabor=True, steps=60),
+        )
+        with pytest.raises(ConfigError, match="kernel 7 larger than frame 6x6"):
+            run_experiment(cfg)
 
     def test_downscale_geometry(self, tiny_dataset):
         cfg = tiny_config(
@@ -685,13 +744,13 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "axis, values, token",
-        [("partitions", "1,1.5", "'1.5' is not an integer"),
-         ("d_list", "0;x", "'x' is not a number")],
+        "axis, values, message",
+        [("partitions", "1,1.5", "bad ensemble section: partitions must be an integer, not 1.5"),
+         ("d_list", "0;x", "--values for axis d_list: 'x' is not a number")],
         ids=["fractional-partitions", "word-in-d_list"],
     )
     def test_malformed_sweep_values_are_an_error(
-        self, tmp_path, tiny_dataset, capsys, axis, values, token
+        self, tmp_path, tiny_dataset, capsys, axis, values, message
     ):
         cfg_path = tmp_path / "cfg.json"
         save_config(tiny_config(tiny_dataset), cfg_path)
@@ -699,7 +758,7 @@ class TestCli:
             ["sweep", "--config", str(cfg_path), "--axis", axis, "--values", values]
         )
         assert rc == 2
-        assert capsys.readouterr().err == f"error: --values for axis {axis}: {token}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_infinite_sweep_offset_is_an_error(self, tmp_path, tiny_dataset, capsys):
         cfg = tiny_config(
@@ -714,7 +773,7 @@ class TestCli:
         )
         assert rc == 2
         assert capsys.readouterr().err.startswith(
-            "error: distance offset d must be finite and >= 0, not inf"
+            "error: bad ensemble section: distance offset d must be finite and >= 0, not inf"
         )
 
     @pytest.mark.parametrize(
@@ -740,6 +799,20 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_an_error(
+        self, tmp_path, tiny_dataset, capsys, monkeypatch, threads
+    ):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a reservoir was built for a bad thread count")
+
+        monkeypatch.setattr(harness, "build_reservoir", no_build)
+        cfg_path = tmp_path / "cfg.json"
+        save_config(tiny_config(tiny_dataset), cfg_path)
+        rc = cli.main(["run", "--config", str(cfg_path), "--threads", threads])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: threads must be >= 1, not {threads}\n"
 
     def test_topo_export(self, tmp_path, tiny_dataset):
         cfg = tiny_config(tiny_dataset)
@@ -886,8 +959,11 @@ class TestCli:
             ('{"width": 6, "height": ', "not valid JSON"),
             ('{"width": 6, "height": 6, "train": 3, "test": []}', "is malformed"),
             ('{"width": 6, "height": 6, "train": "a.evs", "test": ["b.evs"]}', "is malformed"),
-            ('{"width": 6, "height": 6, "train": [], "test": []}', "no train samples"),
-            ('{"width": 6, "height": 6, "train": ["a.evs"], "test": []}', "no test samples"),
+            ('{"width": 6, "height": 6, "channels": 1, "train": [], "test": []}',
+             "no train samples"),
+            ('{"width": 6, "height": 6, "channels": 1, "train": ["a.evs"], "test": []}',
+             "no test samples"),
+            ('{"width": 6, "height": 6, "train": ["a.evs"], "test": ["b.evs"]}', "'channels'"),
             ('{"width": 8.9, "height": 8, "train": ["a.evs"], "test": ["b.evs"]}',
              "is malformed: width is 8.9"),
             ('{"width": "8", "height": 8, "train": ["a.evs"], "test": ["b.evs"]}',
@@ -900,7 +976,7 @@ class TestCli:
              "is malformed: width is -8"),
         ],
         ids=["no-width", "bad-json", "train-not-a-list", "train-a-string", "empty", "no-test",
-             "float-width", "string-width", "bool-channels", "zero-channels", "negative-sizes"],
+             "no-channels", "float-width", "string-width", "bool-channels", "zero-channels", "negative-sizes"],
     )
     def test_malformed_manifest_is_an_error(self, tmp_path, capsys, text, named):
         manifest = tmp_path / "manifest.json"
