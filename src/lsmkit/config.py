@@ -60,7 +60,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .ensemble import check_inter_links, equal_split_schedule
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .inputs import RECEPTIVE_FIELD, STANDARD, check_density, check_window
 from .neurons import NeuronParams
 from .readout import ReadoutConfig
@@ -75,13 +75,6 @@ FIELDS_READ = {
     STANDARD: ("weight", "density", "scheme"),
     RECEPTIVE_FIELD: ("weight", "density", "scheme", "window"),
 }
-
-
-def check_int(name: str, value, low: int = 1) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an integer, not {value!r}")
-    if value < low:
-        raise ConfigError(f"{name} must be >= {low}, not {value}")
 
 
 def _check_grid(name: str, dims) -> None:

@@ -30,7 +30,7 @@ from itertools import chain
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .inputs import InputMap
 from .neurons import NeuronParams, PopulationState, lif_step
 from .topology import ReservoirTopology
@@ -45,7 +45,9 @@ class GatingSchedule:
     partitions: int
 
     def __post_init__(self):
-        if not 1 <= self.partitions <= self.steps:
+        check_int("steps", self.steps)
+        check_int("partitions", self.partitions)
+        if self.partitions > self.steps:
             raise ConfigError(
                 f"cannot split {self.steps} steps into {self.partitions} partitions"
             )

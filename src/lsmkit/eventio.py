@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DatasetError
+from .errors import ConfigError, DatasetError, check_int
 from .events import EventStream
 
 MAGIC = b"EVS1"
@@ -94,15 +94,18 @@ def read_events(path) -> EventStream:
                 f"{path}: header claims {count} events, body holds {body} bytes"
             )
         records = np.frombuffer(fh.read(body), dtype=_RECORD)
-    return EventStream(
-        t=records["t"].astype(np.int64),
-        x=records["x"].astype(np.int64),
-        y=records["y"].astype(np.int64),
-        p=records["p"].astype(np.int64),
-        width=width,
-        height=height,
-        label=None if label == NO_LABEL else int(label),
-    )
+    try:  # a stream rule the records break, such as an event off the sensor
+        return EventStream(
+            t=records["t"].astype(np.int64),
+            x=records["x"].astype(np.int64),
+            y=records["y"].astype(np.int64),
+            p=records["p"].astype(np.int64),
+            width=width,
+            height=height,
+            label=None if label == NO_LABEL else int(label),
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def read_csv_events(path, width: int, height: int, label: int | None = None) -> EventStream:
@@ -166,8 +169,8 @@ def write_dataset(
     train streams are drawn to the end before the first test stream, so
     generators sharing one random generator keep their draw order.
     """
-    if limit is not None and limit < 0:
-        raise ConfigError(f"a split limit must be >= 0, not {limit}")
+    if limit is not None:  # checked before anything in out_dir is removed
+        check_int("limit", limit, low=0)
     out = Path(out_dir)
     path = out / "manifest.json"
     path.unlink(missing_ok=True)  # a run that fails part-way leaves no manifest
@@ -186,13 +189,6 @@ def write_dataset(
     return path
 
 
-def _positive_int(name: str, value) -> int:
-    # JSON true is a Python bool, which is an int
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} is {value!r}, not an integer >= 1")
-    return value
-
-
 def load_manifest(path) -> Manifest:
     path = Path(path)
     try:
@@ -209,9 +205,9 @@ def load_manifest(path) -> Manifest:
             if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
                 raise TypeError(f"{split} is not a list of file names")
         manifest = Manifest(
-            width=_positive_int("width", data["width"]),
-            height=_positive_int("height", data["height"]),
-            channels=_positive_int("channels", data["channels"]),
+            width=check_int("width", data["width"]),
+            height=check_int("height", data["height"]),
+            channels=check_int("channels", data["channels"]),
             train=[base / p for p in data["train"]],
             test=[base / p for p in data["test"]],
         )

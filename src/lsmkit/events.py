@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 
 # Time steps pooled at once; this bounds the pooling temporary only, the
 # pooled counts are identical for any value.
@@ -95,8 +95,8 @@ def bin_events(
     on the channel given by its polarity.  An empty stream produces an
     empty sequence.
     """
-    if time_window <= 0:
-        raise ConfigError("time_window must be positive")
+    check_int("time_window", time_window)
+    check_int("n_channels", n_channels)
     if stream.n_events == 0:
         return FrameSequence(
             np.zeros((0, n_channels, stream.height, stream.width), dtype=np.int64)
@@ -126,8 +126,7 @@ def downscale(seq: FrameSequence, factor: int) -> FrameSequence:
     (never pooled by the pipeline) are summed rows first, so their
     rounding may differ from a single reduction.
     """
-    if factor < 1:
-        raise ConfigError("downscale factor must be >= 1")
+    check_int("factor", factor)
     if factor == 1:
         return seq
     frames = seq.frames
@@ -159,8 +158,7 @@ def merge_channels(seq: FrameSequence) -> FrameSequence:
 
 def clip_or_pad(seq: FrameSequence, steps: int) -> FrameSequence:
     """Force a fixed presentation length: truncate or zero-pad at the end."""
-    if steps < 0:
-        raise ConfigError("presentation length must be nonnegative")
+    check_int("steps", steps, low=0)
     t = seq.steps
     if t == steps:
         return seq

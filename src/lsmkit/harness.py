@@ -24,16 +24,14 @@ from pathlib import Path
 import numpy as np
 
 from . import eventio
-from .config import (
-    FIELDS_READ, SECTIONS, ExperimentConfig, _fields_read, _section, check_int, to_dict,
-)
+from .config import FIELDS_READ, SECTIONS, ExperimentConfig, _fields_read, _section, to_dict
 from .ensemble import (
     build_tepre,
     equal_split_schedule,
     run_mulre,
     run_tepre,
 )
-from .errors import ConfigError, DatasetError
+from .errors import ConfigError, DatasetError, check_int
 from .eventio import Manifest, load_manifest
 from .events import (
     EventStream,
@@ -400,8 +398,7 @@ def run_sweep(
     """
     if not values:
         raise ConfigError("sweep needs at least one axis value")
-    if repeats < 1:
-        raise ConfigError("repeats must be >= 1")
+    check_int("repeats", repeats)
     configs = [sweep_config(cfg, axis, v) for v in values]  # checked before any run
     rows = []
     for value, vcfg in zip(values, configs):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .topology import GridDims
 
 STANDARD = "standard"
@@ -50,10 +50,8 @@ class ReceptiveField:
     channels: int = 1
 
     def __post_init__(self):
-        if self.window < 1:
-            raise ConfigError("window size must be >= 1")
-        if min(self.input_width, self.input_height, self.channels) < 1:
-            raise ConfigError("input dimensions must be positive")
+        for name in ("window", "input_width", "input_height", "channels"):
+            check_int(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -65,8 +63,7 @@ class InputSpec:
     field: ReceptiveField | None = None
 
     def __post_init__(self):
-        if self.n_inputs < 1:
-            raise ConfigError("need at least one input neuron")
+        check_int("n_inputs", self.n_inputs)
         check_density(self.density)
         if self.scheme not in (STANDARD, RECEPTIVE_FIELD):
             raise ConfigError(f"unknown input scheme {self.scheme!r}")

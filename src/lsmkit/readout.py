@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DatasetError
+from .errors import ConfigError, DatasetError, check_int
 from .ensemble import SpikeRecord
 
 
@@ -44,18 +44,18 @@ class ReadoutConfig:
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        if isinstance(self.epochs, bool) or not isinstance(self.epochs, int):
-            raise TypeError(f"epochs must be an integer, not {self.epochs!r}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, not {self.epochs}")
-        if not self.learning_rate > 0:
+        check_int("epochs", self.epochs, low=0)
+        # an infinite step never passes the backtracking test, an infinite
+        # tolerance ends the fit at once, an infinite l2 makes the loss NaN
+        if not 0 < self.learning_rate < np.inf:
             raise ConfigError(
-                f"learning_rate must be positive, not {self.learning_rate}"
+                f"learning_rate must be positive and finite, not {self.learning_rate}"
             )
-        if not self.l2 >= 0:
-            raise ConfigError(f"l2 must be >= 0, not {self.l2}")
-        if not self.tolerance >= 0:
-            raise ConfigError(f"tolerance must be >= 0, not {self.tolerance}")
+        for name in ("l2", "tolerance"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigError(
+                    f"{name} must be >= 0 and finite, not {getattr(self, name)}"
+                )
 
 
 @dataclass(frozen=True)

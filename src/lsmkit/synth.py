@@ -20,8 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import check_int
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .eventio import write_dataset
 from .events import EventStream
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 
 EXC = "E"
 INH = "I"
@@ -44,10 +44,8 @@ class GridDims:
     nz: int
 
     def __post_init__(self):
-        if min(self.nx, self.ny, self.nz) < 1:
-            raise ConfigError(
-                f"grid dimensions must be positive, not {self.nx}x{self.ny}x{self.nz}"
-            )
+        for name in ("nx", "ny", "nz"):
+            check_int(name, getattr(self, name))
         if self.size % 2 != 0:
             raise ConfigError(
                 f"reservoir size {self.size} is odd; need an even E/I split"
@@ -75,8 +73,11 @@ class ConnectionLaw:
     c_table: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_C_TABLE))
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ConfigError(f"length scale lam must be positive, not {self.lam}")
+        # an infinite lam would give every pair its plain c_table probability
+        if not 0 < self.lam < np.inf:
+            raise ConfigError(
+                f"length scale lam must be positive and finite, not {self.lam}"
+            )
         # an infinite offset would make every pair probability 0: no edges
         if not 0 <= self.d < np.inf:
             raise ConfigError(f"distance offset d must be finite and >= 0, not {self.d}")

@@ -63,15 +63,19 @@ class TestLoadTimeChecks:
             (TEPRE, "ensemble", "inter_density", 2, "inter_density must lie in"),
             (TEPRE, "ensemble", "inter_weight", 1, "inter_weight must be negative"),
             (TEPRE, "ensemble", "dims", [5, 5, 3], "reservoir size 25 is odd"),
-            (TEPRE, "ensemble", "dims", [5, 0, 24], "grid dimensions must be positive"),
+            (TEPRE, "ensemble", "dims", [5, 0, 24], "ny must be >= 1, not 0"),
             (MULRE, "ensemble", "member_dims", [5, 5, 5], "reservoir size 125 is odd"),
-            (MULRE, "ensemble", "member_dims", [10, -10, 12], "grid dimensions"),
+            (MULRE, "ensemble", "member_dims", [10, -10, 12], "ny must be >= 1"),
             (MULRE, "ensemble", "d_list", [0, NAN], "distance offset d"),
             (MULRE, "ensemble", "d_list", [0, INF], "distance offset d"),
             (MULRE, "input", "window", 11, "window 11 does not fit"),
             (TEPRE, "preprocessing", "steps", 2, "cannot split 2 steps into 3"),
             (TEPRE, "connectivity", "lam", NAN, "lam must be positive"),
+            (TEPRE, "connectivity", "lam", INF, "lam must be positive and finite"),
             (TEPRE, "readout", "epochs", 2.5, "epochs must be an integer"),
+            (TEPRE, "readout", "learning_rate", INF, "learning_rate must be positive and finite"),
+            (TEPRE, "readout", "l2", INF, "l2 must be >= 0 and finite"),
+            (TEPRE, "readout", "tolerance", INF, "tolerance must be >= 0 and finite"),
             (TEPRE, "seeds", "input", -1, "input must be >= 0"),
             (TEPRE, None, "output_dir", 5, "output_dir must be a path"),
             # a field its variant or scheme does not read, set off its default

@@ -263,6 +263,18 @@ class TestWriteDataset:
         with pytest.raises(ConfigError, match="limit must be >= 0, not -1"):
             write_dataset(tmp_path, 6, 4, 2, {"train": [], "test": []}, limit=-1)
 
+    def test_bad_limit_removes_nothing(self, tmp_path):
+        write_dataset(tmp_path, 6, 4, 2, {
+            split: (labeled_stream(label, n) for label, n in specs)
+            for split, specs in self.SPLITS.items()
+        })
+        files = sorted(tmp_path.glob("**/*.*"))
+        assert len(files) == 1 + sum(map(len, self.SPLITS.values()))
+        before = {f: f.read_bytes() for f in files}
+        with pytest.raises(TypeError, match="limit must be an integer, not 2.5"):
+            write_dataset(tmp_path, 6, 4, 2, {"train": [], "test": []}, limit=2.5)
+        assert {f: f.read_bytes() for f in sorted(tmp_path.glob("**/*.*"))} == before
+
     def test_failed_rewrite_leaves_no_manifest(self, tmp_path):
         # the second conversion into the same directory fails part-way, after
         # some of its samples replaced the first one's

@@ -65,9 +65,13 @@ class TestSchedule:
         assert min(lengths) >= 1
         assert max(lengths) - min(lengths) <= 1
 
-    @pytest.mark.parametrize("steps, parts", [(2, 3), (5, 0)])
-    def test_partitions_outside_one_to_steps_rejected(self, steps, parts):
-        with pytest.raises(ConfigError, match="cannot split"):
+    @pytest.mark.parametrize(
+        "steps, parts, named",
+        [(2, 3, "cannot split"), (5, 0, "partitions must be >= 1, not 0")],
+        ids=["2-3", "5-0"],
+    )
+    def test_partitions_outside_one_to_steps_rejected(self, steps, parts, named):
+        with pytest.raises(ConfigError, match=named):
             equal_split_schedule(steps, parts)
 
 

@@ -965,15 +965,15 @@ class TestCli:
              "no test samples"),
             ('{"width": 6, "height": 6, "train": ["a.evs"], "test": ["b.evs"]}', "'channels'"),
             ('{"width": 8.9, "height": 8, "train": ["a.evs"], "test": ["b.evs"]}',
-             "is malformed: width is 8.9"),
+             "is malformed: width must be an integer, not 8.9"),
             ('{"width": "8", "height": 8, "train": ["a.evs"], "test": ["b.evs"]}',
-             "is malformed: width is '8'"),
+             "is malformed: width must be an integer, not '8'"),
             ('{"width": 8, "height": 8, "channels": true, "train": ["a.evs"], "test": ["b.evs"]}',
-             "is malformed: channels is True"),
+             "is malformed: channels must be an integer, not True"),
             ('{"width": 8, "height": 8, "channels": 0, "train": ["a.evs"], "test": ["b.evs"]}',
-             "is malformed: channels is 0"),
+             "is malformed: channels must be >= 1, not 0"),
             ('{"width": -8, "height": -8, "train": ["a.evs"], "test": ["b.evs"]}',
-             "is malformed: width is -8"),
+             "is malformed: width must be >= 1, not -8"),
         ],
         ids=["no-width", "bad-json", "train-not-a-list", "train-a-string", "empty", "no-test",
              "no-channels", "float-width", "string-width", "bool-channels", "zero-channels", "negative-sizes"],
@@ -987,6 +987,25 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(manifest) in err and named in err
+
+    def test_event_off_the_sensor_names_its_file(self, tmp_path, capsys):
+        # write_events checks only the record limits, so the file is patched:
+        # the first record's x (8 bytes into it, after the 24-byte header) is
+        # set to 7 on a 6-wide sensor
+        params = MultiPhaseParams(
+            width=6, height=6, steps_per_phase=20, n_train=4, n_test=4, seed=1
+        )
+        manifest_path = generate_multiphase(params, tmp_path / "data")
+        bad = load_manifest(manifest_path).train[0]
+        data = bytearray(bad.read_bytes())
+        data[32:34] = (7).to_bytes(2, "little")
+        bad.write_bytes(bytes(data))
+        with pytest.raises(ConfigError, match=re.escape(f"{bad}: event x out of sensor range")):
+            read_events(bad)
+        cfg_path = tmp_path / "cfg.json"
+        save_config(tiny_config(manifest_path), cfg_path)
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: event x out of sensor range\n"
 
     @pytest.mark.parametrize(
         "section, key, value",
