@@ -90,17 +90,32 @@ def drive_through_map(rates: np.ndarray, imap: InputMap) -> np.ndarray:
     return imap.matrix().dot(rates.T).T
 
 
+def _batch_shape(rates) -> tuple[int, int]:
+    """(T, B) of rates over T steps: one sample's (T, n_inputs) array, with
+    B = 1, or B samples' as a (T, B, n_inputs) array or a list of B sparse
+    (T, n_inputs) matrices of equal shape."""
+    if isinstance(rates, np.ndarray):
+        if rates.ndim not in (2, 3):
+            raise ConfigError(f"rates of shape {rates.shape} are not (T, n) or (T, B, n)")
+        return rates.shape[0], rates.shape[1] if rates.ndim == 3 else 1
+    shapes = {sample.shape for sample in rates}
+    if len(shapes) != 1 or not all(sparse.issparse(sample) for sample in rates):
+        raise ConfigError("a list of rates holds sparse matrices of one shape")
+    return shapes.pop()[0], len(rates)
+
+
 def gated_drive(rates, members, offsets, slabs, l1=None):
     """Yield each step's (N, B) injected current of B samples stepped together.
 
     ``slabs`` tile [0, T) in order as (start, end, first member, last
     member + 1): those members, whose neuron blocks start at ``offsets``,
-    map ``rates``, stacked as (T, B, n_inputs), through their input maps
-    and are driven only inside [start, end).  A slab's drive is mapped as
-    it opens and dropped as it closes; each step reuses one buffer.  A
-    given ``l1[r, b]`` gets the (T,) L1 norm of member r's drive into b.
+    map ``rates``, B samples' stacked or sparse ones (see
+    :func:`_batch_shape`), through their input maps and are driven only
+    inside [start, end).  A slab's drive is mapped as it opens and dropped
+    as it closes; each step reuses one buffer.  A given ``l1[r, b]`` gets
+    the (T,) L1 norm of member r's drive into b.
     """
-    buffer = np.zeros((offsets[-1], rates.shape[1]))
+    buffer = np.zeros((offsets[-1], _batch_shape(rates)[1]))
     for start, end, first, last in slabs:
         values = _map_slab(rates, members, offsets, l1, start, end, first, last)
         rows = buffer[offsets[first] : offsets[last]]
@@ -115,9 +130,8 @@ def _map_slab(rates, members, offsets, l1, start, end, first, last) -> np.ndarra
     """The (neurons, end - start, B) drive of members ``first`` to ``last - 1``."""
     # rows ordered (step, sample): one mapping call drives the whole batch;
     # one input-major copy of the window serves every member of the slab
-    window = rates[start:end]
-    window = np.asfortranarray(window.reshape(-1, window.shape[2]), dtype=np.float64)
-    base, shape = offsets[first], (-1, end - start, rates.shape[1])
+    window = _window(rates, start, end)
+    base, shape = offsets[first], (-1, end - start, _batch_shape(rates)[1])
     mapped = (
         drive_through_map(window, members[r][1]).T.reshape(shape)
         for r in range(first, last)
@@ -139,6 +153,27 @@ def _map_slab(rates, members, offsets, l1, start, end, first, last) -> np.ndarra
             rows = np.ascontiguousarray(block.transpose(2, 1, 0))
             l1[r, :, start:end] = np.abs(rows).sum(axis=2)
     return values
+
+
+def _window(rates, start, end) -> np.ndarray:
+    """Steps [start, end) of B samples' rates as one F-ordered float64
+    (S * B, n_inputs) array, row t * B + b holding step start + t of sample
+    b.  Sparse rates are scattered into zeros, so only the window is ever
+    dense, and it holds the bytes the stacked array would give."""
+    if isinstance(rates, np.ndarray):
+        window = rates[start:end]
+        return np.asfortranarray(window.reshape(-1, window.shape[2]), dtype=np.float64)
+    batch = len(rates)
+    window = np.zeros(((end - start) * batch, rates[0].shape[1]), order="F")
+    for b, sample in enumerate(rates):
+        sample = sample.tocsr()
+        if not sample.has_canonical_format:  # one stored entry per (step, input)
+            sample = sample.copy()
+            sample.sum_duplicates()
+        ptr = sample.indptr[start : end + 1]
+        rows = np.repeat(np.arange(b, window.shape[0], batch), np.diff(ptr))
+        window[rows, sample.indices[ptr[0] : ptr[-1]]] = sample.data[ptr[0] : ptr[-1]]
+    return window
 
 
 def simulate_population(
@@ -171,9 +206,9 @@ def _loop(weights, drive, shape, params, links, bounds, record_raster):
     running counts.  Spikes through the optional (N x N) ``links``, like
     recurrent ones, arrive one step later; they are added to the injected
     current, not to the recurrent sum, so a stacked ensemble sums in the same
-    order as its members stepped one by one.  Returns the counts after t
-    steps, keyed by t, for t = T and each t in ``bounds``, and the ``shape``
-    raster if ``record_raster``."""
+    order as its members stepped one by one.  The one state is stepped in
+    place.  Returns the counts after t steps, keyed by t, for t = T and each
+    t in ``bounds``, and the ``shape`` raster if ``record_raster``."""
     state = PopulationState.zeros(*shape[1:])
     counts = np.zeros(shape[1:], dtype=np.int64)
     raster = np.zeros(shape, dtype=np.uint8) if record_raster else None
@@ -183,7 +218,7 @@ def _loop(weights, drive, shape, params, links, bounds, record_raster):
             at[t] = counts.copy()
         if links is not None and state.spikes.any():
             injected = injected + links.dot(state.spikes.astype(np.float64))
-        state = lif_step(state, injected, weights, params)
+        lif_step(state, injected, weights, params, out=state)
         counts += state.spikes
         if raster is not None:
             raster[t] = state.spikes
@@ -205,12 +240,13 @@ def _run_stacked(
     """Step the members as one population and cut its record per member.
 
     ``rates`` is one sample's (T, n_inputs) input rates, or B samples'
-    stacked as (T, B, n_inputs); the result is then one list of member
-    records per sample.  Member r owns one block of neurons.  ``slabs``
-    tile [0, T) in order as (start, end, first member, last member + 1);
-    a slab's members are driven only inside it, and its drive is held
-    only while it is open.  With ``count_slabs`` each member owns the
-    slab of its own index and its record counts the spikes inside it.
+    stacked as (T, B, n_inputs) or as a list of B sparse (T, n_inputs)
+    matrices; the result is then one list of member records per sample.
+    Member r owns one block of neurons.  ``slabs`` tile [0, T) in order as
+    (start, end, first member, last member + 1); a slab's members are
+    driven only inside it, and its drive is held only while it is open.
+    With ``count_slabs`` each member owns the slab of its own index and its
+    record counts the spikes inside it.
     Member weights sit on the diagonal of one block-diagonal matrix; each
     r -> r+1 ``inter_links`` triple is offset into the block below it.
     """
@@ -219,10 +255,9 @@ def _run_stacked(
     for topo, imap in members:
         if imap.n_reservoir != topo.size:
             raise ConfigError("input map and topology sizes disagree")
-    if rates.ndim not in (2, 3):
-        raise ConfigError(f"rates of shape {rates.shape} are not (T, n) or (T, B, n)")
-    stack = rates if rates.ndim == 3 else rates[:, None]
-    steps, batch = stack.shape[:2]
+    steps, batch = _batch_shape(rates)
+    single = isinstance(rates, np.ndarray) and rates.ndim == 2
+    stack = rates[:, None] if single else rates
     offsets = np.cumsum([0] + [topo.size for topo, _ in members])
     n = int(offsets[-1])  # neurons in the stacked population
     l1 = np.zeros((len(members), batch, steps)) if record_drive else None
@@ -257,7 +292,7 @@ def _run_stacked(
         ]
         for b in range(batch)
     ]
-    return samples if rates.ndim == 3 else samples[0]
+    return samples[0] if single else samples
 
 
 def run_mulre(
@@ -272,11 +307,12 @@ def run_mulre(
     ``rates`` is the (T, n_inputs) frame-derived drive shared by all
     members; each member maps it through its own input wiring.  Members
     never interact, so zeroing one member's input silences only it.
-    Stacked (T, B, n_inputs) rates of B samples are stepped together and
-    give one list of member records per sample, each bit-identical to
-    that sample's own call.
+    B samples' rates, stacked as (T, B, n_inputs) or a list of B sparse
+    (T, n_inputs) matrices, are stepped together and give one list of
+    member records per sample, each bit-identical to that sample's own
+    call.
     """
-    slabs = [(0, rates.shape[0], 0, len(members))]
+    slabs = [(0, _batch_shape(rates)[0], 0, len(members))]
     return _run_stacked(rates, members, slabs, [], params, record_raster=record_raster)
 
 
@@ -345,9 +381,10 @@ def run_tepre(
         )
     if len(inter_links) != max(n_parts - 1, 0):
         raise ConfigError("need one inter-link entry per adjacent partition pair")
-    if rates.shape[0] != schedule.steps:
+    steps = _batch_shape(rates)[0]
+    if steps != schedule.steps:
         raise ConfigError(
-            f"{rates.shape[0]} input steps do not match a {schedule.steps}-step schedule"
+            f"{steps} input steps do not match a {schedule.steps}-step schedule"
         )
     slabs = [(start, end, r, r + 1) for r, (start, end) in enumerate(schedule.intervals)]
     return _run_stacked(

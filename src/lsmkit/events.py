@@ -40,6 +40,8 @@ class EventStream:
         self.x = np.asarray(self.x, dtype=np.int64)
         self.y = np.asarray(self.y, dtype=np.int64)
         self.p = np.asarray(self.p, dtype=np.int64)
+        check_int("width", self.width)
+        check_int("height", self.height)
         n = self.t.shape[0]
         if not (self.x.shape[0] == self.y.shape[0] == self.p.shape[0] == n):
             raise ConfigError("event field arrays must have equal length")

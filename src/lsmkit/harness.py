@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from . import eventio
 from .config import FIELDS_READ, SECTIONS, ExperimentConfig, _fields_read, _section, to_dict
@@ -95,10 +96,21 @@ def _frames(stream, cfg: ExperimentConfig, n_channels: int) -> FrameSequence:
     return seq
 
 
+def _fixed_frames(stream, cfg: ExperimentConfig, n_channels: int) -> FrameSequence:
+    """One stream's frames, clipped or padded to ``steps``."""
+    return clip_or_pad(_frames(stream, cfg, n_channels), cfg.preprocessing.steps)
+
+
 def preprocess_stream(stream, cfg: ExperimentConfig, n_channels: int) -> np.ndarray:
     """(T, n_inputs) float64 input rates of one event stream."""
-    seq = clip_or_pad(_frames(stream, cfg, n_channels), cfg.preprocessing.steps)
-    return frames_to_spike_drive(seq)
+    return frames_to_spike_drive(_fixed_frames(stream, cfg, n_channels))
+
+
+def sparse_rates(stream, cfg: ExperimentConfig, n_channels: int) -> sparse.csr_matrix:
+    """The rates of :func:`preprocess_stream` as a (T, n_inputs) CSR matrix,
+    built from the frames, so no dense float64 copy of them is made."""
+    frames = _fixed_frames(stream, cfg, n_channels).flat()
+    return sparse.csr_matrix(frames).astype(np.float64, copy=False)
 
 
 def frame_geometry(cfg: ExperimentConfig, manifest: Manifest) -> tuple[int, int, int]:
@@ -108,15 +120,25 @@ def frame_geometry(cfg: ExperimentConfig, manifest: Manifest) -> tuple[int, int,
     return _frames(empty, cfg, manifest.channels).frames.shape[1:]
 
 
-# Memory one engine call may spend on its samples' rates and on the window
-# copy and drive of the open slab; the batch size is what fits in it.
+# Memory one engine call may spend on what it holds per sample: its rates,
+# and the window copy and drive of the open slab; the batch size is what
+# fits in it.
 BATCH_BYTES = 8 * 2**20
+
+# Nonzero rates per step the model charges a batched sample for, on average
+# over its steps.  Event counts per step are sparse: the SHD stand-in holds
+# 8 of 700 and the synthetic set 21 of 64.
+RATES_PER_STEP = 32
 
 
 def sample_bytes(cfg: ExperimentConfig, geometry: tuple[int, int, int]) -> int:
-    """Bytes one fixed-length sample takes in a batch: its float64 input
-    rates over T steps, and over the longest slab the float64 input-major
-    copy of its rates and the float64 drive of the slab's members."""
+    """Bytes one fixed-length sample takes in a batch: over the longest slab
+    the float64 input-major copy of its rates and the float64 drive of the
+    slab's members, and its rates held as CSR.  The CSR bound is 12 bytes
+    (a float64 value and an int32 column) for each of at most
+    ``RATES_PER_STEP`` nonzero rates per step, or n_inputs if fewer, and 4
+    bytes per row pointer; denser rates take more, up to 1.5 times their
+    dense bytes."""
     ens, steps = cfg.ensemble, cfg.preprocessing.steps
     n_inputs, member = int(np.prod(geometry)), ens.member_grid().size
     if ens.variant == "mulre":  # one slab over T drives every member
@@ -124,12 +146,28 @@ def sample_bytes(cfg: ExperimentConfig, geometry: tuple[int, int, int]) -> int:
     else:  # the longest of the equal slabs drives one member
         slabs = equal_split_schedule(steps, ens.partitions).intervals
         window, neurons = max(end - start for start, end in slabs), member
-    return (steps * n_inputs + window * (n_inputs + neurons)) * 8
+    held = (12 * min(n_inputs, RATES_PER_STEP) + 4) * steps + 4
+    return window * (n_inputs + neurons) * 8 + held
+
+
+def call_bytes(cfg: ExperimentConfig, manifest: Manifest, batch: int) -> int:
+    """Bytes one engine call on ``batch`` samples is modelled to take: each
+    sample's ``sample_bytes``, and once, since the files are read one at a
+    time, the front end's transients.  Each stage holds its input and its
+    output frames of T steps, 8 bytes a value, neither larger than the
+    sensor's counts or the rates: the binned counts and their pooled copy,
+    say, or a lone file's frames and the float64 rates it keeps through
+    its call.  The Gabor bank's own temporaries are not counted."""
+    geometry = frame_geometry(cfg, manifest)
+    sensor = manifest.channels * manifest.height * manifest.width
+    front = 2 * cfg.preprocessing.steps * max(sensor, int(np.prod(geometry))) * 8
+    return front + batch * sample_bytes(cfg, geometry)
 
 
 def batch_size(cfg: ExperimentConfig, geometry: tuple[int, int, int]) -> int:
     """Samples per engine call: as many as fit ``BATCH_BYTES``, at least
-    one."""
+    one.  The front end's transients come once per call at any batch size,
+    so the budget leaves them out (see :func:`call_bytes`)."""
     return max(1, BATCH_BYTES // sample_bytes(cfg, geometry))
 
 
@@ -148,12 +186,11 @@ class Engine:
 
     def __call__(self, paths) -> list[tuple[np.ndarray, int]]:
         """(features, label) of each file, in order."""
-        steps, n_inputs = self.cfg.preprocessing.steps, self.members[0][1].n_inputs
         width, height, channels = self.sensor
-        # B > 1 samples' rates fill one array; a lone file's are a view of its own
-        rates = np.empty((steps, len(paths), n_inputs)) if len(paths) > 1 else None
-        labels = []
-        for b, path in enumerate(paths):
+        # B > 1 samples hold their rates as CSR, and only the open slab's
+        # window of them is ever dense; a lone file's are a view of its own
+        rates, labels = [], []
+        for path in paths:
             stream = eventio.read_events(path)
             if stream.label is None:
                 raise DatasetError(f"{path}: sample has no label")
@@ -164,14 +201,13 @@ class Engine:
                 )
             labels.append(stream.label)
             try:  # the config's shape rules passed at load: this file broke one
-                sample = preprocess_stream(stream, self.cfg, channels)
+                if len(paths) > 1:
+                    rates.append(sparse_rates(stream, self.cfg, channels))
+                else:
+                    rates = preprocess_stream(stream, self.cfg, channels)[:, None]
             except ConfigError as exc:
                 raise DatasetError(f"{path}: {exc}") from exc
-            if rates is None:
-                rates = sample[:, None]
-            else:
-                rates[:, b] = sample
-        params = self.cfg.neuron
+        params, steps = self.cfg.neuron, self.cfg.preprocessing.steps
         if self.cfg.ensemble.variant == "mulre":
             batch = run_mulre(rates, self.members, params)
         else:
@@ -253,9 +289,13 @@ def _run_split(files: list[Path], engine: Engine, threads: int, batch: int):
             initializer=_install_engine, initargs=(engine,),
         ) as pool:
             outputs = list(pool.map(_run_installed, batches))
-    results = [r for output in outputs for r in output]
-    features = np.stack([r[0] for r in results])
-    labels = np.array([r[1] for r in results], dtype=np.int64)
+    # filled in place, so that the features are held once
+    features, labels = None, np.empty(len(files), dtype=np.int64)
+    results = (r for output in outputs for r in output)
+    for i, (vector, label) in enumerate(results):
+        if features is None:
+            features = np.empty((len(files), vector.size), dtype=vector.dtype)
+        features[i], labels[i] = vector, label
     return features, labels
 
 

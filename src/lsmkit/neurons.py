@@ -96,6 +96,7 @@ def lif_step(
     injected: np.ndarray,
     recurrent_weights: sparse.spmatrix | None,
     params: NeuronParams,
+    out: PopulationState | None = None,
 ) -> PopulationState:
     """Advance a population, or a batch of its samples, by one timestep.
 
@@ -108,10 +109,20 @@ def lif_step(
         recurrent_weights: sparse (post x pre) weight matrix, or None for an
             unconnected population.  The builder never produces self-edges.
         params: shared neuron constants.
+        out: state of the same shape to write the next state into, which
+            may be ``state`` itself; by default a new one, so ``state`` is
+            left as it was.
 
     Returns:
-        The next state.  Where the new potential crosses ``theta`` the spike
-        flag is set and ``theta`` is subtracted (never a reset to zero).
+        The next state, ``out`` if given.  Where the new potential crosses
+        ``theta`` the spike flag is set and ``theta`` is subtracted (never a
+        reset to zero).
+
+    Raises:
+        NumericsError: the new potential is not finite.  A non-finite trace
+            makes it so in the same step, and a non-finite potential stays
+            so, so a non-finite state or drive is caught in the step it
+            enters.
     """
     n = state.size
     injected = np.asarray(injected, dtype=np.float64)
@@ -123,17 +134,26 @@ def lif_step(
         raise ConfigError(
             f"weight matrix {recurrent_weights.shape} does not match population {n}"
         )
-    if not (np.isfinite(state.v).all() and np.isfinite(state.u).all()):
-        raise NumericsError("non-finite membrane state")
+    if out is None:
+        out = PopulationState.zeros(*state.v.shape)
+    elif out.v.shape != state.v.shape:
+        raise ConfigError(f"out state has shape {out.v.shape}, state has {state.v.shape}")
 
+    # read before ``out``, which may be ``state``, is written
     if recurrent_weights is not None and state.spikes.any():
         arriving = recurrent_weights.dot(state.spikes.astype(np.float64))
         arriving += injected
     else:
         arriving = injected
 
-    u = state.u * (1.0 - params.dt / params.tau_u) + arriving / params.tau_u
-    v = state.v * (1.0 - params.dt / params.tau_v) + u * params.dt
+    u, v = out.u, out.v
+    np.multiply(state.u, 1.0 - params.dt / params.tau_u, out=u)
+    u += arriving / params.tau_u
+    np.multiply(state.v, 1.0 - params.dt / params.tau_v, out=v)
+    v += u * params.dt
+    if not np.isfinite(v).all():
+        raise NumericsError("non-finite membrane state")
     spikes = v >= params.theta
-    v = np.where(spikes, v - params.theta, v)
-    return PopulationState(v, u, spikes.astype(np.uint8))
+    np.subtract(v, params.theta, out=v, where=spikes)
+    out.spikes[...] = spikes
+    return out

@@ -465,6 +465,65 @@ class TestStackedExactness:
         with pytest.raises(NumericsError):
             run_mulre(stack, self.members(2), self.PARAMS)
 
+    @pytest.mark.parametrize("variant", ["tepre", "mulre"])
+    def test_sparse_samples_match_stacked(self, variant):
+        """A list of per-sample CSR rates, which a batch of files holds,
+        steps exactly as the stacked array of the same rates."""
+        params, steps, batch = self.PARAMS, 90, 4
+        members = self.members(3)
+        stack = np.random.default_rng(13).gamma(0.8, 1.3, size=(steps, batch, 16))
+        stack[stack < 1.5] = 0.0  # sparse, as event counts are
+        stack[:, 2] = 0.0  # a silent sample holds no stored rate
+        rows = [sparse.csr_matrix(stack[:, b]) for b in range(batch)]
+        if variant == "tepre":
+            links = build_tepre([t for t, _ in members], 0.08, -0.37, seed=7)
+            schedule = equal_split_schedule(steps, len(members))
+
+            def run(rates):
+                return run_tepre(
+                    rates, members, links, schedule, params,
+                    record_raster=True, record_drive=True,
+                )
+        else:
+
+            def run(rates):
+                return run_mulre(rates, members, params, record_raster=True)
+
+        for got, want in zip(run(rows), run(stack), strict=True):
+            for g, w in zip(got, want, strict=True):
+                assert np.array_equal(g.counts, w.counts)
+                assert np.array_equal(g.raster, w.raster)
+                if variant == "tepre":
+                    assert np.array_equal(g.slab_counts, w.slab_counts)
+                    assert g.drive_l1.tobytes() == w.drive_l1.tobytes()
+
+    def test_rates_of_unequal_shape_rejected(self):
+        rows = [sparse.csr_matrix((20, 16)), sparse.csr_matrix((21, 16))]
+        with pytest.raises(ConfigError, match="one shape"):
+            run_mulre(rows, self.members(2), self.PARAMS)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("row", [0, 10, 19], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("form", ["single", "stacked", "sparse"])
+    @pytest.mark.parametrize("variant", ["tepre", "mulre"])
+    def test_non_finite_rate_in_any_step_rejected(self, variant, form, row, value):
+        # the last step's result is checked too, though no step follows it
+        members = self.members(2)
+        stack = np.ones((20, 3, 16))
+        stack[row, 1, :] = value
+        rates = {
+            "single": stack[:, 1],
+            "stacked": stack,
+            "sparse": [sparse.csr_matrix(stack[:, b]) for b in range(3)],
+        }[form]
+        with pytest.raises(NumericsError):
+            if variant == "tepre":
+                links = build_tepre([t for t, _ in members], 0.08, -0.37, seed=7)
+                schedule = equal_split_schedule(20, len(members))
+                run_tepre(rates, members, links, schedule, self.PARAMS)
+            else:
+                run_mulre(rates, members, self.PARAMS)
+
 
 def receptive_member(seed, width=10, height=10, channels=18, dims=GridDims(6, 6, 4)):
     """A member wired like an nmnist-mulre3 one: every Gabor channel of a

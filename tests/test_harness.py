@@ -1,8 +1,10 @@
 import gc
+import importlib.util
 import itertools
 import json
 import math
 import re
+import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -345,15 +347,17 @@ class TestBatching:
 
     @pytest.mark.parametrize(
         "name, sensor, per_sample, batch",
-        [("synthetic_tepre3.json", (8, 8, 2), 364_800, 22),
-         ("shd_tepre6.json", (700, 1, 1), 7_203_200, 1),
-         ("nmnist_mulre3.json", (34, 34, 2), 108_518_400, 1),
-         ("dvsgesture_rf.json", (128, 128, 2), 48_921_600, 1)],
+        [("synthetic_tepre3.json", (8, 8, 2), 327_604, 25),
+         ("shd_tepre6.json", (700, 1, 1), 1_991_204, 4),
+         ("nmnist_mulre3.json", (34, 34, 2), 58_695_604, 1),
+         ("dvsgesture_rf.json", (128, 128, 2), 29_377_204, 1)],
     )
     def test_batch_size_rule_on_shipped_geometry(self, name, sensor, per_sample, batch):
-        # rates T*n_inputs*8 + over the longest slab S (T/partitions rounded
-        # up for tepre, T for mulre) its window copy S*n_inputs*8 and the
-        # drive S*neurons*8 of the slab's members (one partition, or all)
+        # over the longest slab S (T/partitions rounded up for tepre, T for
+        # mulre) the window copy S*n_inputs*8 and the drive S*neurons*8 of
+        # the slab's members (one partition, or all), + CSR rates of
+        # min(n_inputs, 32) nonzeros per step, 12 bytes each, and T+1 int32
+        # row pointers
         cfg = load_config(self.CONFIG_DIR / name)
         width, height, channels = sensor
         geometry = frame_geometry(cfg, Manifest(width, height, channels, [], []))
@@ -361,18 +365,34 @@ class TestBatching:
         assert harness.sample_bytes(cfg, geometry) == per_sample
         assert harness.batch_size(cfg, geometry) == batch
 
-    def test_engine_call_stays_within_the_model(self, tmp_path):
-        """The model is checked, not assumed: one engine call at
-        synth-tepre3 geometry and its full batch traces no more than the
-        batch times ``sample_bytes``, plus a fixed margin."""
-        cfg = load_config(self.CONFIG_DIR / "synthetic_tepre3.json")
-        params = MultiPhaseParams(n_classes=4, n_train=22, n_test=2, seed=7)
-        manifest_path = generate_multiphase(params, tmp_path)
-        cfg = replace(cfg, dataset_manifest=str(manifest_path), output_dir=None)
+    @pytest.fixture(scope="class")
+    def shd_stand_in(self, tmp_path_factory):
+        """perfbench's shd-tepre6 stand-in at seed 1: (config, manifest path)."""
+        path = self.CONFIG_DIR.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        wl = workloads.WORKLOADS["shd-tepre6"]
+        out = tmp_path_factory.mktemp("shd")
+        manifest_path = wl.generate(wl, 1, out)
+        return replace(wl.load_config(manifest_path, out), output_dir=None), manifest_path
+
+    @pytest.mark.parametrize("workload, batch", [("synth", 25), ("shd", 4)])
+    def test_engine_call_stays_within_the_model(
+        self, tmp_path, shd_stand_in, workload, batch
+    ):
+        """The model is checked, not assumed: one engine call on a full
+        batch at synth-tepre3 geometry, and on the shd stand-in, traces no
+        more than ``call_bytes``, plus a fixed margin."""
+        if workload == "synth":
+            cfg = load_config(self.CONFIG_DIR / "synthetic_tepre3.json")
+            params = MultiPhaseParams(n_classes=4, n_train=25, n_test=2, seed=7)
+            manifest_path = generate_multiphase(params, tmp_path)
+            cfg = replace(cfg, dataset_manifest=str(manifest_path), output_dir=None)
+        else:
+            cfg, manifest_path = shd_stand_in
         manifest = load_manifest(manifest_path)
-        geometry = frame_geometry(cfg, manifest)
-        batch = harness.batch_size(cfg, geometry)
-        assert batch == 22
+        assert harness.batch_size(cfg, frame_geometry(cfg, manifest)) == batch
         engine = build_members(cfg, manifest)
         tracemalloc.start()
         try:
@@ -380,7 +400,20 @@ class TestBatching:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= batch * harness.sample_bytes(cfg, geometry) + 2 * 2**20
+        assert peak <= harness.call_bytes(cfg, manifest, batch) + 2 * 2**20
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_shd_stand_in_hash_independent_of_batch(
+        self, shd_stand_in, monkeypatch, threads
+    ):
+        # its 8 files run as 2 batches of 4 CSR rates, or 8 lone files
+        cfg, manifest_path = shd_stand_in
+        batched = run_experiment(cfg, threads=threads)
+        assert batched.batch == 4
+        monkeypatch.setattr(harness, "BATCH_BYTES", 1)
+        alone = run_experiment(cfg)
+        assert alone.batch == 1
+        assert batched.state_hash == alone.state_hash
 
     @pytest.fixture(scope="class")
     def odd_dataset(self, tmp_path_factory):
@@ -399,9 +432,10 @@ class TestBatching:
         batches = []
         run_tepre = harness.run_tepre
 
-        def recording_run_tepre(rates, *args, **kwargs):
-            batches.append(rates.shape[1])
-            return run_tepre(rates, *args, **kwargs)
+        def recording_run_tepre(*args, **kwargs):
+            samples = run_tepre(*args, **kwargs)
+            batches.append(len(samples))
+            return samples
 
         monkeypatch.setattr(harness, "run_tepre", recording_run_tepre)
         reports = {}
@@ -431,9 +465,10 @@ class TestBatching:
         shapes = []
         run_tepre = harness.run_tepre
 
-        def recording_run_tepre(rates, *args, **kwargs):
-            shapes.append(rates.shape[:2])
-            return run_tepre(rates, *args, **kwargs)
+        def recording_run_tepre(rates, members, links, schedule, *args, **kwargs):
+            samples = run_tepre(rates, members, links, schedule, *args, **kwargs)
+            shapes.append((schedule.steps, len(samples)))
+            return samples
 
         monkeypatch.setattr(harness, "run_tepre", recording_run_tepre)
         both = engine(paths)
@@ -504,7 +539,7 @@ class TestReadoutReport:
         assert saved["readout"]["converged"] is False
         assert saved["readout"]["epochs"] == 500
         assert saved["readout"]["grad_norm"] > 1e-4
-        assert saved["batch"] == 22  # all 40 samples in batches of 22 and 18
+        assert saved["batch"] == 25  # all 40 samples in batches of 25 and 15
 
         loose = replace(cfg, readout=replace(cfg.readout, tolerance=1.0), output_dir=None)
         fit = run_experiment(loose).readout

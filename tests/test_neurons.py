@@ -246,6 +246,29 @@ class TestBatchedStep:
             spikes += batched.spikes.sum(axis=0, dtype=np.int64)
         assert spikes[1] == 0 and np.all(np.delete(spikes, 1) > 0)
 
+    def test_in_place_step_equals_pure_step(self):
+        """``out=state`` writes the very bytes the pure call returns, over a
+        batched run with a silent column, and the pure call leaves its
+        input as it was."""
+        params, steps, batch = self.PARAMS, 150, 5
+        topo = build_reservoir(GridDims(4, 4, 3), ConnectionLaw(lam=2.0), params, 21)
+        w = topo.weight_matrix()
+        drive = np.random.default_rng(7).normal(4.0, 9.0, size=(steps, w.shape[0], batch))
+        drive[:, :, 3] = 0.0
+        pure = PopulationState.zeros(w.shape[0], batch)
+        in_place = PopulationState.zeros(w.shape[0], batch)
+        for t in range(steps):
+            before = (pure.v.copy(), pure.u.copy(), pure.spikes.copy())
+            nxt = lif_step(pure, drive[t], w, params)
+            for kept, now in zip(before, (pure.v, pure.u, pure.spikes)):
+                assert kept.tobytes() == now.tobytes()
+            pure = nxt
+            assert lif_step(in_place, drive[t], w, params, out=in_place) is in_place
+            assert in_place.v.tobytes() == pure.v.tobytes()
+            assert in_place.u.tobytes() == pure.u.tobytes()
+            assert in_place.spikes.tobytes() == pure.spikes.tobytes()
+        assert pure.spikes.any() and not pure.v[:, 3].any()
+
     def test_non_finite_column_rejected(self):
         st = PopulationState.zeros(3, 4)
         st.u[1, 2] = np.inf

@@ -492,6 +492,16 @@ class TestEventFiles:
         with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
             read_events(path)
 
+    @pytest.mark.parametrize(
+        "width, height", [(2.5, 3), (3, 2.5), (True, 2)], ids=["width", "height", "bool"]
+    )
+    def test_non_integer_geometry_writes_no_file(self, tmp_path, width, height):
+        # the header would fail to pack only after the magic is on disk
+        path = tmp_path / "geometry.evs"
+        with pytest.raises(TypeError, match="width|height"):
+            write_events(EventStream([], [], [], [], width, height, label=1), path)
+        assert not path.exists()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.evs"
         path.write_bytes(b"NOPE" + b"\x00" * 40)
