@@ -91,33 +91,34 @@ def drive_through_map(rates: np.ndarray, imap: InputMap) -> np.ndarray:
 
 
 def _batch_shape(rates) -> tuple[int, int]:
-    """(T, B) of rates over T steps: one sample's (T, n_inputs) array, with
-    B = 1, or B samples' as a (T, B, n_inputs) array or a list of B sparse
-    (T, n_inputs) matrices of equal shape."""
-    if isinstance(rates, np.ndarray):
-        if rates.ndim not in (2, 3):
-            raise ConfigError(f"rates of shape {rates.shape} are not (T, n) or (T, B, n)")
-        return rates.shape[0], rates.shape[1] if rates.ndim == 3 else 1
-    shapes = {sample.shape for sample in rates}
-    if len(shapes) != 1 or not all(sparse.issparse(sample) for sample in rates):
-        raise ConfigError("a list of rates holds sparse matrices of one shape")
-    return shapes.pop()[0], len(rates)
+    """(T, B) of rates over T steps: one sample's (T, n_inputs) matrix,
+    dense or sparse, with B = 1, or a non-empty list of B such matrices of
+    one shape."""
+    samples = rates if isinstance(rates, list) else [rates]
+    matrices = all(isinstance(s, np.ndarray) or sparse.issparse(s) for s in samples)
+    shapes = {getattr(sample, "shape", None) for sample in samples}
+    if not matrices or len(shapes) != 1 or len(next(iter(shapes))) != 2:
+        raise ConfigError(
+            "rates are one sample's (T, n_inputs) matrix, dense or sparse, or a "
+            f"non-empty list of such matrices of one shape; got shapes {shapes}"
+        )
+    return next(iter(shapes))[0], len(samples)
 
 
-def gated_drive(rates, members, offsets, slabs, l1=None):
+def gated_drive(samples, members, offsets, slabs, l1=None):
     """Yield each step's (N, B) injected current of B samples stepped together.
 
     ``slabs`` tile [0, T) in order as (start, end, first member, last
     member + 1): those members, whose neuron blocks start at ``offsets``,
-    map ``rates``, B samples' stacked or sparse ones (see
-    :func:`_batch_shape`), through their input maps and are driven only
-    inside [start, end).  A slab's drive is mapped as it opens and dropped
-    as it closes; each step reuses one buffer.  A given ``l1[r, b]`` gets
-    the (T,) L1 norm of member r's drive into b.
+    map ``samples``, a list of B (T, n_inputs) rate matrices, through their
+    input maps and are driven only inside [start, end).  A slab's drive is
+    mapped as it opens and dropped as it closes; each step reuses one
+    buffer.  A given ``l1[r, b]`` gets the (T,) L1 norm of member r's drive
+    into b.
     """
-    buffer = np.zeros((offsets[-1], _batch_shape(rates)[1]))
+    buffer = np.zeros((offsets[-1], len(samples)))
     for start, end, first, last in slabs:
-        values = _map_slab(rates, members, offsets, l1, start, end, first, last)
+        values = _map_slab(samples, members, offsets, l1, start, end, first, last)
         rows = buffer[offsets[first] : offsets[last]]
         for t in range(end - start):
             rows[...] = values[:, t]
@@ -126,12 +127,12 @@ def gated_drive(rates, members, offsets, slabs, l1=None):
         del values  # dropped before the next slab is mapped
 
 
-def _map_slab(rates, members, offsets, l1, start, end, first, last) -> np.ndarray:
+def _map_slab(samples, members, offsets, l1, start, end, first, last) -> np.ndarray:
     """The (neurons, end - start, B) drive of members ``first`` to ``last - 1``."""
     # rows ordered (step, sample): one mapping call drives the whole batch;
     # one input-major copy of the window serves every member of the slab
-    window = _window(rates, start, end)
-    base, shape = offsets[first], (-1, end - start, _batch_shape(rates)[1])
+    window = _window(samples, start, end)
+    base, shape = offsets[first], (-1, end - start, len(samples))
     mapped = (
         drive_through_map(window, members[r][1]).T.reshape(shape)
         for r in range(first, last)
@@ -155,17 +156,17 @@ def _map_slab(rates, members, offsets, l1, start, end, first, last) -> np.ndarra
     return values
 
 
-def _window(rates, start, end) -> np.ndarray:
+def _window(samples, start, end) -> np.ndarray:
     """Steps [start, end) of B samples' rates as one F-ordered float64
     (S * B, n_inputs) array, row t * B + b holding step start + t of sample
-    b.  Sparse rates are scattered into zeros, so only the window is ever
-    dense, and it holds the bytes the stacked array would give."""
-    if isinstance(rates, np.ndarray):
-        window = rates[start:end]
-        return np.asfortranarray(window.reshape(-1, window.shape[2]), dtype=np.float64)
-    batch = len(rates)
-    window = np.zeros(((end - start) * batch, rates[0].shape[1]), order="F")
-    for b, sample in enumerate(rates):
+    b.  A sparse sample is scattered into the zeros, so only its window is
+    ever dense."""
+    batch = len(samples)
+    window = np.zeros(((end - start) * batch, samples[0].shape[1]), order="F")
+    for b, sample in enumerate(samples):
+        if not sparse.issparse(sample):
+            window[b::batch] = sample[start:end]
+            continue
         sample = sample.tocsr()
         if not sample.has_canonical_format:  # one stored entry per (step, input)
             sample = sample.copy()
@@ -227,7 +228,7 @@ def _loop(weights, drive, shape, params, links, bounds, record_raster):
 
 
 def _run_stacked(
-    rates: np.ndarray,
+    rates,
     members: list[tuple[ReservoirTopology, InputMap]],
     slabs: list[tuple[int, int, int, int]],
     inter_links: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
@@ -239,9 +240,9 @@ def _run_stacked(
 ) -> list:
     """Step the members as one population and cut its record per member.
 
-    ``rates`` is one sample's (T, n_inputs) input rates, or B samples'
-    stacked as (T, B, n_inputs) or as a list of B sparse (T, n_inputs)
-    matrices; the result is then one list of member records per sample.
+    ``rates`` is one sample's (T, n_inputs) input rates, dense or sparse,
+    or a list of B such matrices; the result is then one list of member
+    records per sample.
     Member r owns one block of neurons.  ``slabs`` tile [0, T) in order as
     (start, end, first member, last member + 1); a slab's members are
     driven only inside it, and its drive is held only while it is open.
@@ -256,12 +257,12 @@ def _run_stacked(
         if imap.n_reservoir != topo.size:
             raise ConfigError("input map and topology sizes disagree")
     steps, batch = _batch_shape(rates)
-    single = isinstance(rates, np.ndarray) and rates.ndim == 2
-    stack = rates[:, None] if single else rates
+    single = not isinstance(rates, list)
+    samples = [rates] if single else rates
     offsets = np.cumsum([0] + [topo.size for topo, _ in members])
     n = int(offsets[-1])  # neurons in the stacked population
     l1 = np.zeros((len(members), batch, steps)) if record_drive else None
-    drive = gated_drive(stack, members, offsets, slabs, l1)
+    drive = gated_drive(samples, members, offsets, slabs, l1)
     # slab 0 is mapped before the weights are built, which lowers the peak
     drive = chain([next(drive)], drive)
     weights = sparse.block_diag(
@@ -296,7 +297,7 @@ def _run_stacked(
 
 
 def run_mulre(
-    rates: np.ndarray,
+    rates,
     members: list[tuple[ReservoirTopology, InputMap]],
     params: NeuronParams,
     *,
@@ -305,12 +306,11 @@ def run_mulre(
     """Simulate every ensemble member independently on the same input.
 
     ``rates`` is the (T, n_inputs) frame-derived drive shared by all
-    members; each member maps it through its own input wiring.  Members
-    never interact, so zeroing one member's input silences only it.
-    B samples' rates, stacked as (T, B, n_inputs) or a list of B sparse
-    (T, n_inputs) matrices, are stepped together and give one list of
-    member records per sample, each bit-identical to that sample's own
-    call.
+    members, dense or sparse; each member maps it through its own input
+    wiring.  Members never interact, so zeroing one member's input silences
+    only it.  A list of B samples' rates is stepped together and gives one
+    list of member records per sample, each bit-identical to that sample's
+    own call.
     """
     slabs = [(0, _batch_shape(rates)[0], 0, len(members))]
     return _run_stacked(rates, members, slabs, [], params, record_raster=record_raster)
@@ -356,7 +356,7 @@ def build_tepre(
 
 
 def run_tepre(
-    rates: np.ndarray,
+    rates,
     members: list[tuple[ReservoirTopology, InputMap]],
     inter_links: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     schedule: GatingSchedule,
@@ -371,8 +371,8 @@ def run_tepre(
     contains t; every partition's recurrent dynamics run for all T steps
     and spikes cross the inter-partition links with the standard one-step
     delay.  With no inter links the per-partition records are bit-identical
-    to independent runs on the gated drive.  Rates may be stacked as for
-    :func:`run_mulre`.
+    to independent runs on the gated drive.  ``rates`` takes the forms
+    :func:`run_mulre` takes.
     """
     n_parts = len(members)
     if schedule.partitions != n_parts:

@@ -96,21 +96,16 @@ def _frames(stream, cfg: ExperimentConfig, n_channels: int) -> FrameSequence:
     return seq
 
 
-def _fixed_frames(stream, cfg: ExperimentConfig, n_channels: int) -> FrameSequence:
-    """One stream's frames, clipped or padded to ``steps``."""
-    return clip_or_pad(_frames(stream, cfg, n_channels), cfg.preprocessing.steps)
-
-
-def preprocess_stream(stream, cfg: ExperimentConfig, n_channels: int) -> np.ndarray:
-    """(T, n_inputs) float64 input rates of one event stream."""
-    return frames_to_spike_drive(_fixed_frames(stream, cfg, n_channels))
-
-
-def sparse_rates(stream, cfg: ExperimentConfig, n_channels: int) -> sparse.csr_matrix:
-    """The rates of :func:`preprocess_stream` as a (T, n_inputs) CSR matrix,
-    built from the frames, so no dense float64 copy of them is made."""
-    frames = _fixed_frames(stream, cfg, n_channels).flat()
-    return sparse.csr_matrix(frames).astype(np.float64, copy=False)
+def preprocess_stream(stream, cfg: ExperimentConfig, n_channels: int):
+    """(T, n_inputs) float64 input rates of one event stream, clipped or
+    padded to ``steps``; the one place that picks how rates are held.  Gabor
+    rates, about half nonzero (48% on nmnist), are dense.  Event counts,
+    1-31% nonzero, are CSR built from the frames, and the ensemble makes
+    only an open slab's window of them dense."""
+    seq = clip_or_pad(_frames(stream, cfg, n_channels), cfg.preprocessing.steps)
+    if cfg.preprocessing.gabor:
+        return frames_to_spike_drive(seq)
+    return sparse.csr_matrix(seq.flat()).astype(np.float64, copy=False)
 
 
 def frame_geometry(cfg: ExperimentConfig, manifest: Manifest) -> tuple[int, int, int]:
@@ -125,19 +120,20 @@ def frame_geometry(cfg: ExperimentConfig, manifest: Manifest) -> tuple[int, int,
 # fits in it.
 BATCH_BYTES = 8 * 2**20
 
-# Nonzero rates per step the model charges a batched sample for, on average
-# over its steps.  Event counts per step are sparse: the SHD stand-in holds
-# 8 of 700 and the synthetic set 21 of 64.
+# Nonzero event counts per step the model charges a sample's CSR rates for,
+# on average over its steps.  Counts per step are sparse: the SHD stand-in
+# holds 8 of 700 and the synthetic set 21 of 64.
 RATES_PER_STEP = 32
 
 
 def sample_bytes(cfg: ExperimentConfig, geometry: tuple[int, int, int]) -> int:
     """Bytes one fixed-length sample takes in a batch: over the longest slab
     the float64 input-major copy of its rates and the float64 drive of the
-    slab's members, and its rates held as CSR.  The CSR bound is 12 bytes
-    (a float64 value and an int32 column) for each of at most
-    ``RATES_PER_STEP`` nonzero rates per step, or n_inputs if fewer, and 4
-    bytes per row pointer; denser rates take more, up to 1.5 times their
+    slab's members, and its rates as :func:`preprocess_stream` holds them.
+    Gabor rates are dense float64.  Counts are CSR, bound by 12 bytes (a
+    float64 value and an int32 column) for each of at most
+    ``RATES_PER_STEP`` nonzero counts per step, or n_inputs if fewer, and 4
+    bytes per row pointer; denser counts take more, up to 1.5 times their
     dense bytes."""
     ens, steps = cfg.ensemble, cfg.preprocessing.steps
     n_inputs, member = int(np.prod(geometry)), ens.member_grid().size
@@ -146,7 +142,10 @@ def sample_bytes(cfg: ExperimentConfig, geometry: tuple[int, int, int]) -> int:
     else:  # the longest of the equal slabs drives one member
         slabs = equal_split_schedule(steps, ens.partitions).intervals
         window, neurons = max(end - start for start, end in slabs), member
-    held = (12 * min(n_inputs, RATES_PER_STEP) + 4) * steps + 4
+    if cfg.preprocessing.gabor:
+        held = steps * n_inputs * 8
+    else:
+        held = (12 * min(n_inputs, RATES_PER_STEP) + 4) * steps + 4
     return window * (n_inputs + neurons) * 8 + held
 
 
@@ -156,8 +155,7 @@ def call_bytes(cfg: ExperimentConfig, manifest: Manifest, batch: int) -> int:
     time, the front end's transients.  Each stage holds its input and its
     output frames of T steps, 8 bytes a value, neither larger than the
     sensor's counts or the rates: the binned counts and their pooled copy,
-    say, or a lone file's frames and the float64 rates it keeps through
-    its call.  The Gabor bank's own temporaries are not counted."""
+    say.  The Gabor bank's own temporaries are not counted."""
     geometry = frame_geometry(cfg, manifest)
     sensor = manifest.channels * manifest.height * manifest.width
     front = 2 * cfg.preprocessing.steps * max(sensor, int(np.prod(geometry))) * 8
@@ -187,8 +185,6 @@ class Engine:
     def __call__(self, paths) -> list[tuple[np.ndarray, int]]:
         """(features, label) of each file, in order."""
         width, height, channels = self.sensor
-        # B > 1 samples hold their rates as CSR, and only the open slab's
-        # window of them is ever dense; a lone file's are a view of its own
         rates, labels = [], []
         for path in paths:
             stream = eventio.read_events(path)
@@ -201,18 +197,20 @@ class Engine:
                 )
             labels.append(stream.label)
             try:  # the config's shape rules passed at load: this file broke one
-                if len(paths) > 1:
-                    rates.append(sparse_rates(stream, self.cfg, channels))
-                else:
-                    rates = preprocess_stream(stream, self.cfg, channels)[:, None]
+                rates.append(preprocess_stream(stream, self.cfg, channels))
             except ConfigError as exc:
                 raise DatasetError(f"{path}: {exc}") from exc
+        # a lone file runs as one sample's call, its records a batch of one
+        lone = len(rates) == 1
+        rates = rates[0] if lone else rates
         params, steps = self.cfg.neuron, self.cfg.preprocessing.steps
         if self.cfg.ensemble.variant == "mulre":
             batch = run_mulre(rates, self.members, params)
         else:
             schedule = equal_split_schedule(steps, len(self.members))
             batch = run_tepre(rates, self.members, self.inter_links, schedule, params)
+        if lone:
+            batch = [batch]
         return [
             (extract_state(records).features, label)
             for records, label in zip(batch, labels)

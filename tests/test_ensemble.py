@@ -422,7 +422,7 @@ class TestStackedExactness:
             def run(rates):
                 return run_mulre(rates, members, params, record_raster=True)
 
-        batched = run(stack)
+        batched = run([stack[:, b] for b in range(batch)])
         assert len(batched) == batch
         for b in range(batch):
             single = run(np.ascontiguousarray(stack[:, b]))
@@ -451,7 +451,8 @@ class TestStackedExactness:
             tracemalloc.start()
             try:
                 run_tepre(
-                    stack, members, links, schedule, params, record_raster=record_raster
+                    [stack[:, b] for b in range(batch)], members, links, schedule, params,
+                    record_raster=record_raster,
                 )
                 peaks[record_raster] = tracemalloc.get_traced_memory()[1]
             finally:
@@ -460,15 +461,15 @@ class TestStackedExactness:
         assert peaks[True] - peaks[False] >= 0.9 * raster_bytes
 
     def test_non_finite_sample_in_a_batch_rejected(self):
-        stack = np.ones((20, 3, 16))
-        stack[4, 1, :] = np.inf
+        samples = [np.ones((20, 16)) for _ in range(3)]
+        samples[1][4, :] = np.inf
         with pytest.raises(NumericsError):
-            run_mulre(stack, self.members(2), self.PARAMS)
+            run_mulre(samples, self.members(2), self.PARAMS)
 
     @pytest.mark.parametrize("variant", ["tepre", "mulre"])
     def test_sparse_samples_match_stacked(self, variant):
-        """A list of per-sample CSR rates, which a batch of files holds,
-        steps exactly as the stacked array of the same rates."""
+        """A list of per-sample CSR rates, which a batch of count files
+        holds, steps exactly as a list of the same rates held dense."""
         params, steps, batch = self.PARAMS, 90, 4
         members = self.members(3)
         stack = np.random.default_rng(13).gamma(0.8, 1.3, size=(steps, batch, 16))
@@ -489,7 +490,8 @@ class TestStackedExactness:
             def run(rates):
                 return run_mulre(rates, members, params, record_raster=True)
 
-        for got, want in zip(run(rows), run(stack), strict=True):
+        dense = [stack[:, b] for b in range(batch)]
+        for got, want in zip(run(rows), run(dense), strict=True):
             for g, w in zip(got, want, strict=True):
                 assert np.array_equal(g.counts, w.counts)
                 assert np.array_equal(g.raster, w.raster)
@@ -502,6 +504,42 @@ class TestStackedExactness:
         with pytest.raises(ConfigError, match="one shape"):
             run_mulre(rows, self.members(2), self.PARAMS)
 
+    @pytest.mark.parametrize("variant", ["tepre", "mulre"])
+    def test_single_sparse_sample_matches_its_dense_call(self, variant):
+        """One sample's CSR rates, which a lone count file holds, step
+        exactly as the same rates held dense."""
+        params, steps = self.PARAMS, 90
+        members = self.members(3)
+        rates = np.random.default_rng(14).gamma(0.8, 1.3, size=(steps, 16))
+        rates[rates < 1.5] = 0.0
+        if variant == "tepre":
+            links = build_tepre([t for t, _ in members], 0.08, -0.37, seed=7)
+            schedule = equal_split_schedule(steps, len(members))
+
+            def run(rates):
+                return run_tepre(
+                    rates, members, links, schedule, params,
+                    record_raster=True, record_drive=True,
+                )
+        else:
+
+            def run(rates):
+                return run_mulre(rates, members, params, record_raster=True)
+
+        got, want = run(sparse.csr_matrix(rates)), run(rates)
+        assert sum(record.counts.sum() for record in want) > 0
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g.counts, w.counts)
+            assert np.array_equal(g.raster, w.raster)
+            if variant == "tepre":
+                assert np.array_equal(g.slab_counts, w.slab_counts)
+                assert g.drive_l1.tobytes() == w.drive_l1.tobytes()
+
+    def test_stacked_array_of_samples_rejected(self):
+        # a (T, B, n) array is neither accepted form: one (T, n) matrix or a list
+        with pytest.raises(ConfigError, match=r"\(T, n_inputs\) matrix.*list of such"):
+            run_mulre(np.ones((20, 3, 16)), self.members(2), self.PARAMS)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("row", [0, 10, 19], ids=["first", "middle", "last"])
     @pytest.mark.parametrize("form", ["single", "stacked", "sparse"])
@@ -513,7 +551,7 @@ class TestStackedExactness:
         stack[row, 1, :] = value
         rates = {
             "single": stack[:, 1],
-            "stacked": stack,
+            "stacked": [stack[:, b] for b in range(3)],
             "sparse": [sparse.csr_matrix(stack[:, b]) for b in range(3)],
         }[form]
         with pytest.raises(NumericsError):
@@ -578,8 +616,8 @@ class TestDriveMap:
         for _, imap in members:
             imap.matrix()  # memoized outside the measurement
         steps, n_inputs = 100, members[0][1].n_inputs
-        stack = np.random.default_rng(6).gamma(0.8, 1.3, size=(steps, 1, n_inputs))
-        window_bytes = stack.nbytes
+        rates = np.random.default_rng(6).gamma(0.8, 1.3, size=(steps, n_inputs))
+        window_bytes = rates.nbytes
         original, extra = ensemble_module.drive_through_map, []
 
         def traced(rates, imap):
@@ -594,7 +632,7 @@ class TestDriveMap:
         try:
             offsets = np.cumsum([0] + [topo.size for topo, _ in members])
             slabs = [(0, steps, 0, 3)]
-            next(ensemble_module.gated_drive(stack, members, offsets, slabs))  # maps it
+            next(ensemble_module.gated_drive([rates], members, offsets, slabs))  # maps it
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

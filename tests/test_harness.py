@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 import lsmkit.cli as cli
 import lsmkit.harness as harness
@@ -349,15 +350,15 @@ class TestBatching:
         "name, sensor, per_sample, batch",
         [("synthetic_tepre3.json", (8, 8, 2), 327_604, 25),
          ("shd_tepre6.json", (700, 1, 1), 1_991_204, 4),
-         ("nmnist_mulre3.json", (34, 34, 2), 58_695_604, 1),
+         ("nmnist_mulre3.json", (34, 34, 2), 108_518_400, 1),
          ("dvsgesture_rf.json", (128, 128, 2), 29_377_204, 1)],
     )
     def test_batch_size_rule_on_shipped_geometry(self, name, sensor, per_sample, batch):
         # over the longest slab S (T/partitions rounded up for tepre, T for
         # mulre) the window copy S*n_inputs*8 and the drive S*neurons*8 of
-        # the slab's members (one partition, or all), + CSR rates of
-        # min(n_inputs, 32) nonzeros per step, 12 bytes each, and T+1 int32
-        # row pointers
+        # the slab's members (one partition, or all), + the held rates: dense
+        # T*n_inputs*8 after a Gabor bank, else CSR counts of min(n_inputs,
+        # 32) nonzeros per step, 12 bytes each, and T+1 int32 row pointers
         cfg = load_config(self.CONFIG_DIR / name)
         width, height, channels = sensor
         geometry = frame_geometry(cfg, Manifest(width, height, channels, [], []))
@@ -377,18 +378,25 @@ class TestBatching:
         manifest_path = wl.generate(wl, 1, out)
         return replace(wl.load_config(manifest_path, out), output_dir=None), manifest_path
 
-    @pytest.mark.parametrize("workload, batch", [("synth", 25), ("shd", 4)])
+    @pytest.mark.parametrize(
+        "workload, batch", [("synth", 25), ("shd", 4), ("gabor", 2)]
+    )
     def test_engine_call_stays_within_the_model(
         self, tmp_path, shd_stand_in, workload, batch
     ):
         """The model is checked, not assumed: one engine call on a full
-        batch at synth-tepre3 geometry, and on the shd stand-in, traces no
-        more than ``call_bytes``, plus a fixed margin."""
-        if workload == "synth":
+        batch at synth-tepre3 geometry, with and without a Gabor bank, and
+        on the shd stand-in, traces no more than ``call_bytes``, plus a
+        fixed margin."""
+        if workload in ("synth", "gabor"):
             cfg = load_config(self.CONFIG_DIR / "synthetic_tepre3.json")
             params = MultiPhaseParams(n_classes=4, n_train=25, n_test=2, seed=7)
             manifest_path = generate_multiphase(params, tmp_path)
-            cfg = replace(cfg, dataset_manifest=str(manifest_path), output_dir=None)
+            prep = replace(cfg.preprocessing, gabor=workload == "gabor")
+            cfg = replace(
+                cfg, dataset_manifest=str(manifest_path), preprocessing=prep,
+                output_dir=None,
+            )
         else:
             cfg, manifest_path = shd_stand_in
         manifest = load_manifest(manifest_path)
@@ -417,25 +425,34 @@ class TestBatching:
 
     @pytest.fixture(scope="class")
     def odd_dataset(self, tmp_path_factory):
-        # 11 samples, so a batch of 3 leaves a ragged last batch of 2
-        params = MultiPhaseParams(
-            n_classes=3, n_phases=3, width=6, height=6, steps_per_phase=20,
-            n_train=7, n_test=4, seed=9,
-        )
-        return generate_multiphase(params, tmp_path_factory.mktemp("oddset"))
+        # 11 samples, so a batch of 3 leaves a ragged last batch of 2; keyed
+        # by Gabor filtering, whose 7x7 kernels need a larger sensor
+        def make(side):
+            params = MultiPhaseParams(
+                n_classes=3, n_phases=3, width=side, height=side, steps_per_phase=20,
+                n_train=7, n_test=4, seed=9,
+            )
+            return generate_multiphase(params, tmp_path_factory.mktemp("oddset"))
 
+        return {False: make(6), True: make(8)}
+
+    @pytest.mark.parametrize("gabor", [False, True])
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_state_hash_independent_of_batch_size(self, odd_dataset, monkeypatch, threads):
-        cfg = tiny_config(odd_dataset)
-        geometry = frame_geometry(cfg, load_manifest(odd_dataset))
+    def test_state_hash_independent_of_batch_size(
+        self, odd_dataset, monkeypatch, threads, gabor
+    ):
+        # a Gabor config batches dense rates, a count config CSR ones
+        prep = PreprocessingConfig(time_window=1000, steps=60, gabor=gabor)
+        cfg = tiny_config(odd_dataset[gabor], preprocessing=prep)
+        geometry = frame_geometry(cfg, load_manifest(odd_dataset[gabor]))
         per_sample = harness.sample_bytes(cfg, geometry)
         batches = []
         run_tepre = harness.run_tepre
 
-        def recording_run_tepre(*args, **kwargs):
-            samples = run_tepre(*args, **kwargs)
-            batches.append(len(samples))
-            return samples
+        def recording_run_tepre(rates, *args, **kwargs):
+            # a lone file goes in as its bare matrix, a batch as a list
+            batches.append(len(rates) if isinstance(rates, list) else 1)
+            return run_tepre(rates, *args, **kwargs)
 
         monkeypatch.setattr(harness, "run_tepre", recording_run_tepre)
         reports = {}
@@ -466,9 +483,9 @@ class TestBatching:
         run_tepre = harness.run_tepre
 
         def recording_run_tepre(rates, members, links, schedule, *args, **kwargs):
-            samples = run_tepre(rates, members, links, schedule, *args, **kwargs)
-            shapes.append((schedule.steps, len(samples)))
-            return samples
+            # a lone file goes in as its bare matrix, a batch as a list
+            shapes.append((schedule.steps, len(rates) if isinstance(rates, list) else 1))
+            return run_tepre(rates, members, links, schedule, *args, **kwargs)
 
         monkeypatch.setattr(harness, "run_tepre", recording_run_tepre)
         both = engine(paths)
@@ -714,7 +731,8 @@ class TestFrameGeometry:
                 for n in (t.size - 2, t.size)
             ]
             assert rates[0].shape[0] == 30
-            assert rates[0].tobytes() == rates[1].tobytes()
+            dense = [r.toarray() if sparse.issparse(r) else r for r in rates]
+            assert dense[0].tobytes() == dense[1].tobytes()
         assert max(binned) == 30
 
 
