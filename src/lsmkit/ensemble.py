@@ -19,7 +19,10 @@ holds one block per member, and the one time loop, which
 batch of equal-length samples at once, counting spikes as it goes.  A
 multi-length-scale ensemble is that population with ungated drive and no
 links; a temporal one gates each member's block to its slab and adds the
-inter-partition links.  The counts are cut per sample and member.
+inter-partition links.  The drive is mapped as the loop reaches it, at most
+``DRIVE_BLOCK_STEPS`` steps at a time, so a run holds one block's window
+copy and drive however long its slabs are.  The counts are cut per sample
+and member.
 """
 
 from __future__ import annotations
@@ -105,30 +108,41 @@ def _batch_shape(rates) -> tuple[int, int]:
     return next(iter(shapes))[0], len(samples)
 
 
+# Steps a slab's drive is mapped in at a time: a block's window copy and
+# drive are what an open slab holds, whatever its length.  Each output sums
+# its terms per step, so the block size bounds memory only.
+DRIVE_BLOCK_STEPS = 50
+
+
 def gated_drive(samples, members, offsets, slabs, l1=None):
     """Yield each step's (N, B) injected current of B samples stepped together.
 
     ``slabs`` tile [0, T) in order as (start, end, first member, last
     member + 1): those members, whose neuron blocks start at ``offsets``,
-    map ``samples``, a list of B (T, n_inputs) rate matrices, through their
-    input maps and are driven only inside [start, end).  A slab's drive is
-    mapped as it opens and dropped as it closes; each step reuses one
-    buffer.  A given ``l1[r, b]`` gets the (T,) L1 norm of member r's drive
-    into b.
+    map ``samples``, a list of B (T, n_inputs) rate matrices (sparse ones
+    canonical CSR), through their input maps and are driven only inside
+    [start, end).  A slab's drive is mapped in blocks of at most
+    ``DRIVE_BLOCK_STEPS`` steps as the loop reaches them, each dropped
+    before the next is mapped, and its rows are zeroed as it closes; each
+    step reuses one buffer.  A given ``l1[r, b]`` gets the (T,) L1 norm of
+    member r's drive into b.
     """
     buffer = np.zeros((offsets[-1], len(samples)))
     for start, end, first, last in slabs:
-        values = _map_slab(samples, members, offsets, l1, start, end, first, last)
         rows = buffer[offsets[first] : offsets[last]]
-        for t in range(end - start):
-            rows[...] = values[:, t]
-            yield buffer
+        for lo in range(start, end, DRIVE_BLOCK_STEPS):
+            hi = min(lo + DRIVE_BLOCK_STEPS, end)
+            values = _map_slab(samples, members, offsets, l1, lo, hi, first, last)
+            for t in range(hi - lo):
+                rows[...] = values[:, t]
+                yield buffer
+            del values  # dropped before the next block is mapped
         rows[...] = 0.0
-        del values  # dropped before the next slab is mapped
 
 
 def _map_slab(samples, members, offsets, l1, start, end, first, last) -> np.ndarray:
-    """The (neurons, end - start, B) drive of members ``first`` to ``last - 1``."""
+    """The (neurons, end - start, B) drive of members ``first`` to ``last - 1``
+    over steps [start, end) of their slab."""
     # rows ordered (step, sample): one mapping call drives the whole batch;
     # one input-major copy of the window serves every member of the slab
     window = _window(samples, start, end)
@@ -137,10 +151,12 @@ def _map_slab(samples, members, offsets, l1, start, end, first, last) -> np.ndar
         drive_through_map(window, members[r][1]).T.reshape(shape)
         for r in range(first, last)
     )
-    # Members sharing a slab share one block: one copy per step, and for a
-    # multi-length-scale ensemble one allocation the size of its drive, which
-    # lifts glibc's adaptive mmap threshold above the Gabor bank's temporaries
-    # (one block per member took 4-10x the page faults on nmnist-mulre3).
+    # Members sharing a slab share one block, so a step is one copy.  The
+    # Gabor bank's page faults do not hinge on this block's size: the bank's
+    # own FFT temporaries lift glibc's adaptive mmap threshold in its first
+    # call (on nmnist-mulre3, 3-6k minor faults per call in the bank with
+    # 50-step blocks or whole slabs, 39k with the threshold pinned at
+    # 128 KiB; counted with getrusage).
     if last - first == 1:
         values = next(mapped)
     else:  # filled member by member: one mapped block at a time beside it
@@ -156,21 +172,29 @@ def _map_slab(samples, members, offsets, l1, start, end, first, last) -> np.ndar
     return values
 
 
+def _canonical(sample):
+    """A sparse sample as CSR with one stored entry per (step, input), so a
+    window reads its steps' entries by row pointer; a dense one as it is."""
+    if not sparse.issparse(sample):
+        return sample
+    sample = sample.tocsr()
+    if not sample.has_canonical_format:
+        sample = sample.copy()
+        sample.sum_duplicates()
+    return sample
+
+
 def _window(samples, start, end) -> np.ndarray:
     """Steps [start, end) of B samples' rates as one F-ordered float64
     (S * B, n_inputs) array, row t * B + b holding step start + t of sample
-    b.  A sparse sample is scattered into the zeros, so only its window is
-    ever dense."""
+    b.  A sparse sample, canonical CSR, is scattered into the zeros, so only
+    its window is ever dense."""
     batch = len(samples)
     window = np.zeros(((end - start) * batch, samples[0].shape[1]), order="F")
     for b, sample in enumerate(samples):
         if not sparse.issparse(sample):
             window[b::batch] = sample[start:end]
             continue
-        sample = sample.tocsr()
-        if not sample.has_canonical_format:  # one stored entry per (step, input)
-            sample = sample.copy()
-            sample.sum_duplicates()
         ptr = sample.indptr[start : end + 1]
         rows = np.repeat(np.arange(b, window.shape[0], batch), np.diff(ptr))
         window[rows, sample.indices[ptr[0] : ptr[-1]]] = sample.data[ptr[0] : ptr[-1]]
@@ -245,7 +269,8 @@ def _run_stacked(
     records per sample.
     Member r owns one block of neurons.  ``slabs`` tile [0, T) in order as
     (start, end, first member, last member + 1); a slab's members are
-    driven only inside it, and its drive is held only while it is open.
+    driven only inside it, and its drive is mapped a block of steps at a
+    time as the loop reaches it.
     With ``count_slabs`` each member owns the slab of its own index and its
     record counts the spikes inside it.
     Member weights sit on the diagonal of one block-diagonal matrix; each
@@ -258,12 +283,13 @@ def _run_stacked(
             raise ConfigError("input map and topology sizes disagree")
     steps, batch = _batch_shape(rates)
     single = not isinstance(rates, list)
-    samples = [rates] if single else rates
+    samples = [_canonical(s) for s in ([rates] if single else rates)]
     offsets = np.cumsum([0] + [topo.size for topo, _ in members])
     n = int(offsets[-1])  # neurons in the stacked population
     l1 = np.zeros((len(members), batch, steps)) if record_drive else None
     drive = gated_drive(samples, members, offsets, slabs, l1)
-    # slab 0 is mapped before the weights are built, which lowers the peak
+    # the first block is mapped before the weights are built, which lowers
+    # the peak
     drive = chain([next(drive)], drive)
     weights = sparse.block_diag(
         [topo.weight_matrix() for topo, _ in members], format="csr"

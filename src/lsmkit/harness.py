@@ -27,6 +27,7 @@ from scipy import sparse
 from . import eventio
 from .config import FIELDS_READ, SECTIONS, ExperimentConfig, _fields_read, _section, to_dict
 from .ensemble import (
+    DRIVE_BLOCK_STEPS,
     build_tepre,
     equal_split_schedule,
     run_mulre,
@@ -101,7 +102,7 @@ def preprocess_stream(stream, cfg: ExperimentConfig, n_channels: int):
     padded to ``steps``; the one place that picks how rates are held.  Gabor
     rates, about half nonzero (48% on nmnist), are dense.  Event counts,
     1-31% nonzero, are CSR built from the frames, and the ensemble makes
-    only an open slab's window of them dense."""
+    only an open drive block's window of them dense."""
     seq = clip_or_pad(_frames(stream, cfg, n_channels), cfg.preprocessing.steps)
     if cfg.preprocessing.gabor:
         return frames_to_spike_drive(seq)
@@ -116,8 +117,8 @@ def frame_geometry(cfg: ExperimentConfig, manifest: Manifest) -> tuple[int, int,
 
 
 # Memory one engine call may spend on what it holds per sample: its rates,
-# and the window copy and drive of the open slab; the batch size is what
-# fits in it.
+# and the window copy and drive of the open slab's mapped block; the batch
+# size is what fits in it.
 BATCH_BYTES = 8 * 2**20
 
 # Nonzero event counts per step the model charges a sample's CSR rates for,
@@ -127,35 +128,38 @@ RATES_PER_STEP = 32
 
 
 def sample_bytes(cfg: ExperimentConfig, geometry: tuple[int, int, int]) -> int:
-    """Bytes one fixed-length sample takes in a batch: over the longest slab
-    the float64 input-major copy of its rates and the float64 drive of the
-    slab's members, and its rates as :func:`preprocess_stream` holds them.
-    Gabor rates are dense float64.  Counts are CSR, bound by 12 bytes (a
-    float64 value and an int32 column) for each of at most
-    ``RATES_PER_STEP`` nonzero counts per step, or n_inputs if fewer, and 4
-    bytes per row pointer; denser counts take more, up to 1.5 times their
-    dense bytes."""
+    """Bytes one fixed-length sample takes in a batch: over one mapped block
+    of the drive, the longest slab's first ``DRIVE_BLOCK_STEPS`` steps or
+    all of it if shorter, the float64 input-major copy of its rates and the
+    float64 drive of the slab's members, and its rates as
+    :func:`preprocess_stream` holds them.  Gabor rates are dense float64.
+    Counts are CSR, bound by 12 bytes (a float64 value and an int32 column)
+    for each of at most ``RATES_PER_STEP`` nonzero counts per step, or
+    n_inputs if fewer, and 4 bytes per row pointer; denser counts take more,
+    up to 1.5 times their dense bytes."""
     ens, steps = cfg.ensemble, cfg.preprocessing.steps
     n_inputs, member = int(np.prod(geometry)), ens.member_grid().size
     if ens.variant == "mulre":  # one slab over T drives every member
-        window, neurons = steps, len(ens.d_list) * member
+        slab, neurons = steps, len(ens.d_list) * member
     else:  # the longest of the equal slabs drives one member
         slabs = equal_split_schedule(steps, ens.partitions).intervals
-        window, neurons = max(end - start for start, end in slabs), member
+        slab, neurons = max(end - start for start, end in slabs), member
+    block = min(slab, DRIVE_BLOCK_STEPS)
     if cfg.preprocessing.gabor:
         held = steps * n_inputs * 8
     else:
         held = (12 * min(n_inputs, RATES_PER_STEP) + 4) * steps + 4
-    return window * (n_inputs + neurons) * 8 + held
+    return block * (n_inputs + neurons) * 8 + held
 
 
 def call_bytes(cfg: ExperimentConfig, manifest: Manifest, batch: int) -> int:
     """Bytes one engine call on ``batch`` samples is modelled to take: each
-    sample's ``sample_bytes``, and once, since the files are read one at a
-    time, the front end's transients.  Each stage holds its input and its
-    output frames of T steps, 8 bytes a value, neither larger than the
-    sensor's counts or the rates: the binned counts and their pooled copy,
-    say.  The Gabor bank's own temporaries are not counted."""
+    sample's ``sample_bytes``, its rates and its share of one drive block,
+    and once, since the files are read one at a time, the front end's
+    transients.  Each stage holds its input and its output frames of T
+    steps, 8 bytes a value, neither larger than the sensor's counts or the
+    rates: the binned counts and their pooled copy, say.  The Gabor bank's
+    own temporaries are not counted."""
     geometry = frame_geometry(cfg, manifest)
     sensor = manifest.channels * manifest.height * manifest.width
     front = 2 * cfg.preprocessing.steps * max(sensor, int(np.prod(geometry))) * 8
@@ -312,7 +316,7 @@ class RunReport:
     confusion: list
     state_hash: dict
     artifacts: dict
-    batch: int  # samples the engine stepped together per call
+    batch: int  # samples the engine stepped together per call, at most
     readout: dict  # the readout fit's epochs, grad_norm and converged flag
 
     def to_dict(self) -> dict:
@@ -341,7 +345,11 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
     files = manifest.train + manifest.test
     # no bigger than one worker's share, so that every worker gets a batch
     share = -(-len(files) // threads)
-    batch = max(1, min(batch_size(cfg, geometry), share))
+    cap = max(1, min(batch_size(cfg, geometry), share))
+    # as few calls as the cap allows, filled evenly: 48 synth-tepre3 files
+    # under a cap of 37 ran 4% slower as 37 + 11 than as 24 + 24
+    calls = -(-len(files) // cap)
+    batch = -(-len(files) // calls)
     features, labels = _run_split(files, engine, threads, batch)
     n_train = len(manifest.train)
     x_train, x_test = features[:n_train], features[n_train:]

@@ -562,6 +562,92 @@ class TestStackedExactness:
             else:
                 run_mulre(rates, members, self.PARAMS)
 
+    def records_of(self, rates, variant):
+        """Each sample's records of one tepre run (inter-links, raster and
+        drive recorded) or mulre run (raster recorded) on a 20-step window,
+        every array as (dtype, shape, bytes); tepre's equal split gives
+        uneven slabs of 6, 7 and 7 steps."""
+        members = self.members(3)
+        if variant == "tepre":
+            links = build_tepre([t for t, _ in members], 0.08, -0.37, seed=7)
+            schedule = equal_split_schedule(20, len(members))
+            out = run_tepre(
+                rates, members, links, schedule, self.PARAMS,
+                record_raster=True, record_drive=True,
+            )
+        else:
+            out = run_mulre(rates, members, self.PARAMS, record_raster=True)
+        fields = ("counts", "slab_counts", "raster", "drive_l1")
+        return [
+            [
+                {
+                    name: None if value is None else (value.dtype, value.shape, value.tobytes())
+                    for name in fields
+                    for value in [getattr(record, name)]
+                }
+                for record in sample
+            ]
+            for sample in (out if isinstance(rates, list) else [out])
+        ]
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    @pytest.mark.parametrize("form", ["dense", "sparse", "batch"])
+    @pytest.mark.parametrize("variant", ["tepre", "mulre"])
+    def test_drive_block_size_bounds_memory_only(self, monkeypatch, variant, form, block):
+        """Mapping the drive in blocks of 1 or 7 steps, which split the
+        slabs unevenly, or of more steps than the window, gives records
+        byte-equal to mapping each slab in one block."""
+        stack = np.random.default_rng(15).gamma(0.8, 1.3, size=(20, 3, 16))
+        stack[stack < 1.0] = 0.0
+        rates = {
+            "dense": stack[:, 0],
+            "sparse": sparse.csr_matrix(stack[:, 1]),
+            "batch": [stack[:, 0], sparse.csr_matrix(stack[:, 1]), stack[:, 2]],
+        }[form]
+        monkeypatch.setattr(ensemble_module, "DRIVE_BLOCK_STEPS", 20)
+        whole = self.records_of(rates, variant)
+        for sample in whole:  # every sample spikes in every member
+            assert all(np.frombuffer(r["counts"][2], np.int64).sum() > 0 for r in sample)
+        monkeypatch.setattr(ensemble_module, "DRIVE_BLOCK_STEPS", block)
+        assert self.records_of(rates, variant) == whole
+
+    @pytest.mark.parametrize("variant", ["tepre", "mulre"])
+    def test_sparse_sample_made_canonical_csr_once(self, monkeypatch, variant):
+        """A CSC sample, and a CSR one that stores each (step, input) twice
+        in shuffled order, give the records of their canonical CSR form;
+        every window of a call reads the one canonical CSR matrix made at
+        its start."""
+        rng = np.random.default_rng(16)
+        rates = rng.poisson(0.6, size=(20, 16)).astype(np.float64)
+        step, col = np.nonzero(rates)
+        half = np.floor(rates[step, col] / 2)
+        steps, cols = np.tile(step, 2), np.tile(col, 2)
+        values = np.concatenate([half, rates[step, col] - half])
+        order = rng.permutation(steps.size)
+        order = order[np.argsort(steps[order], kind="stable")]  # rows grouped
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(steps, minlength=20))])
+        doubled = sparse.csr_matrix((values[order], cols[order], ptr), shape=rates.shape)
+        assert not doubled.has_canonical_format
+        assert np.array_equal(doubled.toarray(), rates)
+        seen, window = [], ensemble_module._window
+
+        def recording_window(samples, start, end):
+            seen.append([sample for sample in samples if sparse.issparse(sample)])
+            return window(samples, start, end)
+
+        monkeypatch.setattr(ensemble_module, "_window", recording_window)
+        monkeypatch.setattr(ensemble_module, "DRIVE_BLOCK_STEPS", 4)
+        want = self.records_of(sparse.csr_matrix(rates), variant)
+        for form in (sparse.csc_matrix(rates), doubled):
+            seen.clear()
+            assert self.records_of(form, variant) == want
+            assert len(seen) >= 5 and all(len(got) == 1 for got in seen)
+            made = seen[0][0]
+            assert made.format == "csr" and made.has_canonical_format
+            assert all(got[0] is made for got in seen)
+        assert not doubled.has_canonical_format  # the caller's matrix is left as it was
+        assert self.records_of([doubled, sparse.csc_matrix(rates)], variant) == want * 2
+
 
 def receptive_member(seed, width=10, height=10, channels=18, dims=GridDims(6, 6, 4)):
     """A member wired like an nmnist-mulre3 one: every Gabor channel of a
@@ -610,14 +696,16 @@ class TestDriveMap:
         """Three members of a multi-length-scale slab at a scaled-down
         nmnist geometry (18 Gabor channels of 10x10 pixels) map one shared
         input-major copy of the window: no member's mapping copies the
-        rates again, and the slab holds at most that one copy beside its
-        output block."""
+        rates again, and the slab holds at most that one copy of its first
+        block of steps beside that block's output."""
         members = [receptive_member(seed=30 + 2 * r) for r in range(3)]
         for _, imap in members:
             imap.matrix()  # memoized outside the measurement
         steps, n_inputs = 100, members[0][1].n_inputs
+        block = ensemble_module.DRIVE_BLOCK_STEPS
+        assert block < steps
         rates = np.random.default_rng(6).gamma(0.8, 1.3, size=(steps, n_inputs))
-        window_bytes = rates.nbytes
+        window_bytes = block * n_inputs * 8
         original, extra = ensemble_module.drive_through_map, []
 
         def traced(rates, imap):
@@ -638,6 +726,6 @@ class TestDriveMap:
             tracemalloc.stop()
         assert len(extra) == 3
         assert max(extra) < window_bytes // 10
-        block_bytes = sum(topo.size for topo, _ in members) * steps * 8
+        block_bytes = sum(topo.size for topo, _ in members) * block * 8
         # the window copy, the output block and one member's block being filled in
         assert peak < window_bytes + block_bytes + block_bytes // 3 + 256 * 1024

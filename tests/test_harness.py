@@ -348,21 +348,23 @@ class TestBatching:
 
     @pytest.mark.parametrize(
         "name, sensor, per_sample, batch",
-        [("synthetic_tepre3.json", (8, 8, 2), 327_604, 25),
-         ("shd_tepre6.json", (700, 1, 1), 1_991_204, 4),
-         ("nmnist_mulre3.json", (34, 34, 2), 108_518_400, 1),
-         ("dvsgesture_rf.json", (128, 128, 2), 29_377_204, 1)],
+        [("synthetic_tepre3.json", (8, 8, 2), 222_004, 37),
+         ("shd_tepre6.json", (700, 1, 1), 868_004, 9),
+         ("nmnist_mulre3.json", (34, 34, 2), 59_702_400, 1),
+         ("dvsgesture_rf.json", (128, 128, 2), 4_993_204, 1)],
     )
     def test_batch_size_rule_on_shipped_geometry(self, name, sensor, per_sample, batch):
-        # over the longest slab S (T/partitions rounded up for tepre, T for
-        # mulre) the window copy S*n_inputs*8 and the drive S*neurons*8 of
-        # the slab's members (one partition, or all), + the held rates: dense
+        # over one drive block of S = min(longest slab, DRIVE_BLOCK_STEPS = 50)
+        # steps (the slab is T/partitions rounded up for tepre, T for mulre)
+        # the window copy S*n_inputs*8 and the drive S*neurons*8 of the
+        # slab's members (one partition, or all), + the held rates: dense
         # T*n_inputs*8 after a Gabor bank, else CSR counts of min(n_inputs,
         # 32) nonzeros per step, 12 bytes each, and T+1 int32 row pointers
         cfg = load_config(self.CONFIG_DIR / name)
         width, height, channels = sensor
         geometry = frame_geometry(cfg, Manifest(width, height, channels, [], []))
         assert harness.BATCH_BYTES == 8 * 2**20
+        assert harness.DRIVE_BLOCK_STEPS == 50
         assert harness.sample_bytes(cfg, geometry) == per_sample
         assert harness.batch_size(cfg, geometry) == batch
 
@@ -379,18 +381,18 @@ class TestBatching:
         return replace(wl.load_config(manifest_path, out), output_dir=None), manifest_path
 
     @pytest.mark.parametrize(
-        "workload, batch", [("synth", 25), ("shd", 4), ("gabor", 2)]
+        "workload, batch", [("synth", 37), ("shd", 8), ("gabor", 2)]
     )
     def test_engine_call_stays_within_the_model(
         self, tmp_path, shd_stand_in, workload, batch
     ):
         """The model is checked, not assumed: one engine call on a full
         batch at synth-tepre3 geometry, with and without a Gabor bank, and
-        on the shd stand-in, traces no more than ``call_bytes``, plus a
-        fixed margin."""
+        on all 8 files of the shd stand-in, which its batch of 9 holds in
+        one call, traces no more than ``call_bytes``, plus a fixed margin."""
         if workload in ("synth", "gabor"):
             cfg = load_config(self.CONFIG_DIR / "synthetic_tepre3.json")
-            params = MultiPhaseParams(n_classes=4, n_train=25, n_test=2, seed=7)
+            params = MultiPhaseParams(n_classes=4, n_train=37, n_test=2, seed=7)
             manifest_path = generate_multiphase(params, tmp_path)
             prep = replace(cfg.preprocessing, gabor=workload == "gabor")
             cfg = replace(
@@ -400,11 +402,16 @@ class TestBatching:
         else:
             cfg, manifest_path = shd_stand_in
         manifest = load_manifest(manifest_path)
-        assert harness.batch_size(cfg, frame_geometry(cfg, manifest)) == batch
+        if workload == "shd":  # the stand-in's train and test files in one call
+            files = manifest.train + manifest.test
+            assert len(files) == batch < harness.batch_size(cfg, frame_geometry(cfg, manifest))
+        else:
+            files = manifest.train[:batch]
+            assert harness.batch_size(cfg, frame_geometry(cfg, manifest)) == batch
         engine = build_members(cfg, manifest)
         tracemalloc.start()
         try:
-            assert len(engine(manifest.train[:batch])) == batch
+            assert len(engine(files)) == batch
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -414,10 +421,11 @@ class TestBatching:
     def test_shd_stand_in_hash_independent_of_batch(
         self, shd_stand_in, monkeypatch, threads
     ):
-        # its 8 files run as 2 batches of 4 CSR rates, or 8 lone files
+        # its 8 files run as one batch of 8 CSR rates (2 batches of 4, one
+        # per worker, at 2 threads), or 8 lone files
         cfg, manifest_path = shd_stand_in
         batched = run_experiment(cfg, threads=threads)
-        assert batched.batch == 4
+        assert batched.batch == 8 // threads
         monkeypatch.setattr(harness, "BATCH_BYTES", 1)
         alone = run_experiment(cfg)
         assert alone.batch == 1
@@ -456,15 +464,17 @@ class TestBatching:
 
         monkeypatch.setattr(harness, "run_tepre", recording_run_tepre)
         reports = {}
-        # one worker's share caps the batch, so every worker gets one
-        for budget, used in ((1, 1), (3, 3), (100, 11 if threads == 1 else 6)):
+        # one worker's share caps the batch, so every worker gets one; the
+        # calls are filled evenly, so a budget of 5 gives 4 + 4 + 3, not 5 + 5 + 1
+        for budget, used in ((1, 1), (3, 3), (5, 4), (100, 11 if threads == 1 else 6)):
             monkeypatch.setattr(harness, "BATCH_BYTES", budget * per_sample)
             batches.clear()
             reports[budget] = run_experiment(cfg, threads=threads)
             assert reports[budget].batch == used
             if threads == 1:  # pool workers record their calls elsewhere
                 assert batches == [used] * (11 // used) + [11 % used] * (11 % used > 0)
-        assert reports[1].state_hash == reports[3].state_hash == reports[100].state_hash
+        hashes = [report.state_hash for report in reports.values()]
+        assert all(h == hashes[0] for h in hashes)
         assert reports[1].readout == reports[100].readout
 
 
@@ -556,7 +566,7 @@ class TestReadoutReport:
         assert saved["readout"]["converged"] is False
         assert saved["readout"]["epochs"] == 500
         assert saved["readout"]["grad_norm"] > 1e-4
-        assert saved["batch"] == 25  # all 40 samples in batches of 25 and 15
+        assert saved["batch"] == 20  # all 40 samples in 2 batches, as B = 37 allows
 
         loose = replace(cfg, readout=replace(cfg.readout, tolerance=1.0), output_dir=None)
         fit = run_experiment(loose).readout
