@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """From raw events to reservoir drive.
 
-Generates a synthetic event stream, bins it into per-timestep count
-frames, pools it down, merges the two polarities, runs the fixed 18-kernel
-Gabor bank, and flattens the result into the per-step drive vectors the
-reservoir consumes.
+Generates a synthetic event stream, pools it down to a smaller sensor,
+bins it into per-timestep count frames, merges the two polarities, runs
+the fixed 18-kernel Gabor bank, and flattens the result into the per-step
+drive vectors the reservoir consumes.
 """
 
 import numpy as np
@@ -36,15 +36,18 @@ stream = EventStream(
 )
 print(f"stream: {stream.n_events} events over {stream.t[-1] - stream.t[0]} us")
 
-seq = bin_events(stream, time_window=1000)
-print(f"binned: {seq.steps} steps x {seq.channels} channels x 32 x 32, "
+# pooling moves each event to its 2x2 cell of a 16x16 sensor, so the
+# frames are made once, at the resolution the reservoir reads
+small = downscale(stream, 2)
+print(f"downscaled by 2: {small.width}x{small.height} sensor, "
+      f"{small.n_events} events (conserved)")
+
+seq = bin_events(small, time_window=1000)
+print(f"binned: {seq.steps} steps x {seq.channels} channels x 16 x 16, "
       f"{seq.frames.sum()} counts total (conserved)")
 
-small = downscale(seq, 2)
-print(f"downscaled by 2: {small.frames.shape}, counts still {small.frames.sum()}")
-
 # the bank sees one merged polarity channel, as the harness feeds it
-filtered = gabor_bank(merge_channels(small))
+filtered = gabor_bank(merge_channels(seq))
 print(f"gabor bank: {filtered.channels} channels of rectified responses")
 
 # at each step the bar is a vertical line, so the vertically tuned

@@ -1,22 +1,21 @@
-"""Event-stream preprocessing: temporal binning, pooling, spike drive.
+"""Event-stream preprocessing: pooling, temporal binning, spike drive.
 
 Raw neuromorphic data arrives as timestamped (t, x, y, polarity) events.
 The engine consumes them as per-timestep count frames: one frame per
 simulation step, binned at ``time_window`` microseconds anchored at the
-first event so leading silence does not pad the presentation.
+first event so leading silence does not pad the presentation.  Spatial
+pooling acts on the events, before binning, so frames are only ever made
+at the resolution the engine reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, check_int
-
-# Time steps pooled at once; this bounds the pooling temporary only, the
-# pooled counts are identical for any value.
-POOL_BLOCK_STEPS = 8
 
 
 @dataclass
@@ -91,65 +90,47 @@ class FrameSequence:
 def bin_events(
     stream: EventStream, time_window: int, n_channels: int = 2
 ) -> FrameSequence:
-    """Accumulate events into count frames of ``time_window`` microseconds.
+    """Accumulate events into int64 count frames of ``time_window``
+    microseconds.
 
     An event at time t lands in frame floor((t - t_first) / time_window)
-    on the channel given by its polarity.  An empty stream produces an
-    empty sequence.
+    on the channel given by its polarity; the frames are one ``bincount``
+    over each event's flat (frame, channel, y, x) index.  An empty stream
+    produces an empty sequence.
     """
     check_int("time_window", time_window)
     check_int("n_channels", n_channels)
+    h, w = stream.height, stream.width
     if stream.n_events == 0:
-        return FrameSequence(
-            np.zeros((0, n_channels, stream.height, stream.width), dtype=np.int64)
-        )
+        return FrameSequence(np.zeros((0, n_channels, h, w), dtype=np.int64))
     if stream.p.max() >= n_channels:
         raise ConfigError(
             f"polarity {stream.p.max()} exceeds channel count {n_channels}"
         )
-    t0 = stream.t[0]
-    frame_idx = (stream.t - t0) // time_window
-    steps = int(frame_idx[-1]) + 1
-    frames = np.zeros(
-        (steps, n_channels, stream.height, stream.width), dtype=np.int64
-    )
-    np.add.at(frames, (frame_idx, stream.p, stream.y, stream.x), 1)
-    return FrameSequence(frames)
+    frame_idx = (stream.t - stream.t[0]) // time_window
+    shape = (int(frame_idx[-1]) + 1, n_channels, h, w)
+    flat = ((frame_idx * n_channels + stream.p) * h + stream.y) * w + stream.x
+    counts = np.bincount(flat, minlength=math.prod(shape))
+    return FrameSequence(counts.reshape(shape))
 
 
-def downscale(seq: FrameSequence, factor: int) -> FrameSequence:
-    """Count-preserving factor x factor block pooling.
-
-    The result has the dtype ``frames.sum()`` gives: int64 for int64,
-    int32 or bool counts, uint64 for uint8.  Frames are pooled
-    ``POOL_BLOCK_STEPS`` steps at a time: the rows of each pooled row are
-    added into a block-sized temporary, then every factor-th column of it
-    into the output.  Integer sums are exact in any order; float frames
-    (never pooled by the pipeline) are summed rows first, so their
-    rounding may differ from a single reduction.
+def downscale(stream: EventStream, factor: int) -> EventStream:
+    """Count-preserving factor x factor pooling of the sensor: each event
+    moves to the cell ``(x // factor, y // factor)`` of a sensor
+    ``factor`` times smaller on each side, keeping its time, polarity and
+    the stream's label.  Binning the result gives the block sums of the
+    full-resolution frames, exactly, without ever making those frames.
     """
     check_int("factor", factor)
     if factor == 1:
-        return seq
-    frames = seq.frames
-    t, c, h, w = frames.shape
+        return stream
+    h, w = stream.height, stream.width
     if h % factor or w % factor:
-        raise ConfigError(f"frame dims {h}x{w} not divisible by factor {factor}")
-    dtype = frames[:0].sum().dtype
-    pooled = np.empty((t, c, h // factor, w // factor), dtype=dtype)
-    rows = np.empty((min(t, POOL_BLOCK_STEPS), c, h // factor, w), dtype=dtype)
-    # dtype= picks the accumulating loop: without it bool input would add
-    # as a logical OR and uint8 would wrap before the cast to the output
-    for start in range(0, t, POOL_BLOCK_STEPS):
-        block = frames[start:start + POOL_BLOCK_STEPS]
-        r, out = rows[:block.shape[0]], pooled[start:start + POOL_BLOCK_STEPS]
-        np.add(block[:, :, 0::factor], block[:, :, 1::factor], out=r, dtype=dtype)
-        for i in range(2, factor):
-            np.add(r, block[:, :, i::factor], out=r, dtype=dtype)
-        np.add(r[..., 0::factor], r[..., 1::factor], out=out, dtype=dtype)
-        for j in range(2, factor):
-            np.add(out, r[..., j::factor], out=out, dtype=dtype)
-    return FrameSequence(pooled)
+        raise ConfigError(f"sensor {h}x{w} not divisible by factor {factor}")
+    return replace(
+        stream, x=stream.x // factor, y=stream.y // factor,
+        width=w // factor, height=h // factor,
+    )
 
 
 def merge_channels(seq: FrameSequence) -> FrameSequence:

@@ -72,12 +72,15 @@ def inter_link_seed(base: int, n_members: int) -> int:
 
 
 def _frames(stream, cfg: ExperimentConfig, n_channels: int) -> FrameSequence:
-    """One stream's frames before the length is fixed: bin, pool, merge, filter.
+    """One stream's frames before the length is fixed: pool, bin, merge, filter.
 
-    Events at or past the end of the last step are dropped before binning:
-    every later stage acts frame by frame and the length is clipped to
-    ``steps``, so they change no rate, but binning them would allocate
-    frames over the whole span up to the latest timestamp."""
+    Events at or past the end of the last step are dropped first: every
+    later stage acts frame by frame and the length is clipped to ``steps``,
+    so they change no rate, but binning them would allocate frames over the
+    whole span up to the latest timestamp.  The events are pooled before
+    they are binned, so frames are made once, at the pooled resolution;
+    integer block sums are exact in any order, so the counts are those of
+    pooling full-resolution frames."""
     prep = cfg.preprocessing
     if stream.n_events:
         end = stream.t[0] + prep.steps * prep.time_window
@@ -87,9 +90,8 @@ def _frames(stream, cfg: ExperimentConfig, n_channels: int) -> FrameSequence:
                 stream, t=stream.t[:keep], x=stream.x[:keep], y=stream.y[:keep],
                 p=stream.p[:keep],
             )
+    stream = downscale(stream, prep.downscale)
     seq = bin_events(stream, prep.time_window, n_channels=n_channels)
-    if prep.downscale > 1:
-        seq = downscale(seq, prep.downscale)
     if prep.merge_polarities and seq.channels > 1:
         seq = merge_channels(seq)
     if prep.gabor:
@@ -157,12 +159,14 @@ def call_bytes(cfg: ExperimentConfig, manifest: Manifest, batch: int) -> int:
     sample's ``sample_bytes``, its rates and its share of one drive block,
     and once, since the files are read one at a time, the front end's
     transients.  Each stage holds its input and its output frames of T
-    steps, 8 bytes a value, neither larger than the sensor's counts or the
-    rates: the binned counts and their pooled copy, say.  The Gabor bank's
-    own temporaries are not counted."""
+    steps, 8 bytes a value, neither larger than the pooled sensor's counts
+    or the rates: the pooled counts and their merged or padded copy, say.
+    Frames are never made at full resolution (see :func:`_frames`).  The
+    Gabor bank's own temporaries are not counted."""
     geometry = frame_geometry(cfg, manifest)
-    sensor = manifest.channels * manifest.height * manifest.width
-    front = 2 * cfg.preprocessing.steps * max(sensor, int(np.prod(geometry))) * 8
+    k = cfg.preprocessing.downscale
+    pooled = manifest.channels * (manifest.height // k) * (manifest.width // k)
+    front = 2 * cfg.preprocessing.steps * max(pooled, int(np.prod(geometry))) * 8
     return front + batch * sample_bytes(cfg, geometry)
 
 

@@ -45,7 +45,7 @@ ENTRIES = [
     ("InputSpec-n_inputs", lambda v: InputSpec(v, 1.0, 0.5), "n_inputs", 1),
     ("bin_events-time_window", lambda v: bin_events(STREAM, v), "time_window", 1),
     ("bin_events-n_channels", lambda v: bin_events(STREAM, 10, v), "n_channels", 1),
-    ("downscale-factor", lambda v: downscale(FRAMES, v), "factor", 1),
+    ("downscale-factor", lambda v: downscale(STREAM, v), "factor", 1),
     ("clip_or_pad-steps", lambda v: clip_or_pad(FRAMES, v), "steps", 0),
     ("ReadoutConfig-epochs", lambda v: ReadoutConfig(epochs=v), "epochs", 0),
     ("write_dataset-limit",

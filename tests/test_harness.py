@@ -32,7 +32,7 @@ from lsmkit import (
     save_config,
 )
 from lsmkit.config import FIELDS_READ, from_dict, to_dict
-from lsmkit.eventio import read_events, write_events
+from lsmkit.eventio import read_events, write_dataset, write_events
 from lsmkit.events import bin_events
 from lsmkit.harness import (
     Manifest,
@@ -381,16 +381,38 @@ class TestBatching:
         return replace(wl.load_config(manifest_path, out), output_dir=None), manifest_path
 
     @pytest.mark.parametrize(
-        "workload, batch", [("synth", 37), ("shd", 8), ("gabor", 2)]
+        "workload, batch", [("synth", 37), ("shd", 8), ("gabor", 2), ("pooled", 2)]
     )
     def test_engine_call_stays_within_the_model(
         self, tmp_path, shd_stand_in, workload, batch
     ):
         """The model is checked, not assumed: one engine call on a full
-        batch at synth-tepre3 geometry, with and without a Gabor bank, and
-        on all 8 files of the shd stand-in, which its batch of 9 holds in
-        one call, traces no more than ``call_bytes``, plus a fixed margin."""
-        if workload in ("synth", "gabor"):
+        batch at synth-tepre3 geometry, with and without a Gabor bank, on
+        all 8 files of the shd stand-in, which its batch of 9 holds in one
+        call, and on a full batch of two dvs-shaped files pooled by 2 (one
+        file's full-resolution frames alone would be twice the model's
+        front end), traces no more than ``call_bytes``, plus a fixed
+        margin."""
+        if workload == "pooled":  # dvsgesture_rf.json with a small reservoir
+            rng = np.random.default_rng(5)
+            n, window, steps = 100_000, 20_000, 300
+            streams = [
+                EventStream(
+                    t=np.sort(rng.integers(0, steps * window, n)),
+                    x=rng.integers(0, 128, n), y=rng.integers(0, 128, n),
+                    p=rng.integers(0, 2, n), width=128, height=128, label=label,
+                )
+                for label in range(batch)
+            ]
+            splits = {"train": streams, "test": streams[:1]}
+            manifest_path = write_dataset(tmp_path, 128, 128, 2, splits)
+            cfg = load_config(self.CONFIG_DIR / "dvsgesture_rf.json")
+            cfg = replace(
+                cfg, dataset_manifest=str(manifest_path), output_dir=None,
+                ensemble=replace(cfg.ensemble, member_dims=(6, 6, 4)),
+            )
+            assert cfg.preprocessing.downscale == 2
+        elif workload in ("synth", "gabor"):
             cfg = load_config(self.CONFIG_DIR / "synthetic_tepre3.json")
             params = MultiPhaseParams(n_classes=4, n_train=37, n_test=2, seed=7)
             manifest_path = generate_multiphase(params, tmp_path)

@@ -5,13 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
-from scipy import signal
+from scipy import signal, sparse
 
 from lsmkit import (
     ConfigError,
     EventStream,
+    ExperimentConfig,
     FrameSequence,
+    PreprocessingConfig,
     bin_events,
     clip_or_pad,
     downscale,
@@ -19,7 +20,6 @@ from lsmkit import (
     gabor_bank,
     merge_channels,
 )
-from lsmkit.events import POOL_BLOCK_STEPS
 from lsmkit.eventio import (
     read_csv_events,
     read_events,
@@ -27,6 +27,7 @@ from lsmkit.eventio import (
     write_events,
 )
 from lsmkit.gabor import N_KERNELS, WAVELENGTHS, build_bank
+from lsmkit.harness import Manifest, frame_geometry, preprocess_stream
 
 
 def stream_of(records, width=4, height=4, label=None):
@@ -116,95 +117,131 @@ class TestBinning:
             )
 
 
+def full_resolution_rates(stream, time_window, channels, factor, merge, gabor, steps):
+    """The front end written out the long way: bin at full resolution with
+    ``np.add.at``, block-sum the frames in one 6-D reduction, then merge,
+    filter and clip."""
+    h, w = stream.height, stream.width
+    t0 = stream.t[0] if stream.n_events else 0
+    frame_idx = (stream.t - t0) // time_window
+    t = int(frame_idx.max(initial=-1)) + 1
+    frames = np.zeros((t, channels, h, w), dtype=np.int64)
+    np.add.at(frames, (frame_idx, stream.p, stream.y, stream.x), 1)
+    blocks = frames.reshape(t, channels, h // factor, factor, w // factor, factor)
+    seq = FrameSequence(blocks.sum(axis=(3, 5)))
+    if merge and channels > 1:
+        seq = merge_channels(seq)
+    if gabor:
+        seq = gabor_bank(seq)
+    return clip_or_pad(seq, steps).flat().astype(np.float64)
+
+
 class TestDownscale:
-    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
-    @given(
-        st.tuples(
-            st.integers(1, 4),  # factor
-            st.integers(0, 3),  # steps
-            st.integers(1, 2),  # channels
-            st.integers(1, 4),  # cells down
-            st.integers(1, 4),  # cells across
-        ).flatmap(
-            lambda d: st.tuples(
-                st.just(d[0]),
-                arrays(
-                    np.int64,
-                    (d[1], d[2], d[0] * d[3], d[0] * d[4]),
-                    elements=st.integers(0, 1000),
-                ),
-            )
-        )
-    )
-    def test_total_preserved(self, factor_and_frames):
-        factor, frames = factor_and_frames
-        out = downscale(FrameSequence(frames), factor)
-        t, c, h, w = frames.shape
-        assert out.frames.shape == (t, c, h // factor, w // factor)
-        assert out.frames.sum() == frames.sum()
-        assert np.array_equal(out.frames.sum(axis=(2, 3)), frames.sum(axis=(2, 3)))
-
-    def test_zero_frames(self):
-        seq = FrameSequence(np.zeros((2, 1, 8, 8), dtype=int))
-        assert downscale(seq, 4).frames.sum() == 0
-
-    def test_single_count_lands_in_scaled_cell(self):
-        frames = np.zeros((1, 1, 8, 8), dtype=int)
-        frames[0, 0, 5, 3] = 1
-        out = downscale(FrameSequence(frames), 2)
-        assert out.frames[0, 0, 2, 1] == 1
-        assert out.frames.sum() == 1
-
-    def test_indivisible_rejected(self):
-        seq = FrameSequence(np.zeros((1, 1, 9, 9), dtype=int))
-        with pytest.raises(ConfigError):
-            downscale(seq, 2)
+    """Pooling acts on the events, before binning: each event moves to its
+    cell of a sensor ``factor`` times smaller on each side."""
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
-    @given(
-        st.tuples(
-            st.integers(1, 4),  # factor
-            # none, under one block, past two blocks with a ragged last one
-            st.one_of(
-                st.just(0),
-                st.integers(1, POOL_BLOCK_STEPS - 1),
-                st.integers(2 * POOL_BLOCK_STEPS + 1, 3 * POOL_BLOCK_STEPS - 1),
-            ),
-            st.integers(1, 2),  # channels
-            st.integers(1, 3),  # cells down
-            st.integers(1, 3),  # cells across
-            st.sampled_from([np.int64, np.int32, np.uint8, np.bool_]),
-        ).flatmap(
-            lambda d: st.tuples(
-                st.just(d[0]),
-                arrays(d[5], (d[1], d[2], d[0] * d[3], d[0] * d[4])),
+    @given(st.data(), st.integers(100, 1_000), st.integers(1, 40))
+    def test_front_end_equals_full_resolution_reference(self, data, time_window, steps):
+        factor, channels = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 2))
+        merge, gabor = data.draw(st.booleans()), data.draw(st.booleans())
+        cells = st.integers(7, 9) if gabor else st.integers(1, 4)  # Gabor kernels are 7x7
+        height, width = factor * data.draw(cells), factor * data.draw(cells)
+        events = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 6_000),
+                    st.integers(0, width - 1),
+                    st.integers(0, height - 1),
+                    st.integers(0, channels - 1),
+                ),
+                max_size=150,
             )
         )
-    )
-    @example((2, np.ones((1, 1, 2, 2), dtype=bool)))  # added, not ORed
-    def test_equals_one_reduction(self, factor_and_frames):
-        # the single 6-D reduction pooling used to be, in values and dtype
-        factor, frames = factor_and_frames
-        t, c, h, w = frames.shape
-        blocks = frames.reshape(t, c, h // factor, factor, w // factor, factor)
-        expected = frames if factor == 1 else blocks.sum(axis=(3, 5))
-        out = downscale(FrameSequence(frames), factor).frames
-        assert out.dtype == expected.dtype
-        assert np.array_equal(out, expected)
+        events.sort(key=lambda e: e[0])
+        stream = stream_of(events, width=width, height=height)
+        cfg = ExperimentConfig(
+            dataset_manifest="unused",
+            preprocessing=PreprocessingConfig(
+                time_window=time_window, downscale=factor, gabor=gabor,
+                merge_polarities=merge, steps=steps,
+            ),
+        )
+        rates = preprocess_stream(stream, cfg, channels)
+        got = rates.toarray() if sparse.issparse(rates) else rates
+        want = full_resolution_rates(
+            stream, time_window, channels, factor, merge, gabor, steps
+        )
+        assert got.dtype == want.dtype == np.float64
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
-    def test_allocates_only_the_output_and_a_block(self):
-        # a dvs-shaped sequence: a whole-array temporary (even a half-size
-        # one, 39 MB) would show, a block of rows (1 MiB) does not
-        frames = np.zeros((300, 2, 128, 128), dtype=np.int64)
+    def test_empty_stream(self):
+        empty = EventStream([], [], [], [], width=8, height=4, label=3)
+        small = downscale(empty, 4)
+        assert (small.n_events, small.width, small.height, small.label) == (0, 2, 1, 3)
+        assert bin_events(small, 1000).frames.shape == (0, 2, 1, 2)
+
+    def test_factor_one_is_the_stream(self):
+        stream = stream_of([(0, 1, 2, 1)])
+        assert downscale(stream, 1) is stream
+
+    def test_single_event_lands_in_scaled_cell(self):
+        small = downscale(stream_of([(0, 3, 5, 1)], width=8, height=8), 2)
+        frames = bin_events(small, 1000).frames
+        assert frames.shape == (1, 2, 4, 4)
+        assert frames[0, 1, 2, 1] == 1
+        assert frames.sum() == 1
+
+    def test_time_polarity_and_label_kept(self):
+        stream = stream_of(
+            [(0, 0, 0, 0), (7, 5, 3, 1), (7, 2, 5, 0), (40, 5, 5, 1)],
+            width=6, height=6, label=4,
+        )
+        small = downscale(stream, 3)
+        assert np.array_equal(small.t, stream.t)
+        assert np.array_equal(small.p, stream.p)
+        assert small.label == 4
+        assert np.array_equal(small.x, [0, 1, 0, 1])
+        assert np.array_equal(small.y, [0, 1, 1, 1])
+        assert (small.width, small.height) == (2, 2)
+
+    def test_indivisible_rejected(self):
+        with pytest.raises(ConfigError, match="sensor 8x9 not divisible by factor 2"):
+            downscale(stream_of([], width=9, height=8), 2)
+        # at load, before any reservoir is built
+        cfg = ExperimentConfig(
+            dataset_manifest="unused", preprocessing=PreprocessingConfig(downscale=2, steps=10),
+        )
+        with pytest.raises(ConfigError, match="not divisible by factor 2"):
+            frame_geometry(cfg, Manifest(9, 8, 2, [], []))
+
+    def test_front_end_never_makes_full_resolution_frames(self):
+        # a dvs-shaped stream: 128x128x2, events over all 300 steps of 20 ms,
+        # pooled by 2, whose full-resolution frames would take 78.6 MB
+        rng = np.random.default_rng(3)
+        n, window, steps = 100_000, 20_000, 300
+        stream = EventStream(
+            t=np.sort(rng.integers(0, steps * window, n)),
+            x=rng.integers(0, 128, n), y=rng.integers(0, 128, n),
+            p=rng.integers(0, 2, n), width=128, height=128,
+        )
+        cfg = ExperimentConfig(
+            dataset_manifest="unused",
+            preprocessing=PreprocessingConfig(
+                time_window=window, downscale=2, merge_polarities=False, steps=steps,
+            ),
+        )
+        pooled = steps * 2 * 64 * 64 * 8
         tracemalloc.start()
         try:
-            before = tracemalloc.get_traced_memory()[0]
-            out = downscale(FrameSequence(frames), 2).frames
-            peak = tracemalloc.get_traced_memory()[1] - before
+            rates = preprocess_stream(stream, cfg, 2)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.shape == (300, 2, 64, 64)
-        assert peak <= out.nbytes + 4 * 2**20
+        assert rates.shape == (steps, 2 * 64 * 64)
+        assert rates.sum() == n
+        assert peak <= pooled + 8 * 2**20 < 4 * pooled
 
 
 def brute_force_correlate(frame, kernel):
