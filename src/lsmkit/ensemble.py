@@ -20,9 +20,10 @@ batch of equal-length samples at once, counting spikes as it goes.  A
 multi-length-scale ensemble is that population with ungated drive and no
 links; a temporal one gates each member's block to its slab and adds the
 inter-partition links.  The drive is mapped as the loop reaches it, at most
-``DRIVE_BLOCK_STEPS`` steps at a time, so a run holds one block's window
-copy and drive however long its slabs are.  The counts are cut per sample
-and member.
+``DRIVE_BLOCK_STEPS`` steps at a time, into one block per member that each
+step copies into one step buffer, so a run holds one block's window copy
+and drive however long its slabs are.  The counts are cut per sample and
+member.
 """
 
 from __future__ import annotations
@@ -110,7 +111,10 @@ def _batch_shape(rates) -> tuple[int, int]:
 
 # Steps a slab's drive is mapped in at a time: a block's window copy and
 # drive are what an open slab holds, whatever its length.  Each output sums
-# its terms per step, so the block size bounds memory only.
+# its terms per step, so the block size bounds memory only.  Nor does it
+# move the Gabor bank's page faults, whose FFT temporaries lift glibc's mmap
+# threshold (on nmnist-mulre3, 3-6k minor faults per bank call with 50-step
+# blocks or whole slabs, 39k with the threshold pinned at 128 KiB).
 DRIVE_BLOCK_STEPS = 50
 
 
@@ -122,54 +126,37 @@ def gated_drive(samples, members, offsets, slabs, l1=None):
     map ``samples``, a list of B (T, n_inputs) rate matrices (sparse ones
     canonical CSR), through their input maps and are driven only inside
     [start, end).  A slab's drive is mapped in blocks of at most
-    ``DRIVE_BLOCK_STEPS`` steps as the loop reaches them, each dropped
-    before the next is mapped, and its rows are zeroed as it closes; each
-    step reuses one buffer.  A given ``l1[r, b]`` gets the (T,) L1 norm of
-    member r's drive into b.
+    ``DRIVE_BLOCK_STEPS`` steps as the loop reaches them: every member maps
+    one input-major copy of the block's rates into its own (neurons, steps,
+    B) block, and each step copies each block's column into its member's
+    rows of the one step buffer.  The window goes once mapped, the blocks
+    before the next window is made; a slab's rows are zeroed as it closes.
+    A given ``l1[r, b]`` gets the (T,) L1 norm of member r's drive into b.
     """
-    buffer = np.zeros((offsets[-1], len(samples)))
+    batch = len(samples)
+    buffer = np.zeros((offsets[-1], batch))
     for start, end, first, last in slabs:
-        rows = buffer[offsets[first] : offsets[last]]
+        targets = [buffer[offsets[r] : offsets[r + 1]] for r in range(first, last)]
         for lo in range(start, end, DRIVE_BLOCK_STEPS):
             hi = min(lo + DRIVE_BLOCK_STEPS, end)
-            values = _map_slab(samples, members, offsets, l1, lo, hi, first, last)
+            # rows ordered (step, sample): one mapping call drives the batch
+            window = _window(samples, lo, hi)
+            blocks = [
+                drive_through_map(window, members[r][1]).T.reshape(-1, hi - lo, batch)
+                for r in range(first, last)
+            ]
+            del window
+            if l1 is not None:  # each step's norm summed over a contiguous row
+                for r in range(first, last):
+                    l1[r, :, lo:hi] = np.abs(
+                        np.ascontiguousarray(blocks[r - first].transpose(2, 1, 0))
+                    ).sum(axis=2)
             for t in range(hi - lo):
-                rows[...] = values[:, t]
+                for target, block in zip(targets, blocks):
+                    target[...] = block[:, t]
                 yield buffer
-            del values  # dropped before the next block is mapped
-        rows[...] = 0.0
-
-
-def _map_slab(samples, members, offsets, l1, start, end, first, last) -> np.ndarray:
-    """The (neurons, end - start, B) drive of members ``first`` to ``last - 1``
-    over steps [start, end) of their slab."""
-    # rows ordered (step, sample): one mapping call drives the whole batch;
-    # one input-major copy of the window serves every member of the slab
-    window = _window(samples, start, end)
-    base, shape = offsets[first], (-1, end - start, len(samples))
-    mapped = (
-        drive_through_map(window, members[r][1]).T.reshape(shape)
-        for r in range(first, last)
-    )
-    # Members sharing a slab share one block, so a step is one copy.  The
-    # Gabor bank's page faults do not hinge on this block's size: the bank's
-    # own FFT temporaries lift glibc's adaptive mmap threshold in its first
-    # call (on nmnist-mulre3, 3-6k minor faults per call in the bank with
-    # 50-step blocks or whole slabs, 39k with the threshold pinned at
-    # 128 KiB; counted with getrusage).
-    if last - first == 1:
-        values = next(mapped)
-    else:  # filled member by member: one mapped block at a time beside it
-        values = np.empty((offsets[last] - base,) + shape[1:])
-        for r, block in zip(range(first, last), mapped):
-            values[offsets[r] - base : offsets[r + 1] - base] = block
-    if l1 is not None:
-        for r in range(first, last):
-            block = values[offsets[r] - base : offsets[r + 1] - base]
-            # each step's norm summed over a contiguous row, as for one sample
-            rows = np.ascontiguousarray(block.transpose(2, 1, 0))
-            l1[r, :, start:end] = np.abs(rows).sum(axis=2)
-    return values
+            del blocks, block  # the loop's name too: no block outlives its turn
+        buffer[offsets[first] : offsets[last]] = 0.0
 
 
 def _canonical(sample):
@@ -254,11 +241,10 @@ def _loop(weights, drive, shape, params, links, bounds, record_raster):
 def _run_stacked(
     rates,
     members: list[tuple[ReservoirTopology, InputMap]],
-    slabs: list[tuple[int, int, int, int]],
+    intervals: tuple[tuple[int, int], ...] | None,
     inter_links: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     params: NeuronParams,
     *,
-    count_slabs: bool = False,
     record_raster: bool = False,
     record_drive: bool = False,
 ) -> list:
@@ -267,12 +253,11 @@ def _run_stacked(
     ``rates`` is one sample's (T, n_inputs) input rates, dense or sparse,
     or a list of B such matrices; the result is then one list of member
     records per sample.
-    Member r owns one block of neurons.  ``slabs`` tile [0, T) in order as
-    (start, end, first member, last member + 1); a slab's members are
-    driven only inside it, and its drive is mapped a block of steps at a
-    time as the loop reaches it.
-    With ``count_slabs`` each member owns the slab of its own index and its
-    record counts the spikes inside it.
+    Member r owns one block of neurons.  With ``intervals`` None one slab
+    over [0, T) drives every member; otherwise member r is driven only
+    inside ``intervals[r]``, the half-open slabs tiling [0, T) in order,
+    and its record counts the spikes inside it.  :func:`gated_drive` maps
+    each slab's drive a block of steps at a time as the loop reaches it.
     Member weights sit on the diagonal of one block-diagonal matrix; each
     r -> r+1 ``inter_links`` triple is offset into the block below it.
     """
@@ -287,9 +272,14 @@ def _run_stacked(
     offsets = np.cumsum([0] + [topo.size for topo, _ in members])
     n = int(offsets[-1])  # neurons in the stacked population
     l1 = np.zeros((len(members), batch, steps)) if record_drive else None
+    if intervals is None:
+        slabs = [(0, steps, 0, len(members))]
+    else:
+        slabs = [(start, end, r, r + 1) for r, (start, end) in enumerate(intervals)]
     drive = gated_drive(samples, members, offsets, slabs, l1)
-    # the first block is mapped before the weights are built, which lowers
-    # the peak
+    # the first block is mapped before the weights are built: no traced peak
+    # moves, but on shd-tepre6 it saved up to 15k minor faults and 5% of
+    # samples/s per call (getrusage; 4 alternating perfbench pairs)
     drive = chain([next(drive)], drive)
     weights = sparse.block_diag(
         [topo.weight_matrix() for topo, _ in members], format="csr"
@@ -300,18 +290,18 @@ def _run_stacked(
         dst = np.concatenate([d + offsets[r + 1] for r, (_, d, _) in enumerate(inter_links)])
         weight = np.concatenate([w for _, _, w in inter_links])
         links = sparse.csr_matrix((weight, (dst, src)), shape=(n, n))
-    bounds = [start for start, _, _, _ in slabs] if count_slabs else ()
+    bounds = () if intervals is None else [start for start, _ in intervals]
     at, raster = _loop(
         weights, drive, (steps, n, batch), params, links, bounds, record_raster
     )
     cuts = list(zip(offsets[:-1], offsets[1:]))
-    if count_slabs:  # one (neurons, B) difference per member, a column per sample
-        inside = [at[s[1]][lo:hi] - at[s[0]][lo:hi] for s, (lo, hi) in zip(slabs, cuts)]
+    if intervals is not None:  # one (neurons, B) difference per member
+        inside = [at[e][lo:hi] - at[s][lo:hi] for (s, e), (lo, hi) in zip(intervals, cuts)]
     samples = [
         [
             SpikeRecord(
                 counts=at[steps][lo:hi, b],
-                slab_counts=inside[r][:, b] if count_slabs else None,
+                slab_counts=None if intervals is None else inside[r][:, b],
                 raster=raster[:, lo:hi, b] if record_raster else None,
                 drive_l1=l1[r, b] if record_drive else None,
             )
@@ -338,8 +328,7 @@ def run_mulre(
     list of member records per sample, each bit-identical to that sample's
     own call.
     """
-    slabs = [(0, _batch_shape(rates)[0], 0, len(members))]
-    return _run_stacked(rates, members, slabs, [], params, record_raster=record_raster)
+    return _run_stacked(rates, members, None, [], params, record_raster=record_raster)
 
 
 def check_inter_links(inter_density: float, inter_weight: float) -> None:
@@ -412,8 +401,7 @@ def run_tepre(
         raise ConfigError(
             f"{steps} input steps do not match a {schedule.steps}-step schedule"
         )
-    slabs = [(start, end, r, r + 1) for r, (start, end) in enumerate(schedule.intervals)]
     return _run_stacked(
-        rates, members, slabs, inter_links, params,
-        count_slabs=True, record_raster=record_raster, record_drive=record_drive,
+        rates, members, schedule.intervals, inter_links, params,
+        record_raster=record_raster, record_drive=record_drive,
     )

@@ -35,12 +35,15 @@ class EventStream:
     label: int | None = None
 
     def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=np.int64)
-        self.x = np.asarray(self.x, dtype=np.int64)
-        self.y = np.asarray(self.y, dtype=np.int64)
-        self.p = np.asarray(self.p, dtype=np.int64)
+        for name in ("t", "x", "y", "p"):
+            field = np.asarray(getattr(self, name))
+            if field.size and field.dtype.kind not in "iu":
+                raise TypeError(f"event {name} must be integers, not {field.dtype}")
+            setattr(self, name, np.asarray(field, dtype=np.int64))
         check_int("width", self.width)
         check_int("height", self.height)
+        if self.label is not None:
+            check_int("label", self.label, low=0)
         n = self.t.shape[0]
         if not (self.x.shape[0] == self.y.shape[0] == self.p.shape[0] == n):
             raise ConfigError("event field arrays must have equal length")

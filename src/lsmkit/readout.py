@@ -122,6 +122,18 @@ def loss_and_gradients(
     return loss, grad_w, grad_b
 
 
+def _labelled(data) -> tuple[np.ndarray, np.ndarray]:
+    """Features as a float64 (samples, features) array and one int64 label
+    per row, or a ``DatasetError``."""
+    x, y = data
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.int64)
+    if x.ndim != 2 or y.shape != (x.shape[0],):
+        raise DatasetError(
+            f"need 2-D features and one label per row, not shapes {x.shape} and {y.shape}"
+        )
+    return x, y
+
+
 def train_readout(
     train: tuple[np.ndarray, np.ndarray],
     config: ReadoutConfig = ReadoutConfig(),
@@ -134,9 +146,7 @@ def train_readout(
     which in the model's ``fit``.  The step is halved until the loss
     decreases, so the loss trajectory is non-increasing.
     """
-    x, y = train
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    x, y = _labelled(train)
     if not np.isfinite(x).all():
         raise DatasetError("non-finite feature values")
     classes = np.unique(y)
@@ -184,9 +194,7 @@ def evaluate(
     model: ReadoutModel,
     test: tuple[np.ndarray, np.ndarray],
 ) -> EvalMetrics:
-    x, y = test
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    x, y = _labelled(test)
     if x.shape[0] == 0:
         raise DatasetError("empty evaluation set")
     predicted = model.predict(x)

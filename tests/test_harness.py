@@ -966,7 +966,7 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "row, flags, message",
-        [("5,1,1,0", ["--label", "-1"], "error: header label = -1"),
+        [("5,1,1,0", ["--label", "-1"], "error: label must be >= 0, not -1"),
          ("-5,1,1,0", [], "error: event t = -5 is negative")],
         ids=["negative-label", "negative-time"],
     )

@@ -116,6 +116,25 @@ class TestBinning:
                 time_window=1000,
             )
 
+    @pytest.mark.parametrize(
+        "field, error, message",
+        [(dict(t=np.array([0, 1500.7])), TypeError, "event t must be integers, not float64"),
+         (dict(x=[0.2, 3.9]), TypeError, "event x must be integers, not float64"),
+         (dict(y=[0, 0.0]), TypeError, "event y must be integers, not float64"),
+         (dict(p=[False, True]), TypeError, "event p must be integers, not bool"),
+         (dict(label=1.7), TypeError, "label must be an integer, not 1.7"),
+         (dict(label=True), TypeError, "label must be an integer, not True"),
+         (dict(label=-1), ConfigError, "label must be >= 0, not -1")],
+        ids=["t-fraction", "x-fraction", "y-float", "p-bool", "label-fraction",
+             "label-bool", "label-negative"],
+    )
+    def test_non_integer_field_rejected(self, field, error, message):
+        # each would otherwise be cast: t 1500.7 to 1500, x 3.9 to 3, and
+        # labels 1.7 and True written to EVS1 and read back as 1
+        events = dict(t=[0, 1500], x=[0, 3], y=[0, 0], p=[0, 1], label=None)
+        with pytest.raises(error, match=re.escape(message)):
+            EventStream(width=4, height=1, **{**events, **field})
+
 
 def full_resolution_rates(stream, time_window, channels, factor, merge, gabor, steps):
     """The front end written out the long way: bin at full resolution with
@@ -575,10 +594,9 @@ class TestEventFiles:
         "header, message",
         [(dict(width=2**32), "header width = 4294967296"),
          (dict(height=2**32), "header height = 4294967296"),
-         (dict(label=-1), "header label = -1"),
          (dict(label=2**32), "header label = 4294967296"),
          (dict(label=0xFFFFFFFF), "label 4294967295 is reserved")],
-        ids=["width", "height", "label-negative", "label-too-big", "label-reserved"],
+        ids=["width", "height", "label-too-big", "label-reserved"],
     )
     def test_header_field_outside_u32_rejected(self, tmp_path, header, message):
         # the header packs width, height and label as u32; 0xFFFFFFFF

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,29 @@ class TestTraining:
         x = np.full((4, 3), np.nan)
         with pytest.raises(DatasetError):
             train_readout((x, np.array([0, 1, 0, 1])))
+
+    @pytest.mark.parametrize("fit", [True, False], ids=["train", "evaluate"])
+    @pytest.mark.parametrize(
+        "cut, match",
+        [
+            (lambda x, y: (x[:1], y), "(1, 3) and (4,)"),
+            (lambda x, y: (x, y[:1]), "(4, 3) and (1,)"),
+            (lambda x, y: (x[0], y), "(3,) and (4,)"),
+            (lambda x, y: (x[None], y), "(1, 4, 3) and (4,)"),
+            (lambda x, y: (x, y[:, None]), "(4, 3) and (4, 1)"),
+        ],
+        ids=["one-row", "one-label", "1-d-features", "3-d-features", "2-d-labels"],
+    )
+    def test_rows_and_labels_must_match(self, fit, cut, match):
+        """Otherwise ``evaluate`` on one row and four labels gives accuracy
+        2.0, and on four rows and one label 0.5; ``train_readout`` raises
+        NumPy's own errors."""
+        x = np.array([[1.0, 0, 0], [0, 1, 0], [1, 0, 0], [0, 1, 0]])
+        y = np.array([0, 1, 0, 1])
+        model = train_readout((x, y), ReadoutConfig(epochs=20))
+        message = "need 2-D features and one label per row, not shapes " + match
+        with pytest.raises(DatasetError, match=re.escape(message)):
+            train_readout(cut(x, y)) if fit else evaluate(model, cut(x, y))
 
     def test_feature_scaling_guards_zero_columns(self):
         x = np.zeros((20, 5))
