@@ -21,7 +21,7 @@ WIDTH = 34
 HEIGHT = 34
 
 
-def read_bin(path) -> EventStream:
+def read_bin(path, label: int | None = None) -> EventStream:
     raw = np.fromfile(path, dtype=np.uint8)
     if raw.size % 5:
         raise DatasetError(f"{path}: length not a multiple of 5 bytes")
@@ -33,7 +33,7 @@ def read_bin(path) -> EventStream:
     order = np.argsort(t, kind="stable")
     return EventStream(
         t=t[order], x=x[order], y=y[order], p=p[order],
-        width=WIDTH, height=HEIGHT,
+        width=WIDTH, height=HEIGHT, label=label,
     )
 
 
@@ -48,9 +48,7 @@ def read_split(src: Path):
         for bin_path in filter(None, row):
             if not bin_path.parent.name.isdecimal():
                 raise DatasetError(f"{bin_path.parent}: class folder is not a digit")
-            stream = read_bin(bin_path)
-            stream.label = int(bin_path.parent.name)
-            yield stream
+            yield read_bin(bin_path, int(bin_path.parent.name))
 
 
 def convert(raw_dir, out_dir, limit_per_split: int | None = None) -> Path:

@@ -152,10 +152,10 @@ def gated_drive(samples, members, offsets, slabs, l1=None):
                         np.ascontiguousarray(blocks[r - first].transpose(2, 1, 0))
                     ).sum(axis=2)
             for t in range(hi - lo):
-                for target, block in zip(targets, blocks):
-                    target[...] = block[:, t]
+                for i, target in enumerate(targets):
+                    target[...] = blocks[i][:, t]
                 yield buffer
-            del blocks, block  # the loop's name too: no block outlives its turn
+            del blocks
         buffer[offsets[first] : offsets[last]] = 0.0
 
 

@@ -36,6 +36,8 @@ class TestNmnist:
         assert stream.x.tolist() == x
         assert stream.y.tolist() == y
         assert stream.p.tolist() == p
+        assert stream.label is None
+        assert nmnist.read_bin(path, 3).label == 3
 
     def write_raw(self, raw):
         for split in ("Train", "Test"):

@@ -594,14 +594,18 @@ class TestEventFiles:
         "header, message",
         [(dict(width=2**32), "header width = 4294967296"),
          (dict(height=2**32), "header height = 4294967296"),
+         (dict(label=-1), "header label = -1"),
          (dict(label=2**32), "header label = 4294967296"),
          (dict(label=0xFFFFFFFF), "label 4294967295 is reserved")],
-        ids=["width", "height", "label-too-big", "label-reserved"],
+        ids=["width", "height", "label-negative", "label-too-big", "label-reserved"],
     )
     def test_header_field_outside_u32_rejected(self, tmp_path, header, message):
         # the header packs width, height and label as u32; 0xFFFFFFFF
-        # already means "no label"
-        stream = stream_of([], **{"width": 2, "height": 2, **header})
+        # already means "no label".  The field is set after construction,
+        # which the stream's own checks never see, so the writer must refuse it
+        stream = stream_of([], width=2, height=2)
+        for name, value in header.items():
+            setattr(stream, name, value)
         path = tmp_path / "header.evs"
         with pytest.raises(ConfigError, match=message):
             write_events(stream, path)
