@@ -13,7 +13,6 @@ from lsmkit import (
     EventStream,
     bin_events,
     downscale,
-    frames_to_spike_drive,
     gabor_bank,
     merge_channels,
 )
@@ -58,6 +57,6 @@ print(f"peak response per orientation at step {frame_idx}:")
 for k, peak in enumerate(per_orientation):
     print(f"  theta = {30 * k:>3} deg: {peak:8.3f}" + ("   <-- aligned" if k == 0 else ""))
 
-drive = frames_to_spike_drive(filtered)
+drive = filtered.flat()
 print(f"drive matrix: {drive.shape[0]} steps x {drive.shape[1]} input neurons")
 print("each row is one simulation step's analog input rates")

@@ -34,7 +34,6 @@ from .events import (
     bin_events,
     clip_or_pad,
     downscale,
-    frames_to_spike_drive,
     merge_channels,
 )
 from .gabor import build_bank, gabor_bank, gabor_kernel

@@ -22,8 +22,9 @@ links; a temporal one gates each member's block to its slab and adds the
 inter-partition links.  The drive is mapped as the loop reaches it, at most
 ``DRIVE_BLOCK_STEPS`` steps at a time, into one block per member that each
 step copies into one step buffer, so a run holds one block's window copy
-and drive however long its slabs are.  The counts are cut per sample and
-member.
+and drive however long its slabs are.  A caller may expand each window
+first, row by row: the harness filters count frames with a Gabor bank that
+way, one block at a time.  The counts are cut per sample and member.
 """
 
 from __future__ import annotations
@@ -109,29 +110,34 @@ def _batch_shape(rates) -> tuple[int, int]:
     return next(iter(shapes))[0], len(samples)
 
 
-# Steps a slab's drive is mapped in at a time: a block's window copy and
-# drive are what an open slab holds, whatever its length.  Each output sums
-# its terms per step, so the block size bounds memory only.  Nor does it
-# move the Gabor bank's page faults, whose FFT temporaries lift glibc's mmap
-# threshold (on nmnist-mulre3, 3-6k minor faults per bank call with 50-step
-# blocks or whole slabs, 39k with the threshold pinned at 128 KiB).
+# Steps a slab's drive is mapped in at a time: a block's window copy, its
+# expansion and its drive are what an open slab holds, whatever its length.
+# Each output sums its terms per step and an expansion acts row by row, so
+# the block size bounds memory only.  A Gabor bank run per block reuses
+# freed pages: on the nmnist-mulre3 stand-in a bank call takes 0 minor
+# faults at the median and about 500 in the first two calls of a process,
+# against a median of 3.2k and up to 6k per whole-sample call before
+# (getrusage around each call, 2 runs of 6 samples).
 DRIVE_BLOCK_STEPS = 50
 
 
-def gated_drive(samples, members, offsets, slabs, l1=None):
+def gated_drive(samples, members, offsets, slabs, l1=None, expand=None):
     """Yield each step's (N, B) injected current of B samples stepped together.
 
     ``slabs`` tile [0, T) in order as (start, end, first member, last
     member + 1): those members, whose neuron blocks start at ``offsets``,
-    map ``samples``, a list of B (T, n_inputs) rate matrices (sparse ones
+    map ``samples``, a list of B (T, n) rate matrices (sparse ones
     canonical CSR), through their input maps and are driven only inside
     [start, end).  A slab's drive is mapped in blocks of at most
     ``DRIVE_BLOCK_STEPS`` steps as the loop reaches them: every member maps
     one input-major copy of the block's rates into its own (neurons, steps,
     B) block, and each step copies each block's column into its member's
-    rows of the one step buffer.  The window goes once mapped, the blocks
-    before the next window is made; a slab's rows are zeroed as it closes.
-    A given ``l1[r, b]`` gets the (T,) L1 norm of member r's drive into b.
+    rows of the one step buffer.  A given ``expand`` turns that (S * B, n)
+    window into the F-ordered (S * B, n_inputs) one the members map, row by
+    row, so that no row depends on the block it falls in.  The window goes
+    once mapped, the blocks before the next window is made; a slab's rows
+    are zeroed as it closes.  A given ``l1[r, b]`` gets the (T,) L1 norm of
+    member r's drive into b.
     """
     batch = len(samples)
     buffer = np.zeros((offsets[-1], batch))
@@ -141,6 +147,8 @@ def gated_drive(samples, members, offsets, slabs, l1=None):
             hi = min(lo + DRIVE_BLOCK_STEPS, end)
             # rows ordered (step, sample): one mapping call drives the batch
             window = _window(samples, lo, hi)
+            if expand is not None:
+                window = expand(window)
             blocks = [
                 drive_through_map(window, members[r][1]).T.reshape(-1, hi - lo, batch)
                 for r in range(first, last)
@@ -247,12 +255,14 @@ def _run_stacked(
     *,
     record_raster: bool = False,
     record_drive: bool = False,
+    expand=None,
 ) -> list:
     """Step the members as one population and cut its record per member.
 
     ``rates`` is one sample's (T, n_inputs) input rates, dense or sparse,
     or a list of B such matrices; the result is then one list of member
-    records per sample.
+    records per sample.  With ``expand`` the rates are (T, n) and each
+    drive block's window goes through it first (see :func:`gated_drive`).
     Member r owns one block of neurons.  With ``intervals`` None one slab
     over [0, T) drives every member; otherwise member r is driven only
     inside ``intervals[r]``, the half-open slabs tiling [0, T) in order,
@@ -276,7 +286,7 @@ def _run_stacked(
         slabs = [(0, steps, 0, len(members))]
     else:
         slabs = [(start, end, r, r + 1) for r, (start, end) in enumerate(intervals)]
-    drive = gated_drive(samples, members, offsets, slabs, l1)
+    drive = gated_drive(samples, members, offsets, slabs, l1, expand)
     # the first block is mapped before the weights are built: no traced peak
     # moves, but on shd-tepre6 it saved up to 15k minor faults and 5% of
     # samples/s per call (getrusage; 4 alternating perfbench pairs)
@@ -318,6 +328,7 @@ def run_mulre(
     params: NeuronParams,
     *,
     record_raster: bool = False,
+    expand=None,
 ) -> list[SpikeRecord]:
     """Simulate every ensemble member independently on the same input.
 
@@ -326,9 +337,12 @@ def run_mulre(
     wiring.  Members never interact, so zeroing one member's input silences
     only it.  A list of B samples' rates is stepped together and gives one
     list of member records per sample, each bit-identical to that sample's
-    own call.
+    own call.  A row-wise ``expand`` maps each drive block's (S * B, n)
+    window of (T, n) rates to the window of inputs (see :func:`gated_drive`).
     """
-    return _run_stacked(rates, members, None, [], params, record_raster=record_raster)
+    return _run_stacked(
+        rates, members, None, [], params, record_raster=record_raster, expand=expand
+    )
 
 
 def check_inter_links(inter_density: float, inter_weight: float) -> None:
@@ -379,6 +393,7 @@ def run_tepre(
     *,
     record_raster: bool = False,
     record_drive: bool = False,
+    expand=None,
 ) -> list[SpikeRecord]:
     """Lockstep simulation of all partitions with gated input injection.
 
@@ -386,8 +401,8 @@ def run_tepre(
     contains t; every partition's recurrent dynamics run for all T steps
     and spikes cross the inter-partition links with the standard one-step
     delay.  With no inter links the per-partition records are bit-identical
-    to independent runs on the gated drive.  ``rates`` takes the forms
-    :func:`run_mulre` takes.
+    to independent runs on the gated drive.  ``rates`` and ``expand`` take
+    the forms :func:`run_mulre` takes.
     """
     n_parts = len(members)
     if schedule.partitions != n_parts:
@@ -403,5 +418,5 @@ def run_tepre(
         )
     return _run_stacked(
         rates, members, schedule.intervals, inter_links, params,
-        record_raster=record_raster, record_drive=record_drive,
+        record_raster=record_raster, record_drive=record_drive, expand=expand,
     )

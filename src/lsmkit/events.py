@@ -1,4 +1,4 @@
-"""Event-stream preprocessing: pooling, temporal binning, spike drive.
+"""Event-stream preprocessing: pooling, temporal binning, fixed length.
 
 Raw neuromorphic data arrives as timestamped (t, x, y, polarity) events.
 The engine consumes them as per-timestep count frames: one frame per
@@ -153,13 +153,3 @@ def clip_or_pad(seq: FrameSequence, steps: int) -> FrameSequence:
     pad = np.zeros((steps - t,) + seq.frames.shape[1:], dtype=seq.frames.dtype)
     return FrameSequence(np.concatenate([seq.frames, pad], axis=0))
 
-
-def frames_to_spike_drive(seq: FrameSequence) -> np.ndarray:
-    """(T, n_inputs) analog rate vectors, one row per simulation step.
-
-    Each input neuron's drive at step t is its frame value; the ensemble
-    layer pushes it through an input map, whose edge weights set the drive
-    strength, into the synapse traces.  Float64 frames are passed through
-    without a copy.
-    """
-    return seq.flat().astype(np.float64, copy=False)

@@ -50,7 +50,22 @@ def build_bank() -> np.ndarray:
     )
 
 
-def gabor_bank(seq: FrameSequence) -> FrameSequence:
+def _fft_shape(height: int, width: int) -> list[int]:
+    """The fast real-FFT length of the full correlation along each axis."""
+    return [sp_fft.next_fast_len(n + SIZE - 1, True) for n in (height, width)]
+
+
+def bank_bytes(channels: int, height: int, width: int) -> int:
+    """Bytes :func:`gabor_bank` holds per frame of ``channels`` x ``height``
+    x ``width`` it filters, at most: the float64 copy of its input, its
+    rates, and its padded FFT arrays (the input, the spectrum and the next
+    channel's while that is made, the product, and the inverse)."""
+    fh, fw = _fft_shape(height, width)
+    spectrum = fh * (fw // 2 + 1) * 16
+    return 8 * channels * height * width * (1 + N_KERNELS) + 3 * spectrum + 2 * fh * fw * 8
+
+
+def gabor_bank(seq: FrameSequence, out: np.ndarray | None = None) -> FrameSequence:
     """Correlate every frame of every channel with the bank; rectify at zero.
 
     Each input channel is filtered separately, giving channels * N_KERNELS
@@ -58,18 +73,21 @@ def gabor_bank(seq: FrameSequence) -> FrameSequence:
     ``signal.fftconvolve(frames, flipped_kernel, mode="same")`` per channel
     and kernel: real FFTs of the full output's fast length, a product of
     spectra, one inverse FFT and the centred crop.  Each channel's spectrum
-    and each kernel's are computed once and shared across the bank.
+    and each kernel's are computed once and shared across the bank.  The
+    rates go into ``out`` if given, a float64 (T, channels * N_KERNELS, H,
+    W) array of any memory layout.
     """
     t, c, h, w = seq.frames.shape
     if SIZE > h or SIZE > w:
         raise ConfigError(f"kernel {SIZE} larger than frame {h}x{w}")
+    if out is None:
+        out = np.empty((t, c * N_KERNELS, h, w), dtype=np.float64)
     if t == 0:  # nothing to filter: skip the kernel spectra
-        return FrameSequence(np.zeros((0, c * N_KERNELS, h, w)))
-    fshape = [sp_fft.next_fast_len(n + SIZE - 1, True) for n in (h, w)]
+        return FrameSequence(out)
+    fshape = _fft_shape(h, w)
     # correlation = convolution with the flipped kernel
     kernels = sp_fft.rfftn(build_bank()[:, ::-1, ::-1], fshape, axes=(1, 2))
     lo = (SIZE - 1) // 2  # the centred crop of the full output
-    out = np.empty((t, c * N_KERNELS, h, w), dtype=np.float64)
     frames = seq.frames.astype(np.float64)
     product = np.empty((t,) + kernels.shape[1:], dtype=kernels.dtype)
     for ci in range(c):

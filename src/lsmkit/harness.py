@@ -16,12 +16,15 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy import sparse
 
 from . import eventio
@@ -41,10 +44,9 @@ from .events import (
     bin_events,
     clip_or_pad,
     downscale,
-    frames_to_spike_drive,
     merge_channels,
 )
-from .gabor import gabor_bank
+from .gabor import N_KERNELS, bank_bytes, gabor_bank
 from .inputs import (
     RECEPTIVE_FIELD,
     InputMap,
@@ -72,7 +74,7 @@ def inter_link_seed(base: int, n_members: int) -> int:
 
 
 def _frames(stream, cfg: ExperimentConfig, n_channels: int) -> FrameSequence:
-    """One stream's frames before the length is fixed: pool, bin, merge, filter.
+    """One stream's count frames before the length is fixed: pool, bin, merge.
 
     Events at or past the end of the last step are dropped first: every
     later stage acts frame by frame and the length is clipped to ``steps``,
@@ -94,33 +96,55 @@ def _frames(stream, cfg: ExperimentConfig, n_channels: int) -> FrameSequence:
     seq = bin_events(stream, prep.time_window, n_channels=n_channels)
     if prep.merge_polarities and seq.channels > 1:
         seq = merge_channels(seq)
-    if prep.gabor:
-        seq = gabor_bank(seq)
     return seq
 
 
-def preprocess_stream(stream, cfg: ExperimentConfig, n_channels: int):
-    """(T, n_inputs) float64 input rates of one event stream, clipped or
-    padded to ``steps``; the one place that picks how rates are held.  Gabor
-    rates, about half nonzero (48% on nmnist), are dense.  Event counts,
-    1-31% nonzero, are CSR built from the frames, and the ensemble makes
-    only an open drive block's window of them dense."""
+def preprocess_stream(stream, cfg: ExperimentConfig, n_channels: int) -> sparse.csr_matrix:
+    """(T, n) float64 CSR event counts of one stream, clipped or padded to
+    ``steps``, one count frame per row; the one form rates are held in.
+    Counts are 1-31% nonzero, and the ensemble makes only an open drive
+    block's window of them dense.  A Gabor config filters that window, not
+    the sample (see :func:`gabor_window`)."""
     seq = clip_or_pad(_frames(stream, cfg, n_channels), cfg.preprocessing.steps)
-    if cfg.preprocessing.gabor:
-        return frames_to_spike_drive(seq)
     return sparse.csr_matrix(seq.flat()).astype(np.float64, copy=False)
 
 
-def frame_geometry(cfg: ExperimentConfig, manifest: Manifest) -> tuple[int, int, int]:
-    """(channels, height, width) the front end gives an empty stream of the
-    manifest's sensor; a sensor it cannot take fails with the stage's error."""
+def gabor_window(window: np.ndarray, frame: tuple[int, int, int]) -> np.ndarray:
+    """A drive block's (S * B, n) float64 count window, one count frame of
+    shape ``frame`` per row, through the Gabor bank: the F-ordered window
+    of rates that the members map in place.  The bank acts frame by frame,
+    and a zero frame of padding filters to +0.0, so a block's rates are
+    those of filtering the whole clipped or padded sample, byte for byte.
+    The bank writes its rates straight into that order."""
+    channels, height, width = frame
+    rates = np.empty((channels * N_KERNELS * height * width, window.shape[0])).T
+    out = rates.reshape(-1, channels * N_KERNELS, height, width)  # a view
+    gabor_bank(FrameSequence(window.reshape(-1, *frame)), out=out)
+    return rates
+
+
+def count_geometry(cfg: ExperimentConfig, manifest: Manifest) -> tuple[int, int, int]:
+    """(channels, height, width) of the count frames :func:`preprocess_stream`
+    makes of a stream from the manifest's sensor; a sensor the front end
+    cannot take fails with the stage's error."""
     empty = EventStream([], [], [], [], manifest.width, manifest.height)
     return _frames(empty, cfg, manifest.channels).frames.shape[1:]
 
 
+def frame_geometry(cfg: ExperimentConfig, manifest: Manifest) -> tuple[int, int, int]:
+    """(channels, height, width) of the inputs each member maps: the count
+    frames, or the Gabor bank's output of them, which fails on a sensor
+    smaller than its kernels."""
+    geometry = count_geometry(cfg, manifest)
+    if cfg.preprocessing.gabor:
+        empty = FrameSequence(np.zeros((0, *geometry)))
+        geometry = gabor_bank(empty).frames.shape[1:]
+    return geometry
+
+
 # Memory one engine call may spend on what it holds per sample: its rates,
-# and the window copy and drive of the open slab's mapped block; the batch
-# size is what fits in it.
+# and the count window, its Gabor rates if any, and the drive of the open
+# slab's mapped block; the batch size is what fits in it.
 BATCH_BYTES = 8 * 2**20
 
 # Nonzero event counts per step the model charges a sample's CSR rates for,
@@ -129,29 +153,37 @@ BATCH_BYTES = 8 * 2**20
 RATES_PER_STEP = 32
 
 
+def expansion_bytes(cfg: ExperimentConfig, geometry: tuple[int, int, int]) -> int:
+    """Bytes per row of a drive block's count window of ``geometry``-shaped
+    frames that expanding it holds beside the window: none without a Gabor
+    bank; with one, the C-ordered copy of the counts and the bank's own,
+    its rates among them (:func:`gabor.bank_bytes`)."""
+    if not cfg.preprocessing.gabor:
+        return 0
+    return 8 * int(np.prod(geometry)) + bank_bytes(*geometry)
+
+
 def sample_bytes(cfg: ExperimentConfig, geometry: tuple[int, int, int]) -> int:
-    """Bytes one fixed-length sample takes in a batch: over one mapped block
-    of the drive, the longest slab's first ``DRIVE_BLOCK_STEPS`` steps or
-    all of it if shorter, the float64 input-major copy of its rates and the
-    float64 drive of the slab's members, and its rates as
-    :func:`preprocess_stream` holds them.  Gabor rates are dense float64.
-    Counts are CSR, bound by 12 bytes (a float64 value and an int32 column)
-    for each of at most ``RATES_PER_STEP`` nonzero counts per step, or
-    n_inputs if fewer, and 4 bytes per row pointer; denser counts take more,
-    up to 1.5 times their dense bytes."""
+    """Bytes one fixed-length sample takes in a batch, for count frames of
+    ``geometry``: over one mapped block of the drive, the longest slab's
+    first ``DRIVE_BLOCK_STEPS`` steps or all of it if shorter, the float64
+    input-major copy of its counts, what expanding them holds, and the
+    float64 drive of the slab's members; and its rates as
+    :func:`preprocess_stream` holds them, as CSR counts bound by 12 bytes (a
+    float64 value and an int32 column) for each of at most
+    ``RATES_PER_STEP`` nonzero counts per step, or n if fewer, and 4 bytes
+    per row pointer.  Denser counts take more, up to 1.5 times their dense
+    bytes."""
     ens, steps = cfg.ensemble, cfg.preprocessing.steps
-    n_inputs, member = int(np.prod(geometry)), ens.member_grid().size
+    n, member = int(np.prod(geometry)), ens.member_grid().size
     if ens.variant == "mulre":  # one slab over T drives every member
         slab, neurons = steps, len(ens.d_list) * member
     else:  # the longest of the equal slabs drives one member
         slabs = equal_split_schedule(steps, ens.partitions).intervals
         slab, neurons = max(end - start for start, end in slabs), member
     block = min(slab, DRIVE_BLOCK_STEPS)
-    if cfg.preprocessing.gabor:
-        held = steps * n_inputs * 8
-    else:
-        held = (12 * min(n_inputs, RATES_PER_STEP) + 4) * steps + 4
-    return block * (n_inputs + neurons) * 8 + held
+    held = (12 * min(n, RATES_PER_STEP) + 4) * steps + 4
+    return block * ((n + neurons) * 8 + expansion_bytes(cfg, geometry)) + held
 
 
 def call_bytes(cfg: ExperimentConfig, manifest: Manifest, batch: int) -> int:
@@ -159,21 +191,20 @@ def call_bytes(cfg: ExperimentConfig, manifest: Manifest, batch: int) -> int:
     sample's ``sample_bytes``, its rates and its share of one drive block,
     and once, since the files are read one at a time, the front end's
     transients.  Each stage holds its input and its output frames of T
-    steps, 8 bytes a value, neither larger than the pooled sensor's counts
-    or the rates: the pooled counts and their merged or padded copy, say.
-    Frames are never made at full resolution (see :func:`_frames`).  The
-    Gabor bank's own temporaries are not counted."""
-    geometry = frame_geometry(cfg, manifest)
+    steps, 8 bytes a value, none larger than the pooled sensor's counts:
+    the pooled counts and their merged or padded copy, say.  Frames are
+    never made at full resolution (see :func:`_frames`)."""
     k = cfg.preprocessing.downscale
     pooled = manifest.channels * (manifest.height // k) * (manifest.width // k)
-    front = 2 * cfg.preprocessing.steps * max(pooled, int(np.prod(geometry))) * 8
-    return front + batch * sample_bytes(cfg, geometry)
+    front = 2 * cfg.preprocessing.steps * pooled * 8
+    return front + batch * sample_bytes(cfg, count_geometry(cfg, manifest))
 
 
 def batch_size(cfg: ExperimentConfig, geometry: tuple[int, int, int]) -> int:
-    """Samples per engine call: as many as fit ``BATCH_BYTES``, at least
-    one.  The front end's transients come once per call at any batch size,
-    so the budget leaves them out (see :func:`call_bytes`)."""
+    """Samples per engine call for count frames of ``geometry``: as many as
+    fit ``BATCH_BYTES``, at least one.  The front end's transients come
+    once per call at any batch size, so the budget leaves them out (see
+    :func:`call_bytes`)."""
     return max(1, BATCH_BYTES // sample_bytes(cfg, geometry))
 
 
@@ -189,6 +220,7 @@ class Engine:
     sensor: tuple[int, int, int]  # (width, height, channels) of the raw event files
     members: list[tuple[ReservoirTopology, InputMap]]
     inter_links: list | None
+    frame: tuple[int, int, int]  # (channels, height, width) of a count frame
 
     def __call__(self, paths) -> list[tuple[np.ndarray, int]]:
         """(features, label) of each file, in order."""
@@ -212,11 +244,16 @@ class Engine:
         lone = len(rates) == 1
         rates = rates[0] if lone else rates
         params, steps = self.cfg.neuron, self.cfg.preprocessing.steps
+        expand = None
+        if self.cfg.preprocessing.gabor:  # one drive block's counts at a time
+            expand = partial(gabor_window, frame=self.frame)
         if self.cfg.ensemble.variant == "mulre":
-            batch = run_mulre(rates, self.members, params)
+            batch = run_mulre(rates, self.members, params, expand=expand)
         else:
             schedule = equal_split_schedule(steps, len(self.members))
-            batch = run_tepre(rates, self.members, self.inter_links, schedule, params)
+            batch = run_tepre(
+                rates, self.members, self.inter_links, schedule, params, expand=expand
+            )
         if lone:
             batch = [batch]
         return [
@@ -268,7 +305,7 @@ def build_members(cfg: ExperimentConfig, manifest: Manifest) -> Engine:
             inter_link_seed(cfg.seeds.topology, len(members)),
         )
     sensor = (manifest.width, manifest.height, manifest.channels)
-    return Engine(cfg, sensor, members, inter_links)
+    return Engine(cfg, sensor, members, inter_links, count_geometry(cfg, manifest))
 
 
 _ENGINE: Engine | None = None  # set once in each pool worker process
@@ -305,6 +342,22 @@ def _run_split(files: list[Path], engine: Engine, threads: int, batch: int):
     return features, labels
 
 
+def versions() -> dict:
+    """Python, NumPy and SciPy versions, and the SIMD extensions NumPy found
+    at run time where its ``show_config`` can tell (NumPy 1.26 and later):
+    the low bits of the Gabor rates depend on them."""
+    found = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+    try:
+        simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    except (TypeError, KeyError):  # before NumPy 1.26 it takes no mode
+        return found
+    return {**found, "simd_found": list(simd["found"])}
+
+
 def _sha256(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
@@ -321,7 +374,8 @@ class RunReport:
     state_hash: dict
     artifacts: dict
     batch: int  # samples the engine stepped together per call, at most
-    readout: dict  # the readout fit's epochs, grad_norm and converged flag
+    readout: dict  # how the readout fit ended (see readout.FitTrace)
+    versions: dict  # of Python, NumPy and SciPy, and NumPy's runtime SIMD
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -349,7 +403,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
     files = manifest.train + manifest.test
     # no bigger than one worker's share, so that every worker gets a batch
     share = -(-len(files) // threads)
-    cap = max(1, min(batch_size(cfg, geometry), share))
+    cap = max(1, min(batch_size(cfg, engine.frame), share))
     # as few calls as the cap allows, filled evenly: 48 synth-tepre3 files
     # under a cap of 37 ran 4% slower as 37 + 11 than as 24 + 24
     calls = -(-len(files) // cap)
@@ -412,6 +466,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> RunReport:
         artifacts=artifacts,
         batch=batch,
         readout=asdict(model.fit),
+        versions=versions(),
     )
     if cfg.output_dir:
         report.save(Path(cfg.output_dir) / "report.json")

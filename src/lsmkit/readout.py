@@ -61,11 +61,21 @@ class ReadoutConfig:
 @dataclass(frozen=True)
 class FitTrace:
     """How a fit ended: the epochs it ran, the gradient norm at its final
-    parameters, and whether that norm fell below the tolerance."""
+    parameters, whether that norm fell below the tolerance, the loss there,
+    how often a step was halved, and in how many epochs the step fell below
+    ``MIN_STEP`` and was taken although the loss did not decrease."""
 
     epochs: int
     grad_norm: float
     converged: bool
+    final_loss: float
+    halvings: int
+    loss_increases: int
+
+
+# A fit halves its step while the loss rises, and takes a step below this
+# one whatever the loss.
+MIN_STEP = 1e-12
 
 
 @dataclass
@@ -143,8 +153,10 @@ def train_readout(
     Starts from zero parameters (the objective is convex, so the start only
     fixes the deterministic path).  Stops when the joint gradient norm
     drops below the tolerance or the epoch budget runs out, and records
-    which in the model's ``fit``.  The step is halved until the loss
-    decreases, so the loss trajectory is non-increasing.
+    which in the model's ``fit``.  The step is halved until the loss does
+    not increase or the step falls below ``MIN_STEP``; that step is then
+    taken whatever the loss, so the loss trajectory is non-increasing only
+    when ``fit.loss_increases`` is 0.
     """
     x, y = _labelled(train)
     if not np.isfinite(x).all():
@@ -161,7 +173,7 @@ def train_readout(
     w = np.zeros((classes.shape[0], x.shape[1]))
     b = np.zeros(classes.shape[0])
     loss, grad_w, grad_b = loss_and_gradients(w, b, xs, y_onehot, config.l2)
-    epochs = 0
+    epochs = halvings = increases = 0
     while True:
         gnorm = float(np.sqrt(np.sum(grad_w**2) + np.sum(grad_b**2)))
         if gnorm < config.tolerance or epochs == config.epochs:
@@ -173,15 +185,17 @@ def train_readout(
             new_loss, new_gw, new_gb = loss_and_gradients(
                 w_new, b_new, xs, y_onehot, config.l2
             )
-            if new_loss <= loss or step < 1e-12:
+            if new_loss <= loss:
+                break
+            if step < MIN_STEP:
+                increases += 1
                 break
             step *= 0.5
+            halvings += 1
         w, b, loss, grad_w, grad_b = w_new, b_new, new_loss, new_gw, new_gb
         epochs += 1
-    return ReadoutModel(
-        weights=w, bias=b, feature_scale=scale, classes=classes,
-        fit=FitTrace(epochs, gnorm, gnorm < config.tolerance),
-    )
+    fit = FitTrace(epochs, gnorm, gnorm < config.tolerance, loss, halvings, increases)
+    return ReadoutModel(weights=w, bias=b, feature_scale=scale, classes=classes, fit=fit)
 
 
 @dataclass

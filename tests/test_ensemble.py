@@ -562,7 +562,7 @@ class TestStackedExactness:
             else:
                 run_mulre(rates, members, self.PARAMS)
 
-    def records_of(self, rates, variant):
+    def records_of(self, rates, variant, expand=None):
         """Each sample's records of one tepre run (inter-links, raster and
         drive recorded) or mulre run (raster recorded) on a 20-step window,
         every array as (dtype, shape, bytes); tepre's equal split gives
@@ -573,10 +573,10 @@ class TestStackedExactness:
             schedule = equal_split_schedule(20, len(members))
             out = run_tepre(
                 rates, members, links, schedule, self.PARAMS,
-                record_raster=True, record_drive=True,
+                record_raster=True, record_drive=True, expand=expand,
             )
         else:
-            out = run_mulre(rates, members, self.PARAMS, record_raster=True)
+            out = run_mulre(rates, members, self.PARAMS, record_raster=True, expand=expand)
         fields = ("counts", "slab_counts", "raster", "drive_l1")
         return [
             [
@@ -610,6 +610,27 @@ class TestStackedExactness:
             assert all(np.frombuffer(r["counts"][2], np.int64).sum() > 0 for r in sample)
         monkeypatch.setattr(ensemble_module, "DRIVE_BLOCK_STEPS", block)
         assert self.records_of(rates, variant) == whole
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    @pytest.mark.parametrize("variant", ["tepre", "mulre"])
+    def test_expanded_windows_match_expanded_rates(self, monkeypatch, variant, block):
+        """A row-wise expansion of each block's window of 4-input counts to
+        the members' 16 inputs gives the records of the expanded rates, at
+        any block size, for a batch of CSR counts and for a lone one."""
+        rng = np.random.default_rng(17)
+        scale = rng.gamma(0.8, 1.3, size=16)
+        counts = [rng.poisson(0.6, size=(20, 4)).astype(np.float64) for _ in range(3)]
+
+        def expand(window):
+            assert window.shape[1] == 4
+            return np.asfortranarray(np.tile(window, 4) * scale)
+
+        monkeypatch.setattr(ensemble_module, "DRIVE_BLOCK_STEPS", block)
+        want = self.records_of([np.tile(c, 4) * scale for c in counts], variant)
+        assert all(np.frombuffer(r["counts"][2], np.int64).sum() > 0 for r in want[0])
+        got = self.records_of([sparse.csr_matrix(c) for c in counts], variant, expand)
+        assert got == want
+        assert self.records_of(sparse.csr_matrix(counts[1]), variant, expand) == want[1:2]
 
     @pytest.mark.parametrize("variant", ["tepre", "mulre"])
     def test_sparse_sample_made_canonical_csr_once(self, monkeypatch, variant):

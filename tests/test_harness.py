@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
-from scipy import sparse
 
 import lsmkit.cli as cli
 import lsmkit.harness as harness
@@ -33,10 +33,13 @@ from lsmkit import (
 )
 from lsmkit.config import FIELDS_READ, from_dict, to_dict
 from lsmkit.eventio import read_events, write_dataset, write_events
-from lsmkit.events import bin_events
+from lsmkit.ensemble import equal_split_schedule, run_mulre, run_tepre
+from lsmkit.events import bin_events, clip_or_pad, merge_channels
+from lsmkit.gabor import gabor_bank
 from lsmkit.harness import (
     Manifest,
     build_members,
+    count_geometry,
     frame_geometry,
     load_manifest,
     preprocess_stream,
@@ -45,7 +48,7 @@ from lsmkit.harness import (
     sweep_config,
     sweep_table,
 )
-from lsmkit.readout import ReadoutConfig
+from lsmkit.readout import ReadoutConfig, extract_state
 from lsmkit.synth import MultiPhaseParams, generate_multiphase
 
 
@@ -350,19 +353,23 @@ class TestBatching:
         "name, sensor, per_sample, batch",
         [("synthetic_tepre3.json", (8, 8, 2), 222_004, 37),
          ("shd_tepre6.json", (700, 1, 1), 868_004, 9),
-         ("nmnist_mulre3.json", (34, 34, 2), 59_702_400, 1),
+         ("nmnist_mulre3.json", (34, 34, 2), 14_562_804, 1),
          ("dvsgesture_rf.json", (128, 128, 2), 4_993_204, 1)],
     )
     def test_batch_size_rule_on_shipped_geometry(self, name, sensor, per_sample, batch):
         # over one drive block of S = min(longest slab, DRIVE_BLOCK_STEPS = 50)
         # steps (the slab is T/partitions rounded up for tepre, T for mulre)
-        # the window copy S*n_inputs*8 and the drive S*neurons*8 of the
-        # slab's members (one partition, or all), + the held rates: dense
-        # T*n_inputs*8 after a Gabor bank, else CSR counts of min(n_inputs,
-        # 32) nonzeros per step, 12 bytes each, and T+1 int32 row pointers
+        # the count window S*n*8 and the drive S*neurons*8 of the slab's
+        # members (one partition, or all), + the held rates: CSR counts of
+        # min(n, 32) nonzeros per step, 12 bytes each, and T+1 int32 row
+        # pointers.  nmnist's n = 1156 merged 34x34 counts also take, per
+        # row of the window, their C-ordered copy 8n, the bank's float64
+        # input 8n and rates 18*8n, and its 40x40 FFT arrays, three complex
+        # of 40x21 and two real of 40x40: 250,880 bytes a row, 12,544,000
+        # a block, + 1,902,400 + 116,404
         cfg = load_config(self.CONFIG_DIR / name)
         width, height, channels = sensor
-        geometry = frame_geometry(cfg, Manifest(width, height, channels, [], []))
+        geometry = count_geometry(cfg, Manifest(width, height, channels, [], []))
         assert harness.BATCH_BYTES == 8 * 2**20
         assert harness.DRIVE_BLOCK_STEPS == 50
         assert harness.sample_bytes(cfg, geometry) == per_sample
@@ -381,7 +388,8 @@ class TestBatching:
         return replace(wl.load_config(manifest_path, out), output_dir=None), manifest_path
 
     @pytest.mark.parametrize(
-        "workload, batch", [("synth", 37), ("shd", 8), ("gabor", 2), ("pooled", 2)]
+        "workload, batch",
+        [("synth", 37), ("shd", 8), ("gabor", 6), ("pooled", 2), ("nmnist", 1)],
     )
     def test_engine_call_stays_within_the_model(
         self, tmp_path, shd_stand_in, workload, batch
@@ -389,29 +397,38 @@ class TestBatching:
         """The model is checked, not assumed: one engine call on a full
         batch at synth-tepre3 geometry, with and without a Gabor bank, on
         all 8 files of the shd stand-in, which its batch of 9 holds in one
-        call, and on a full batch of two dvs-shaped files pooled by 2 (one
+        call, on a full batch of two dvs-shaped files pooled by 2 (one
         file's full-resolution frames alone would be twice the model's
-        front end), traces no more than ``call_bytes``, plus a fixed
-        margin."""
-        if workload == "pooled":  # dvsgesture_rf.json with a small reservoir
+        front end), and on one nmnist-shaped file of 250 of its 300 steps,
+        whose padded Gabor rates would take 50 MB, traces no more than
+        ``call_bytes``, plus a fixed margin."""
+        if workload in ("pooled", "nmnist"):  # shipped configs, small reservoirs
             rng = np.random.default_rng(5)
-            n, window, steps = 100_000, 20_000, 300
+            if workload == "pooled":
+                name, side, n, window, steps = "dvsgesture_rf.json", 128, 100_000, 20_000, 300
+            else:
+                name, side, n, window, steps = "nmnist_mulre3.json", 34, 30_000, 1_000, 250
             streams = [
                 EventStream(
                     t=np.sort(rng.integers(0, steps * window, n)),
-                    x=rng.integers(0, 128, n), y=rng.integers(0, 128, n),
-                    p=rng.integers(0, 2, n), width=128, height=128, label=label,
+                    x=rng.integers(0, side, n), y=rng.integers(0, side, n),
+                    p=rng.integers(0, 2, n), width=side, height=side, label=label,
                 )
                 for label in range(batch)
             ]
             splits = {"train": streams, "test": streams[:1]}
-            manifest_path = write_dataset(tmp_path, 128, 128, 2, splits)
-            cfg = load_config(self.CONFIG_DIR / "dvsgesture_rf.json")
+            manifest_path = write_dataset(tmp_path, side, side, 2, splits)
+            cfg = load_config(self.CONFIG_DIR / name)
             cfg = replace(
                 cfg, dataset_manifest=str(manifest_path), output_dir=None,
                 ensemble=replace(cfg.ensemble, member_dims=(6, 6, 4)),
             )
-            assert cfg.preprocessing.downscale == 2
+            if workload == "pooled":
+                assert cfg.preprocessing.downscale == 2
+            else:
+                prep, inp = cfg.preprocessing, cfg.input
+                assert prep.gabor and prep.merge_polarities and prep.steps == 300
+                assert (inp.scheme, inp.window) == ("receptive_field", 5)
         elif workload in ("synth", "gabor"):
             cfg = load_config(self.CONFIG_DIR / "synthetic_tepre3.json")
             params = MultiPhaseParams(n_classes=4, n_train=37, n_test=2, seed=7)
@@ -426,10 +443,10 @@ class TestBatching:
         manifest = load_manifest(manifest_path)
         if workload == "shd":  # the stand-in's train and test files in one call
             files = manifest.train + manifest.test
-            assert len(files) == batch < harness.batch_size(cfg, frame_geometry(cfg, manifest))
+            assert len(files) == batch < harness.batch_size(cfg, count_geometry(cfg, manifest))
         else:
             files = manifest.train[:batch]
-            assert harness.batch_size(cfg, frame_geometry(cfg, manifest)) == batch
+            assert harness.batch_size(cfg, count_geometry(cfg, manifest)) == batch
         engine = build_members(cfg, manifest)
         tracemalloc.start()
         try:
@@ -471,10 +488,10 @@ class TestBatching:
     def test_state_hash_independent_of_batch_size(
         self, odd_dataset, monkeypatch, threads, gabor
     ):
-        # a Gabor config batches dense rates, a count config CSR ones
+        # a Gabor config filters each drive block of its batch's CSR counts
         prep = PreprocessingConfig(time_window=1000, steps=60, gabor=gabor)
         cfg = tiny_config(odd_dataset[gabor], preprocessing=prep)
-        geometry = frame_geometry(cfg, load_manifest(odd_dataset[gabor]))
+        geometry = count_geometry(cfg, load_manifest(odd_dataset[gabor]))
         per_sample = harness.sample_bytes(cfg, geometry)
         batches = []
         run_tepre = harness.run_tepre
@@ -564,11 +581,65 @@ class TestBatching:
         assert stream.n_events
         write_events(replace(stream, p=np.ones_like(stream.p)), bad)
         cfg = tiny_config(manifest_path)
-        per_sample = harness.sample_bytes(cfg, frame_geometry(cfg, manifest))
+        per_sample = harness.sample_bytes(cfg, count_geometry(cfg, manifest))
         monkeypatch.setattr(harness, "BATCH_BYTES", batch * per_sample)
         match = re.escape(f"{bad}: polarity 1 exceeds channel count 1")
         with pytest.raises(DatasetError, match=match):
             run_experiment(cfg)
+
+
+class TestGaborBlocks:
+    """A Gabor config holds CSR counts and filters each drive block's count
+    window: its features are those of the whole clipped or padded sample's
+    bank rates, byte for byte, at any batch size."""
+
+    @pytest.mark.parametrize("variant", ["mulre", "tepre"])
+    def test_engine_equals_whole_sample_bank_rates(self, tmp_path, variant):
+        # 120 steps drive in blocks of 50, 50 and 20 steps (mulre) or in
+        # slabs of 40 (tepre); one stream of 90 ms is padded, one of 160 ms
+        # clipped
+        steps, rng = 120, np.random.default_rng(8)
+        streams = []
+        for label, span in enumerate((90, 160)):
+            n = 30 * span
+            streams.append(
+                EventStream(
+                    t=np.sort(rng.integers(0, span * 1000, n)),
+                    x=rng.integers(0, 8, n), y=rng.integers(0, 8, n),
+                    p=rng.integers(0, 2, n), width=8, height=8, label=label,
+                )
+            )
+        manifest_path = write_dataset(tmp_path, 8, 8, 2, {"train": streams, "test": streams})
+        manifest = load_manifest(manifest_path)
+        prep = PreprocessingConfig(time_window=1000, steps=steps, gabor=True)
+        if variant == "mulre":
+            cfg = tiny_config(
+                manifest_path, preprocessing=prep,
+                ensemble=EnsembleConfig(variant="mulre", d_list=(0.0, 2.0), member_dims=(4, 4, 3)),
+                input=InputConfig(weight=4.0, density=0.25, scheme="receptive_field", window=3),
+            )
+        else:
+            cfg = tiny_config(manifest_path, preprocessing=prep)
+        engine = build_members(cfg, manifest)
+        batched = engine(manifest.train)
+        for path, (features, label) in zip(manifest.train, batched):
+            stream = read_events(path)
+            frames = merge_channels(bin_events(stream, 1000))
+            frames = clip_or_pad(frames, steps)
+            rates = gabor_bank(frames).flat()
+            if variant == "mulre":
+                records = run_mulre(rates, engine.members, cfg.neuron)
+            else:
+                schedule = equal_split_schedule(steps, len(engine.members))
+                records = run_tepre(
+                    rates, engine.members, engine.inter_links, schedule, cfg.neuron
+                )
+            want = extract_state(records).features
+            assert want.sum() > 0
+            assert label == stream.label
+            assert features.tobytes() == want.tobytes()
+            (alone, _), = engine([path])
+            assert alone.tobytes() == want.tobytes()
 
 
 class TestReadoutReport:
@@ -588,12 +659,30 @@ class TestReadoutReport:
         assert saved["readout"]["converged"] is False
         assert saved["readout"]["epochs"] == 500
         assert saved["readout"]["grad_norm"] > 1e-4
+        assert saved["readout"]["final_loss"] > 0
+        assert saved["readout"]["loss_increases"] == 0
+        assert saved["readout"]["halvings"] >= 0
         assert saved["batch"] == 20  # all 40 samples in 2 batches, as B = 37 allows
 
         loose = replace(cfg, readout=replace(cfg.readout, tolerance=1.0), output_dir=None)
         fit = run_experiment(loose).readout
         assert fit["converged"] is True
         assert fit["grad_norm"] < 1.0 and fit["epochs"] < 500
+
+
+    def test_report_records_its_versions(self, tiny_dataset, tmp_path, monkeypatch):
+        cfg = tiny_config(tiny_dataset, output_dir=str(tmp_path / "run"))
+        run_experiment(cfg)
+        saved = json.loads((tmp_path / "run" / "report.json").read_text())
+        versions = saved["versions"]
+        assert versions["python"] == ".".join(map(str, sys.version_info[:3]))
+        assert versions["numpy"] == np.__version__
+        assert versions["scipy"] == scipy.__version__
+        simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+        assert versions["simd_found"] == list(simd)
+        monkeypatch.setattr(np, "show_config", lambda: None)  # before NumPy 1.26: no mode
+        assert "simd_found" not in harness.versions()
+        assert harness.versions()["numpy"] == np.__version__
 
 
 class TestSweep:
@@ -733,8 +822,13 @@ class TestFrameGeometry:
                 ),
             )
             manifest = Manifest(16, 16, channels, train=[], test=[])
+            counts = count_geometry(cfg, manifest)
             rates = preprocess_stream(stream, cfg, channels)
             assert rates.dtype == np.float64
+            assert rates.shape == (steps, math.prod(counts))
+            if gabor:  # the inputs are the bank's rates of the counts
+                rates = harness.gabor_window(rates.toarray(), counts)
+                assert rates.dtype == np.float64
             assert rates.shape[1] == math.prod(frame_geometry(cfg, manifest))
 
     def test_late_events_are_never_binned(self, monkeypatch):
@@ -763,8 +857,7 @@ class TestFrameGeometry:
                 for n in (t.size - 2, t.size)
             ]
             assert rates[0].shape[0] == 30
-            dense = [r.toarray() if sparse.issparse(r) else r for r in rates]
-            assert dense[0].tobytes() == dense[1].tobytes()
+            assert rates[0].toarray().tobytes() == rates[1].toarray().tobytes()
         assert max(binned) == 30
 
 

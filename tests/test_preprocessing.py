@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy import signal, sparse
+from scipy import signal
 
 from lsmkit import (
     ConfigError,
@@ -16,7 +16,6 @@ from lsmkit import (
     bin_events,
     clip_or_pad,
     downscale,
-    frames_to_spike_drive,
     gabor_bank,
     merge_channels,
 )
@@ -27,7 +26,13 @@ from lsmkit.eventio import (
     write_events,
 )
 from lsmkit.gabor import N_KERNELS, WAVELENGTHS, build_bank
-from lsmkit.harness import Manifest, frame_geometry, preprocess_stream
+from lsmkit.harness import (
+    Manifest,
+    count_geometry,
+    frame_geometry,
+    gabor_window,
+    preprocess_stream,
+)
 
 
 def stream_of(records, width=4, height=4, label=None):
@@ -187,7 +192,10 @@ class TestDownscale:
             ),
         )
         rates = preprocess_stream(stream, cfg, channels)
-        got = rates.toarray() if sparse.issparse(rates) else rates
+        assert rates.format == "csr"
+        got = rates.toarray()
+        if gabor:  # the bank's rates of the counts, as the drive makes them
+            got = gabor_window(got, count_geometry(cfg, Manifest(width, height, channels, [], [])))
         want = full_resolution_rates(
             stream, time_window, channels, factor, merge, gabor, steps
         )
@@ -369,6 +377,33 @@ class TestGaborBank:
         assert np.count_nonzero(want) > 0
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_bank_over_any_split_of_frames_is_the_whole_bank(self, data):
+        """The bank acts frame by frame, so filtering the frames in blocks,
+        empty ones included, gives the whole sequence's bytes: a drive
+        block's rates do not depend on where the block starts."""
+        steps, channels = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 2))
+        height, width = data.draw(st.integers(7, 12)), data.draw(st.integers(7, 12))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        frames = rng.poisson(0.7, size=(steps, channels, height, width))
+        cuts = sorted(data.draw(st.lists(st.integers(0, steps), max_size=4)))
+        bounds = [0, *cuts, steps]
+        whole = gabor_bank(FrameSequence(frames)).frames
+        parts = [
+            gabor_bank(FrameSequence(frames[lo:hi])).frames
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+    def test_rates_written_into_any_layout(self):
+        frames = np.random.default_rng(13).poisson(0.7, size=(5, 2, 9, 8))
+        want = gabor_bank(FrameSequence(frames)).frames
+        out = np.empty((8, 9, 36, 5)).transpose(3, 2, 1, 0)  # step-fastest
+        got = gabor_bank(FrameSequence(frames), out=out).frames
+        assert got is out
+        assert got.tobytes() == want.tobytes()
+
     def test_empty_sequence(self):
         out = gabor_bank(FrameSequence(np.zeros((0, 2, 8, 8), dtype=int)))
         assert out.frames.shape == (0, 36, 8, 8)
@@ -379,35 +414,17 @@ class TestGaborBank:
             gabor_bank(seq)
 
 
-class TestSpikeDrive:
-    def test_zero_frames_zero_drive(self):
-        seq = FrameSequence(np.zeros((3, 1, 2, 2), dtype=int))
-        assert np.all(frames_to_spike_drive(seq) == 0)
-
+class TestFlat:
     def test_empty_sequence_keeps_input_width(self):
-        drive = frames_to_spike_drive(FrameSequence(np.zeros((0, 2, 3, 4), dtype=int)))
-        assert drive.shape == (0, 24)
-
-    def test_linearity(self):
-        frames = np.arange(24).reshape(2, 1, 3, 4)
-        a = frames_to_spike_drive(FrameSequence(frames))
-        b = frames_to_spike_drive(FrameSequence(2 * frames))
-        assert np.array_equal(b, 2 * a)
-
-    def test_float64_frames_are_not_copied(self):
-        frames = np.random.default_rng(0).random((3, 2, 4, 5))
-        drive = frames_to_spike_drive(FrameSequence(frames))
-        assert np.shares_memory(drive, frames)
-        counts = frames_to_spike_drive(FrameSequence(np.arange(120).reshape(3, 2, 4, 5)))
-        assert counts.dtype == np.float64
-        assert np.array_equal(counts, np.arange(120.0).reshape(3, 40))
+        flat = FrameSequence(np.zeros((0, 2, 3, 4), dtype=int)).flat()
+        assert flat.shape == (0, 24)
 
     def test_one_row_per_step_channel_major(self):
         frames = np.zeros((2, 2, 2, 2), dtype=int)
         frames[1, 1, 0, 1] = 7  # step 1, channel 1, y=0, x=1
-        drive = frames_to_spike_drive(FrameSequence(frames))
-        assert drive.shape == (2, 8)
-        assert drive[1, 1 * 4 + 0 * 2 + 1] == 7
+        flat = FrameSequence(frames).flat()
+        assert flat.shape == (2, 8)
+        assert flat[1, 1 * 4 + 0 * 2 + 1] == 7
 
 
 class TestClipOrPad:

@@ -15,6 +15,7 @@ from lsmkit import (
     save_model,
     train_readout,
 )
+from lsmkit import readout as readout_module
 from lsmkit.readout import loss_and_gradients
 
 
@@ -231,6 +232,38 @@ class TestFitTrace:
         assert np.array_equal(budget.weights, model.weights)
 
 
+    def test_fit_reports_its_final_loss_and_halvings(self):
+        x, y = TestTraining().gaussian_clusters(seed=5, n_classes=3)
+        cfg = ReadoutConfig(epochs=40, learning_rate=200.0)
+        model = train_readout((x, y), cfg)
+        classes = np.unique(y)
+        onehot = (y[:, None] == classes[None, :]).astype(float)
+        loss, _, _ = loss_and_gradients(
+            model.weights, model.bias, x / model.feature_scale, onehot, cfg.l2
+        )
+        assert model.fit.final_loss == loss
+        assert model.fit.halvings > 0  # a step of 200 overshoots
+        assert model.fit.loss_increases == 0
+
+    def test_step_below_the_floor_takes_a_loss_increase(self, monkeypatch):
+        """A loss that rises on every trial step halves each epoch's step
+        from 0.5 down below 1e-12, 39 halvings, and then takes it anyway;
+        the fit counts those epochs instead of ending silently."""
+        x, y = TestTraining().gaussian_clusters(seed=5, n_classes=3)
+        calls = []
+
+        def rising(w, b, x, y_onehot, l2):
+            _, grad_w, grad_b = loss_and_gradients(w, b, x, y_onehot, l2)
+            calls.append(None)
+            return float(len(calls)), grad_w, grad_b
+
+        monkeypatch.setattr(readout_module, "loss_and_gradients", rising)
+        model = train_readout((x, y), ReadoutConfig(epochs=3))
+        assert readout_module.MIN_STEP == 1e-12
+        assert (model.fit.epochs, model.fit.halvings, model.fit.loss_increases) == (3, 117, 3)
+        assert model.fit.final_loss == len(calls) == 1 + 3 * 40
+
+
 class TestEvaluate:
     def test_zero_model_predicts_lowest_class(self):
         model = ReadoutModel(
@@ -238,7 +271,7 @@ class TestEvaluate:
             bias=np.zeros(3),
             feature_scale=np.ones(4),
             classes=np.array([0, 1, 2]),
-            fit=FitTrace(0, 0.0, True),
+            fit=FitTrace(0, 0.0, True, 0.0, 0, 0),
         )
         x = np.random.default_rng(1).normal(size=(6, 4))
         assert np.all(model.predict(x) == 0)
@@ -250,14 +283,14 @@ class TestEvaluate:
             bias=rng.normal(size=3),
             feature_scale=np.ones(4),
             classes=np.array([0, 1, 2]),
-            fit=FitTrace(0, 0.0, True),
+            fit=FitTrace(0, 0.0, True, 0.0, 0, 0),
         )
         shifted = ReadoutModel(
             weights=model.weights,
             bias=model.bias + 7.5,
             feature_scale=model.feature_scale,
             classes=model.classes,
-            fit=FitTrace(0, 0.0, True),
+            fit=FitTrace(0, 0.0, True, 0.0, 0, 0),
         )
         x = rng.normal(size=(20, 4))
         assert np.array_equal(model.predict(x), shifted.predict(x))
@@ -291,7 +324,7 @@ class TestModelFile:
             bias=np.array([0.0, -0.75]),
             feature_scale=np.array([2.0, 1e-3]),
             classes=np.array([3, 7]),
-            fit=FitTrace(1, 0.5, False),
+            fit=FitTrace(1, 0.5, False, 0.7, 2, 0),
         )
         path = tmp_path / "model.txt"
         save_model(model, path)

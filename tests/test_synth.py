@@ -16,7 +16,6 @@ from lsmkit import (
     clip_or_pad,
     equal_split_schedule,
     extract_state,
-    frames_to_spike_drive,
     run_tepre,
     train_readout,
 )
@@ -149,9 +148,7 @@ class TestPhaseLocalizedSignal:
             label = s % 2
             stream = make_stream(label, np.random.default_rng(1000 + s))
             seq = clip_or_pad(bin_events(stream, 1000, n_channels=1), 180)
-            records = run_tepre(
-                frames_to_spike_drive(seq), members, links, schedule, params
-            )
+            records = run_tepre(seq.flat(), members, links, schedule, params)
             features.append(extract_state(records).features)
 
         labels = np.arange(60) % 2
