@@ -39,7 +39,9 @@ for px, py in ((0, 0), (32, 32), (63, 63)):
     i = py * 64 + px
     ax, ay = anchor_of(px, py, field, dims)
     for name, imap in (("standard", standard), ("receptive", rf)):
-        targets = imap.reservoir_idx[imap.input_idx == i]
+        # an input's targets are its column of the input-major matrix
+        m = imap.matrix
+        targets = m.indices[m.indptr[i] : m.indptr[i + 1]]
         tx = targets % dims.nx
         ty = (targets // dims.nx) % dims.ny
         print(

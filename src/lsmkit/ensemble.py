@@ -92,7 +92,7 @@ def drive_through_map(rates: np.ndarray, imap: InputMap) -> np.ndarray:
         raise ConfigError(
             f"rates shape {rates.shape} does not match {imap.n_inputs} inputs"
         )
-    return imap.matrix().dot(rates.T).T
+    return imap.matrix.dot(rates.T).T
 
 
 def _batch_shape(rates) -> tuple[int, int]:
@@ -168,10 +168,12 @@ def gated_drive(samples, members, offsets, slabs, l1=None, expand=None):
 
 
 def _canonical(sample):
-    """A sparse sample as CSR with one stored entry per (step, input), so a
-    window reads its steps' entries by row pointer; a dense one as it is."""
+    """A sample as CSR with one stored entry per (step, input), so a window
+    reads its steps' entries by row pointer.  A dense one is made float64,
+    its -0.0 unstored (a sum from +0.0 never becomes -0.0); a sparse one is
+    copied to be made canonical, so the caller's matrix is left as it was."""
     if not sparse.issparse(sample):
-        return sample
+        return sparse.csr_matrix(np.asarray(sample, dtype=np.float64))
     sample = sample.tocsr()
     if not sample.has_canonical_format:
         sample = sample.copy()
@@ -180,16 +182,12 @@ def _canonical(sample):
 
 
 def _window(samples, start, end) -> np.ndarray:
-    """Steps [start, end) of B samples' rates as one F-ordered float64
-    (S * B, n_inputs) array, row t * B + b holding step start + t of sample
-    b.  A sparse sample, canonical CSR, is scattered into the zeros, so only
-    its window is ever dense."""
+    """Steps [start, end) of B samples' canonical CSR rates scattered into
+    one F-ordered float64 (S * B, n_inputs) array of zeros, row t * B + b
+    holding step start + t of sample b, so only a window is ever dense."""
     batch = len(samples)
     window = np.zeros(((end - start) * batch, samples[0].shape[1]), order="F")
     for b, sample in enumerate(samples):
-        if not sparse.issparse(sample):
-            window[b::batch] = sample[start:end]
-            continue
         ptr = sample.indptr[start : end + 1]
         rows = np.repeat(np.arange(b, window.shape[0], batch), np.diff(ptr))
         window[rows, sample.indices[ptr[0] : ptr[-1]]] = sample.data[ptr[0] : ptr[-1]]

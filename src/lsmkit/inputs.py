@@ -82,36 +82,42 @@ class InputSpec:
             raise ConfigError("standard scheme takes no receptive field")
 
 
-@dataclass
+@dataclass(frozen=True)
 class InputMap:
-    """Signed sparse edges from input neurons into a reservoir."""
+    """Signed sparse edges from input neurons into a reservoir, held only as
+    the input-major (reservoir x input) CSC matrix the drive reads.  Each
+    column keeps its targets in the order the sampler drew them, so the
+    matrix is not canonical and is never sorted in place; a product still
+    adds each output's terms, one per input at most, in input order."""
 
-    n_inputs: int
-    n_reservoir: int
-    input_idx: np.ndarray
-    reservoir_idx: np.ndarray
-    weight: np.ndarray
+    matrix: sparse.csc_matrix
     seed: int
 
     @property
+    def n_inputs(self) -> int:
+        return self.matrix.shape[1]
+
+    @property
+    def n_reservoir(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
     def n_edges(self) -> int:
-        return self.input_idx.shape[0]
+        return self.matrix.nnz
 
-    def matrix(self) -> sparse.csc_matrix:
-        """Sparse (reservoir x input) matrix: drive = M @ input_rates; memoized.
+    @property
+    def input_idx(self) -> np.ndarray:
+        """Each edge's input neuron, ascending."""
+        return np.repeat(np.arange(self.n_inputs), np.diff(self.matrix.indptr))
 
-        Stored input-major (CSC), so a product walks the inputs in order and
-        reads each input's rate row once; every output still adds its terms
-        in ascending input order, as a row-major product would.
-        """
-        cached = getattr(self, "_matrix", None)
-        if cached is None:
-            cached = sparse.csc_matrix(
-                (self.weight, (self.reservoir_idx, self.input_idx)),
-                shape=(self.n_reservoir, self.n_inputs),
-            )
-            self._matrix = cached
-        return cached
+    @property
+    def reservoir_idx(self) -> np.ndarray:
+        """Each edge's reservoir neuron, in the sampler's order per input."""
+        return self.matrix.indices
+
+    @property
+    def weight(self) -> np.ndarray:
+        return self.matrix.data
 
 
 def _signed_split(
@@ -181,8 +187,7 @@ def build_input(spec: InputSpec, dims: GridDims, seed: int) -> InputMap:
         pools = [window_pool(p % width, p // width, field, dims) for p in range(plane)]
         pool_of = np.arange(spec.n_inputs, dtype=np.int64) % plane
     fanouts = np.array([_pool_fanout(spec.density, pool.size) for pool in pools])
-    fanout_of = fanouts[pool_of]
-    ends = np.cumsum(fanout_of).tolist()
+    ends = np.cumsum(fanouts[pool_of]).tolist()
     res_idx = np.empty(ends[-1], dtype=np.int64)
     weights = np.empty(ends[-1], dtype=np.float64)
     rng = np.random.default_rng(seed)
@@ -193,14 +198,10 @@ def build_input(spec: InputSpec, dims: GridDims, seed: int) -> InputMap:
         weights[start:end] = _signed_split(targets, spec.input_weight, rng)
         res_idx[start:end] = targets
         start = end
-    return InputMap(
-        n_inputs=spec.n_inputs,
-        n_reservoir=dims.size,
-        input_idx=np.repeat(np.arange(spec.n_inputs, dtype=np.int64), fanout_of),
-        reservoir_idx=res_idx,
-        weight=weights,
-        seed=seed,
+    matrix = sparse.csc_matrix(
+        (weights, res_idx, [0, *ends]), shape=(dims.size, spec.n_inputs)
     )
+    return InputMap(matrix=matrix, seed=seed)
 
 
 def save_input_map(imap: InputMap, path) -> None:

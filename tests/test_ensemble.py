@@ -12,6 +12,7 @@ from lsmkit import (
     NumericsError,
     ConnectionLaw,
     GridDims,
+    InputMap,
     InputSpec,
     NeuronParams,
     PopulationState,
@@ -93,14 +94,9 @@ class TestMuLRE:
         rates = poisson_rates(50, 16, seed=4)
         both = run_mulre(rates, [m0, m1], PARAMS)
         # silence member 1 by zeroing its input map weights
-        silent_map = type(m1[1])(
-            n_inputs=m1[1].n_inputs,
-            n_reservoir=m1[1].n_reservoir,
-            input_idx=m1[1].input_idx,
-            reservoir_idx=m1[1].reservoir_idx,
-            weight=np.zeros_like(m1[1].weight),
-            seed=m1[1].seed,
-        )
+        silent = m1[1].matrix.copy()
+        silent.data[:] = 0.0
+        silent_map = InputMap(matrix=silent, seed=m1[1].seed)
         mixed = run_mulre(rates, [m0, (m1[0], silent_map)], PARAMS)
         assert np.array_equal(mixed[0].counts, both[0].counts)
         assert mixed[1].counts.sum() == 0
@@ -591,21 +587,32 @@ class TestStackedExactness:
         ]
 
     @pytest.mark.parametrize("block", [1, 7, 1000])
-    @pytest.mark.parametrize("form", ["dense", "sparse", "batch"])
+    @pytest.mark.parametrize(
+        "form", ["dense", "sparse", "batch", "negative-zero", "int64"]
+    )
     @pytest.mark.parametrize("variant", ["tepre", "mulre"])
     def test_drive_block_size_bounds_memory_only(self, monkeypatch, variant, form, block):
         """Mapping the drive in blocks of 1 or 7 steps, which split the
         slabs unevenly, or of more steps than the window, gives records
-        byte-equal to mapping each slab in one block."""
+        byte-equal to mapping each slab in one block.  A dense sample is
+        made float64 CSR first: one holding -0.0 gives the records of its
+        +0.0 twin, and int64 counts those of their float64 form."""
         stack = np.random.default_rng(15).gamma(0.8, 1.3, size=(20, 3, 16))
         stack[stack < 1.0] = 0.0
+        signed = np.where(stack[:, 0] == 0.0, -0.0, stack[:, 0])
+        assert np.signbit(signed).any()
+        counts = np.floor(stack[:, 0]).astype(np.int64)
         rates = {
             "dense": stack[:, 0],
             "sparse": sparse.csr_matrix(stack[:, 1]),
             "batch": [stack[:, 0], sparse.csr_matrix(stack[:, 1]), stack[:, 2]],
+            "negative-zero": signed,
+            "int64": counts,
         }[form]
+        # the rates whose records these give: themselves, or their twin
+        twin = {"negative-zero": stack[:, 0], "int64": counts.astype(np.float64)}.get(form, rates)
         monkeypatch.setattr(ensemble_module, "DRIVE_BLOCK_STEPS", 20)
-        whole = self.records_of(rates, variant)
+        whole = self.records_of(twin, variant)
         for sample in whole:  # every sample spikes in every member
             assert all(np.frombuffer(r["counts"][2], np.int64).sum() > 0 for r in sample)
         monkeypatch.setattr(ensemble_module, "DRIVE_BLOCK_STEPS", block)
@@ -721,12 +728,11 @@ class TestDriveMap:
         block of steps beside the members' blocks of output, which go
         straight into the step buffer with no second copy of them all."""
         members = [receptive_member(seed=30 + 2 * r) for r in range(3)]
-        for _, imap in members:
-            imap.matrix()  # memoized outside the measurement
         steps, n_inputs = 100, members[0][1].n_inputs
         block = ensemble_module.DRIVE_BLOCK_STEPS
         assert block < steps
-        rates = np.random.default_rng(6).gamma(0.8, 1.3, size=(steps, n_inputs))
+        rng = np.random.default_rng(6)  # canonical CSR, made outside the measurement
+        rates = sparse.csr_matrix(rng.gamma(0.8, 1.3, size=(steps, n_inputs)))
         window_bytes = block * n_inputs * 8
         original, extra = ensemble_module.drive_through_map, []
 

@@ -30,6 +30,7 @@ from lsmkit import (
     Seeds,
     load_config,
     save_config,
+    save_input_map,
 )
 from lsmkit.config import FIELDS_READ, from_dict, to_dict
 from lsmkit.eventio import read_events, write_dataset, write_events
@@ -296,6 +297,34 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert len(report.spike_stats["members"]) == 2
         assert report.train_accuracy > 0.5
+
+    def test_engine_calls_leave_the_input_maps_as_built(self, tiny_dataset, tmp_path):
+        """Each map keeps its targets in the sampler's order, which its
+        pinned digests and text export read; SciPy sorts and sums a matrix in
+        place, and no engine call may do either to a map."""
+        cfg = tiny_config(
+            tiny_dataset,
+            ensemble=EnsembleConfig(variant="mulre", d_list=(0.0, 3.0), member_dims=(6, 6, 2)),
+            input=InputConfig(weight=10.0, density=0.3, scheme="receptive_field", window=3),
+        )
+        manifest = load_manifest(tiny_dataset)
+        engine = build_members(cfg, manifest)
+
+        def snapshot():
+            state = []
+            for r, (_, imap) in enumerate(engine.members):
+                m = imap.matrix
+                save_input_map(imap, tmp_path / f"input_{r}.txt")
+                text = (tmp_path / f"input_{r}.txt").read_bytes()
+                state.append((m.indptr.tobytes(), m.indices.tobytes(), m.data.tobytes(), text))
+            return state
+
+        built = snapshot()
+        # a sorted map would differ
+        assert not any(imap.matrix.has_sorted_indices for _, imap in engine.members)
+        engine(manifest.train[:3])
+        engine(manifest.test[:1])
+        assert snapshot() == built
 
     def test_missing_manifest_errors(self, tmp_path):
         cfg = tiny_config(tmp_path / "nope" / "manifest.json")
