@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the one rule for a count."""
+"""Exception types shared across the package, and the one rule each for a
+count and a real number."""
+
+import numbers
 
 
 class ConfigError(ValueError):
@@ -21,4 +24,13 @@ def check_int(name: str, value, low: int = 1) -> int:
         raise TypeError(f"{name} must be an integer, not {value!r}")
     if value < low:
         raise ConfigError(f"{name} must be >= {low}, not {value}")
+    return value
+
+
+def check_real(name: str, value):
+    """``value`` if it is a real number: a bool (which Python counts as
+    one), a string or any other non-real value is a ``TypeError`` that
+    names ``name``.  Ranges stay with the caller."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, not {value!r}")
     return value

@@ -12,10 +12,18 @@ distance offset that biases connections toward a preferred length scale
 (d = 0 recovers the plain short-range law).  Excitatory sources contribute
 weight ``+w_lsm``, inhibitory sources ``-w_lsm``.
 
-Construction is a pure function of (dims, law, seed): the kind permutation
-is drawn first, then one uniform per ordered neuron pair in row-major
-order (diagonal draws are made and discarded), so any parallel
-implementation must reproduce that stream assignment.
+Construction is a pure function of (dims, law, seed, ``params.w_lsm``):
+the kind permutation is drawn first, then one uniform per ordered neuron
+pair in row-major order (diagonal draws are made and discarded), so any
+parallel implementation must reproduce that stream assignment.
+
+The distance factor of the law depends only on the integer offset between
+two neurons, so a build evaluates it once, as a kernel over the
+``(2nz-1) x (2ny-1) x (2nx-1)`` offsets (about 8 N values, not N**2).  Each
+source neuron's row of probabilities is a strided ``(nz, ny, nx)`` window of
+that kernel, times its kind factor.  Sources are taken in chunks of whole
+x-lines (whole z-planes when a plane fits in ``CHUNK_ROWS``), so a chunk's
+windows are one strided view that is multiplied straight into the chunk.
 """
 
 from __future__ import annotations
@@ -25,15 +33,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigError, check_int
+from .errors import ConfigError, check_int, check_real
 
 EXC = "E"
 INH = "I"
 
 DEFAULT_C_TABLE = {"EE": 0.2, "EI": 0.1, "IE": 0.05, "II": 0.3}
 
-# Source rows whose pair probabilities are held at once; this bounds peak
-# memory only, the sampled stream is identical for any value.
+# Source rows whose pair probabilities are held at once (a chunk is never
+# less than one x-line); this bounds peak memory only, the sampled stream is
+# identical for any value.
 CHUNK_ROWS = 512
 
 
@@ -73,6 +82,8 @@ class ConnectionLaw:
     c_table: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_C_TABLE))
 
     def __post_init__(self):
+        check_real("lam", self.lam)
+        check_real("d", self.d)
         # an infinite lam would give every pair its plain c_table probability
         if not 0 < self.lam < np.inf:
             raise ConfigError(
@@ -84,7 +95,7 @@ class ConnectionLaw:
         if set(self.c_table) != {"EE", "EI", "IE", "II"}:
             raise ConfigError("c_table needs exactly the EE/EI/IE/II entries")
         for key, c in self.c_table.items():
-            if not 0 < c <= 1:
+            if not 0 < check_real(f"c_table[{key}]", c) <= 1:
                 raise ConfigError(f"c_table[{key}]={c} outside (0, 1]")
 
 
@@ -123,28 +134,75 @@ class ReservoirTopology:
         return cached
 
 
-def pair_probabilities(
-    dims: GridDims, law: ConnectionLaw, signs: np.ndarray, rows: slice | None = None
-) -> np.ndarray:
-    """Edge probabilities for all ordered pairs with sources in ``rows``.
+def _law_windows(dims: GridDims, law: ConnectionLaw) -> np.ndarray:
+    """The law's distance factor as read-only ``(nz, ny, nx, nz, ny, nx)``
+    windows: ``[z, y, x]`` is source ``(x, y, z)``'s factor to every target.
 
-    Diagonal entries (self-pairs) are not masked here; the builder discards
-    them after sampling.
+    The kernel holds every offset in ``(1-nz..nz-1, 1-ny..ny-1,
+    1-nx..nx-1)``; squared integer offsets are exact in float64, so each
+    distance is the one ``cdist`` would give.  Source ``(x, y, z)`` reads the
+    window whose corner is offset ``(-z, -y, -x)``.  The view equals
+    ``sliding_window_view(kernel, (nz, ny, nx))[::-1, ::-1, ::-1]``, made
+    without that function's checks, which cost more than a two-neuron build.
     """
-    from scipy.spatial.distance import cdist
+    nx, ny, nz = dims.nx, dims.ny, dims.nz
+    dx, dy, dz = (np.arange(1 - k, k) for k in (nx, ny, nz))
+    squared = (dz * dz)[:, None, None] + (dy * dy)[:, None] + dx * dx
+    kernel = np.exp(-(((np.sqrt(squared) - law.d) / law.lam) ** 2))
+    kernel.flags.writeable = False
+    sz, sy, sx = kernel.strides
+    return np.ndarray(
+        (nz, ny, nx, nz, ny, nx),
+        kernel.dtype,
+        kernel,
+        offset=(nz - 1) * sz + (ny - 1) * sy + (nx - 1) * sx,
+        strides=(-sz, -sy, -sx, sz, sy, sx),
+    )
 
-    coords = dims.coordinates().astype(np.float64)
-    rows = rows if rows is not None else slice(0, dims.size)
-    dist = cdist(coords[rows], coords)
+
+def _probability_chunks(dims: GridDims, law: ConnectionLaw, signs: np.ndarray):
+    """``(start, prob)`` for each chunk of source rows, in row order.
+
+    A chunk is a run of whole z-planes when one plane fits in
+    ``CHUNK_ROWS`` rows, else a run of whole x-lines of one plane (at least
+    one line).  ``prob`` is a fresh ``(rows, N)`` array: each source row's
+    kind factor times its window of the law's distance factor.
+    """
+    nx, ny, n = dims.nx, dims.ny, dims.size
+    windows = _law_windows(dims, law)
     c_by_kind = np.array(
         [
             [law.c_table["II"], law.c_table["IE"]],
             [law.c_table["EI"], law.c_table["EE"]],
-        ]
+        ],
+        dtype=np.float64,  # an integer table could not take the product in place
     )
     exc = (signs > 0).astype(np.intp)
-    c = c_by_kind[np.ix_(exc[rows], exc)]
-    return c * np.exp(-(((dist - law.d) / law.lam) ** 2))
+    c_rows = c_by_kind[:, exc]  # row 0 for an inhibitory source, 1 excitatory
+    lines = min(ny, max(1, CHUNK_ROWS // nx))
+    planes = max(1, CHUNK_ROWS // (nx * ny))  # more than one only if lines == ny
+    for z0 in range(0, dims.nz, planes):
+        z1 = min(z0 + planes, dims.nz)
+        for y0 in range(0, ny, lines):
+            y1 = min(y0 + lines, ny)
+            window = windows[z0:z1, y0:y1]
+            start = nx * (y0 + ny * z0)
+            prob = c_rows[exc[start : start + window.size // n]]
+            view = prob.reshape(window.shape)
+            view *= window  # kind factor times distance factor, in place
+            yield start, prob
+
+
+def pair_probabilities(
+    dims: GridDims, law: ConnectionLaw, signs: np.ndarray
+) -> np.ndarray:
+    """Edge probabilities of all ordered pairs, ``(N, N)`` (source x target).
+
+    These are the chunks ``build_reservoir`` samples from, stacked.
+    Diagonal entries (self-pairs) are not masked here; the builder discards
+    them after sampling.
+    """
+    return np.concatenate([prob for _, prob in _probability_chunks(dims, law, signs)])
 
 
 def build_reservoir(
@@ -169,18 +227,18 @@ def build_reservoir(
 
     src_parts: list[np.ndarray] = []
     dst_parts: list[np.ndarray] = []
-    for start in range(0, n, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, n)
-        prob = pair_probabilities(dims, law, signs, rows=slice(start, stop))
-        adjacency = rng.random((stop - start, n)) < prob
-        local = np.arange(start, stop)
-        adjacency[local - start, local] = False  # no self-edges
-        s, d = np.nonzero(adjacency)
-        src_parts.append(s + start)
+    for start, prob in _probability_chunks(dims, law, signs):
+        adjacency = rng.random(prob.shape) < prob
+        # row r's self-pair sits at flat index start + r * (n + 1)
+        adjacency.reshape(-1)[start :: n + 1] = False
+        # flat indices of a C-ordered chunk are in row-major order
+        s, d = np.divmod(np.flatnonzero(adjacency), n)
+        s += start
+        src_parts.append(s)
         dst_parts.append(d)
 
-    src = np.concatenate(src_parts).astype(np.int64)
-    dst = np.concatenate(dst_parts).astype(np.int64)
+    src = np.concatenate(src_parts).astype(np.int64, copy=False)
+    dst = np.concatenate(dst_parts).astype(np.int64, copy=False)
     weight = params.w_lsm * signs[src].astype(np.float64)
     return ReservoirTopology(
         dims=dims,

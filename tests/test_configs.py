@@ -72,6 +72,16 @@ class TestLoadTimeChecks:
             (TEPRE, "preprocessing", "steps", 2, "cannot split 2 steps into 3"),
             (TEPRE, "connectivity", "lam", NAN, "lam must be positive"),
             (TEPRE, "connectivity", "lam", INF, "lam must be positive and finite"),
+            # a bool is not a number here, though Python counts it as one
+            (TEPRE, "connectivity", "lam", True, "connectivity section: lam must be a real"),
+            (
+                TEPRE,
+                "connectivity",
+                "c_table",
+                {"EE": True, "EI": 0.1, "IE": 0.05, "II": 0.3},
+                r"connectivity section: c_table\[EE\] must be a real number, not True",
+            ),
+            (MULRE, "ensemble", "d_list", [True], "ensemble section: d must be a real number"),
             (TEPRE, "readout", "epochs", 2.5, "epochs must be an integer"),
             (TEPRE, "readout", "learning_rate", INF, "learning_rate must be positive and finite"),
             (TEPRE, "readout", "l2", INF, "l2 must be >= 0 and finite"),

@@ -1,8 +1,10 @@
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 from lsmkit import (
@@ -14,9 +16,12 @@ from lsmkit import (
     save_topology,
 )
 from lsmkit import topology
+from lsmkit.config import load_config
+from lsmkit.harness import member_seed
 from lsmkit.topology import pair_probabilities
 
 PARAMS = NeuronParams()
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestConnectionProbability:
@@ -56,6 +61,28 @@ class TestConnectionProbability:
         # an infinite offset would give every pair probability 0: no edges
         with pytest.raises(ConfigError, match="distance offset d must be finite"):
             ConnectionLaw(d=d)
+
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            ({"lam": True}, "lam must be a real number, not True"),
+            ({"lam": "2"}, "lam must be a real number, not '2'"),
+            ({"d": True}, "d must be a real number, not True"),
+            ({"d": "0"}, "d must be a real number, not '0'"),
+            (
+                {"c_table": {**topology.DEFAULT_C_TABLE, "EE": True}},
+                r"c_table\[EE\] must be a real number, not True",
+            ),
+            (
+                {"c_table": {**topology.DEFAULT_C_TABLE, "II": "0.3"}},
+                r"c_table\[II\] must be a real number, not '0.3'",
+            ),
+        ],
+    )
+    def test_non_real_value_rejected(self, kwargs, named):
+        # a bool would otherwise pass as 1, a string fail in a bare comparison
+        with pytest.raises(TypeError, match=named):
+            ConnectionLaw(**kwargs)
 
 
 class TestGridDims:
@@ -197,6 +224,161 @@ def _bucket_stats(dims, law, seeds):
                 entry[0] += int(edges[sel].sum())
                 entry[1] += int(sel.sum())
     return {k: tuple(v) for k, v in stats.items()}
+
+
+def _reference_build(dims, law, params, seed):
+    """The sampler as first written, kept as a plain reference: per-chunk
+    ``cdist`` distances, an ``np.ix_`` kind table and a 2-D ``np.nonzero``
+    over chunks of 512 rows."""
+    n = dims.size
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)
+    signs = np.empty(n, dtype=np.int8)
+    signs[perm[: n // 2]] = 1
+    signs[perm[n // 2 :]] = -1
+    coords = dims.coordinates().astype(np.float64)
+    c_by_kind = np.array(
+        [
+            [law.c_table["II"], law.c_table["IE"]],
+            [law.c_table["EI"], law.c_table["EE"]],
+        ]
+    )
+    exc = (signs > 0).astype(np.intp)
+    src_parts, dst_parts = [], []
+    for start in range(0, n, 512):
+        stop = min(start + 512, n)
+        dist = cdist(coords[start:stop], coords)
+        c = c_by_kind[np.ix_(exc[start:stop], exc)]
+        prob = c * np.exp(-(((dist - law.d) / law.lam) ** 2))
+        adjacency = rng.random((stop - start, n)) < prob
+        local = np.arange(start, stop)
+        adjacency[local - start, local] = False
+        s, d = np.nonzero(adjacency)
+        src_parts.append(s + start)
+        dst_parts.append(d)
+    src = np.concatenate(src_parts).astype(np.int64)
+    dst = np.concatenate(dst_parts).astype(np.int64)
+    weight = params.w_lsm * signs[src].astype(np.float64)
+    return signs, src, dst, weight
+
+
+class TestExactReference:
+    """The kernel-window sampler gives the reference's bytes: the same
+    uniforms meet the same probabilities, for any chunking."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        sides=st.tuples(*[st.integers(1, 7)] * 3).filter(
+            lambda s: math.prod(s) % 2 == 0
+        ),
+        chunk_rows=st.integers(1, 60),
+        lam=st.floats(0.05, 20),
+        d=st.floats(0, 12),
+        c=st.lists(st.floats(1e-3, 1), min_size=4, max_size=4),
+        w_lsm=st.floats(-8, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # nx = 1; nz = 1 with an integer c_table; one x-line over CHUNK_ROWS; two neurons
+    @example((1, 4, 3), 512, 2.0, 0.0, [0.2, 0.1, 0.05, 0.3], 1.0, 1)
+    @example((5, 4, 1), 512, 3.0, 2.0, [1, 1, 1, 1], 2.5, 2)
+    @example((6, 2, 3), 4, 1.5, 1.0, [0.9, 0.5, 0.7, 1.0], 1.0, 3)
+    @example((1, 1, 2), 512, 2.0, 0.0, [1, 1, 1, 1], 1.0, 4)
+    def test_bytes_equal_reference(self, sides, chunk_rows, lam, d, c, w_lsm, seed):
+        dims = GridDims(*sides)
+        law = ConnectionLaw(lam=lam, d=d, c_table=dict(zip(("EE", "EI", "IE", "II"), c)))
+        params = NeuronParams(w_lsm=w_lsm)
+        with pytest.MonkeyPatch.context() as mp:
+            # below nx, a chunk is one x-line of more than CHUNK_ROWS rows
+            mp.setattr(topology, "CHUNK_ROWS", chunk_rows)
+            topo = build_reservoir(dims, law, params, seed)
+        got = (topo.signs, topo.src, topo.dst, topo.weight)
+        for a, b in zip(got, _reference_build(dims, law, params, seed)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_probabilities_equal_reference_law(self):
+        dims = GridDims(3, 4, 5)
+        law = ConnectionLaw(lam=1.7, d=2.5)
+        signs = np.where(np.arange(dims.size) % 5 < 2, 1, -1).astype(np.int8)
+        exc = (signs > 0).astype(np.intp)
+        c_by_kind = np.array([[0.3, 0.05], [0.1, 0.2]])  # II IE / EI EE
+        coords = dims.coordinates().astype(np.float64)
+        expected = c_by_kind[np.ix_(exc, exc)] * np.exp(
+            -(((cdist(coords, coords) - law.d) / law.lam) ** 2)
+        )
+        got = pair_probabilities(dims, law, signs)
+        assert got.tobytes() == expected.tobytes()
+
+
+def _edges_digest(topo):
+    h = hashlib.sha256()
+    for a, dtype in (
+        (topo.signs, "i1"),
+        (topo.src, "<i8"),
+        (topo.dst, "<i8"),
+        (topo.weight, "<f8"),
+    ):
+        assert a.dtype == np.dtype(dtype)
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of each member's (signs, src, dst, weight), recorded once, with the
+# sampler as first written (per-chunk cdist), on NumPy 2.4; never re-record a
+# pin to let a change pass: a change that moves one changes every run's edges
+SHIPPED_EDGES = {
+    "dvsgesture_rf.json": [
+        "4e92b6010fc6b2feea8ed3d5c9b522bd5feff8e274214726cf5e9019ca785379",
+    ],
+    "dvsgesture_standard.json": [
+        "4e92b6010fc6b2feea8ed3d5c9b522bd5feff8e274214726cf5e9019ca785379",
+    ],
+    "nmnist_mulre3.json": [
+        "31d5da2d4e60b4e3744f7d5faab581c8af3bf1386ef098c210bf6808c15e0283",
+        "3ed25757865ce90b35165c0217489cc7a54140cca8acc28013912419116c9377",
+        "58415778a6e925f4c03a0ca6c210c73bb8de8fa230128d593f383241284dcd44",
+    ],
+    "nmnist_tepre3.json": [
+        "31d5da2d4e60b4e3744f7d5faab581c8af3bf1386ef098c210bf6808c15e0283",
+        "ab0947d95434f3aaba2421cc01a997719f73125dbb8300e59a1878ea12aed923",
+        "262eb9d7d1ba09e3e28ca151bc016c83fdc1aaeb7fd31204ca33a58333a13b36",
+    ],
+    "shd_tepre6.json": [
+        "fe584621681831c3b206c05c6e772f4246654f63e35d4e1c15bea46875683f86",
+        "6a2d0ddf87ca5dcffe2393d13609122185be781503d450cf47da6b7c187a980b",
+        "a40d9833e9a6f144a6ac84a026bd01da8247bfae003d1a0a10f930253967a73e",
+        "3ed9e5baa6e6c64b39a6d38327ac17935bbb8c8ab4ffbed0f6a0a5f08ca9b624",
+        "066845beef50f8ab8522ef64b568702793a245e662b80be2a507f891dba3304a",
+        "6d8d415dc7b6889d185d81308fd32080a536fa176d7843053fe053bd8cd698b5",
+    ],
+    "synthetic_tepre3.json": [
+        "370f06521f635eaa2a2ddc2be6b5966747b78e3cffef28388a2492aa74cfea97",
+        "d7ea23543cfbe992df97f630746ac7fddc69019a353f5ed7c15b4a9a5afdb02b",
+        "d9b49cb75dc961a009feada3e5ea45a3b51a47e9e427e0a617b935a5c97630b9",
+    ],
+}
+
+
+class TestShippedTopologies:
+    def test_every_config_is_pinned(self):
+        assert sorted(SHIPPED_EDGES) == sorted(p.name for p in CONFIG_DIR.glob("*.json"))
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_EDGES))
+    def test_member_edges_pinned(self, name):
+        # each member as the harness builds it: the member grid, the
+        # member's offset in the law, and the member's topology seed
+        cfg = load_config(CONFIG_DIR / name)
+        ens = cfg.ensemble
+        d_values = ens.d_list or [0.0] * ens.partitions
+        digests = []
+        for i, d in enumerate(d_values):
+            law = ConnectionLaw(
+                lam=cfg.connectivity.lam, d=d, c_table=dict(cfg.connectivity.c_table)
+            )
+            topo = build_reservoir(
+                ens.member_grid(), law, cfg.neuron, member_seed(cfg.seeds.topology, i)
+            )
+            digests.append(_edges_digest(topo))
+        assert digests == SHIPPED_EDGES[name]
 
 
 class TestExport:
