@@ -32,10 +32,13 @@ window); any other field must keep its default and is not written out.
 Every value is checked when the config is built, alone and against the
 values it must agree with, by the rule of the code that consumes it
 (``GridDims`` for the member grid, ``GatingSchedule`` for steps against
-partitions, ``ConnectionLaw`` for lam, c_table and each d).  A value of the
-wrong type or range is a ``ConfigError`` that names its field, so a bad
-config fails before any reservoir is built; only the fit of the frames to
-the dataset's sensor waits until the manifest is read.
+partitions, ``ConnectionLaw`` for lam, c_table and each d).  Each count
+goes through ``errors.check_int`` and each real number through
+``errors.check_real``, so a bool or a string in a numeric field is refused
+and NaN or an infinity in a real one.  A value of the wrong type or range
+is a ``ConfigError`` that names its field, so a bad config fails before
+any reservoir is built; only the fit of the frames to the dataset's sensor
+waits until the manifest is read.
 
 Relative manifest paths resolve against LSMKIT_DATA_ROOT when that
 environment variable is set (with no fallback when the file is missing
@@ -54,13 +57,12 @@ length scale.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .ensemble import check_inter_links, equal_split_schedule
-from .errors import ConfigError, check_int
+from .errors import ConfigError, check_int, check_real
 from .inputs import RECEPTIVE_FIELD, STANDARD, check_density, check_window
 from .neurons import NeuronParams
 from .readout import ReadoutConfig
@@ -137,8 +139,7 @@ class InputConfig:
         if self.scheme not in (STANDARD, RECEPTIVE_FIELD):
             raise ConfigError(f"unknown input scheme {self.scheme!r}")
         _fields_read(self, self.scheme)
-        if not math.isfinite(self.weight):
-            raise ConfigError(f"weight must be finite, not {self.weight}")
+        check_real("weight", self.weight)
         check_density(self.density)
         check_int("window", self.window)
 

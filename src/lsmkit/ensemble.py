@@ -35,7 +35,7 @@ from itertools import chain
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigError, check_int
+from .errors import ConfigError, check_int, check_real
 from .inputs import InputMap
 from .neurons import NeuronParams, PopulationState, lif_step
 from .topology import ReservoirTopology
@@ -345,10 +345,8 @@ def run_mulre(
 
 def check_inter_links(inter_density: float, inter_weight: float) -> None:
     """The rule on inter-partition couplings, also checked at config load."""
-    if not inter_weight < 0:
-        raise ConfigError(f"inter_weight must be negative (inhibitory), not {inter_weight}")
-    if not 0 <= inter_density <= 1:
-        raise ConfigError(f"inter_density must lie in [0, 1], not {inter_density}")
+    check_real("inter_weight", inter_weight, below=0)  # the links inhibit
+    check_real("inter_density", inter_density, at_least=0, at_most=1)
 
 
 def build_tepre(

@@ -364,6 +364,9 @@ def _sha256(arr: np.ndarray) -> str:
 
 @dataclass
 class RunReport:
+    """What ``run`` writes to ``report.json``.  Its ``timings["simulate"]``
+    covers reading, preprocessing, simulation and state extraction."""
+
     config: dict
     dataset: dict
     timings: dict

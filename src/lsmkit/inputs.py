@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigError, check_int
+from .errors import ConfigError, check_int, check_real
 from .topology import GridDims
 
 STANDARD = "standard"
@@ -26,8 +26,7 @@ RECEPTIVE_FIELD = "receptive_field"
 
 def check_density(density: float) -> None:
     """The input wiring's density rule, also checked at config load."""
-    if not 0 < density <= 1:
-        raise ConfigError(f"density must lie in (0, 1], not {density}")
+    check_real("density", density, above=0, at_most=1)
 
 
 def check_window(window: int, dims: GridDims) -> None:
@@ -64,6 +63,7 @@ class InputSpec:
 
     def __post_init__(self):
         check_int("n_inputs", self.n_inputs)
+        check_real("input_weight", self.input_weight)
         check_density(self.density)
         if self.scheme not in (STANDARD, RECEPTIVE_FIELD):
             raise ConfigError(f"unknown input scheme {self.scheme!r}")

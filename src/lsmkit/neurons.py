@@ -20,13 +20,12 @@ to that sample stepped alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, NumericsError, check_real
 
 
 @dataclass(frozen=True)
@@ -44,19 +43,12 @@ class NeuronParams:
     w_lsm: float = 1.0
 
     def __post_init__(self):
-        if not (self.tau_v > 0 and self.tau_u > 0):
-            raise ConfigError(
-                f"tau_v and tau_u must be positive, not {self.tau_v} and {self.tau_u}"
-            )
         # an infinite threshold, like a NaN one, would leave every neuron silent
-        if not 0 < self.theta < math.inf:
-            raise ConfigError(f"theta must be positive and finite, not {self.theta}")
-        if not self.dt > 0:
-            raise ConfigError(f"dt must be positive, not {self.dt}")
+        for name in ("tau_v", "tau_u", "theta", "dt"):
+            check_real(name, getattr(self, name), above=0)
+        check_real("w_lsm", self.w_lsm)
         if not (self.dt < self.tau_v and self.dt < self.tau_u):
             raise ConfigError("dt must be smaller than tau_v and tau_u")
-        if not math.isfinite(self.w_lsm):
-            raise ConfigError(f"w_lsm must be finite, not {self.w_lsm}")
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DatasetError, check_int
+from .errors import ConfigError, DatasetError, check_int, check_real
 from .ensemble import SpikeRecord
 
 
@@ -47,15 +47,9 @@ class ReadoutConfig:
         check_int("epochs", self.epochs, low=0)
         # an infinite step never passes the backtracking test, an infinite
         # tolerance ends the fit at once, an infinite l2 makes the loss NaN
-        if not 0 < self.learning_rate < np.inf:
-            raise ConfigError(
-                f"learning_rate must be positive and finite, not {self.learning_rate}"
-            )
-        for name in ("l2", "tolerance"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ConfigError(
-                    f"{name} must be >= 0 and finite, not {getattr(self, name)}"
-                )
+        check_real("learning_rate", self.learning_rate, above=0)
+        check_real("l2", self.l2, at_least=0)
+        check_real("tolerance", self.tolerance, at_least=0)
 
 
 @dataclass(frozen=True)

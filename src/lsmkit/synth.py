@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, check_int
+from .errors import ConfigError, check_int, check_real
 from .eventio import write_dataset
 from .events import EventStream
 
@@ -54,10 +54,9 @@ class MultiPhaseParams:
                 f"orderings of {self.n_phases} phases; only "
                 f"{math.factorial(self.n_phases)} exist"
             )
-        if not 0 <= self.lo_rate <= self.hi_rate <= 1:
-            raise ConfigError("need 0 <= lo_rate <= hi_rate <= 1")
-        if not 0 < self.active_fraction < 1:
-            raise ConfigError("active_fraction must lie in (0, 1)")
+        check_real("hi_rate", self.hi_rate, at_least=0, at_most=1)
+        check_real("lo_rate", self.lo_rate, at_least=0, at_most=self.hi_rate)
+        check_real("active_fraction", self.active_fraction, above=0, below=1)
 
     @property
     def total_steps(self) -> int:

@@ -82,21 +82,14 @@ class ConnectionLaw:
     c_table: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_C_TABLE))
 
     def __post_init__(self):
-        check_real("lam", self.lam)
-        check_real("d", self.d)
         # an infinite lam would give every pair its plain c_table probability
-        if not 0 < self.lam < np.inf:
-            raise ConfigError(
-                f"length scale lam must be positive and finite, not {self.lam}"
-            )
+        check_real("lam", self.lam, above=0)
         # an infinite offset would make every pair probability 0: no edges
-        if not 0 <= self.d < np.inf:
-            raise ConfigError(f"distance offset d must be finite and >= 0, not {self.d}")
+        check_real("d", self.d, at_least=0)
         if set(self.c_table) != {"EE", "EI", "IE", "II"}:
             raise ConfigError("c_table needs exactly the EE/EI/IE/II entries")
         for key, c in self.c_table.items():
-            if not 0 < check_real(f"c_table[{key}]", c) <= 1:
-                raise ConfigError(f"c_table[{key}]={c} outside (0, 1]")
+            check_real(f"c_table[{key}]", c, above=0, at_most=1)
 
 
 @dataclass

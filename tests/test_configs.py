@@ -54,24 +54,36 @@ class TestLoadTimeChecks:
             (TEPRE, "preprocessing", "time_window", 2.5, "time_window must be an integer"),
             (TEPRE, "preprocessing", "downscale", 1.5, "downscale must be an integer"),
             (TEPRE, "preprocessing", "gabor", "false", "gabor must be true or false"),
-            (TEPRE, "neuron", "theta", NAN, "theta must be positive"),
-            (TEPRE, "neuron", "theta", INF, "theta must be positive"),
-            (TEPRE, "neuron", "tau_v", NAN, "tau_v"),
-            (TEPRE, "neuron", "w_lsm", INF, "w_lsm must be finite"),
-            (TEPRE, "input", "density", 0, "density must lie in"),
-            (TEPRE, "input", "weight", NAN, "weight must be finite"),
-            (TEPRE, "ensemble", "inter_density", 2, "inter_density must lie in"),
-            (TEPRE, "ensemble", "inter_weight", 1, "inter_weight must be negative"),
+            (TEPRE, "neuron", "theta", NAN, "theta must be a finite number > 0, not nan"),
+            (TEPRE, "neuron", "theta", INF, "theta must be a finite number > 0, not inf"),
+            (TEPRE, "neuron", "tau_v", NAN, "tau_v must be a finite number > 0, not nan"),
+            (TEPRE, "neuron", "w_lsm", INF, "w_lsm must be a finite number, not inf"),
+            (TEPRE, "input", "density", 0, "density must be a finite number > 0 and <= 1, not 0"),
+            (TEPRE, "input", "weight", NAN, "weight must be a finite number, not nan"),
+            (
+                TEPRE,
+                "ensemble",
+                "inter_density",
+                2,
+                "inter_density must be a finite number >= 0 and <= 1, not 2",
+            ),
+            (
+                TEPRE,
+                "ensemble",
+                "inter_weight",
+                1,
+                "inter_weight must be a finite number < 0, not 1",
+            ),
             (TEPRE, "ensemble", "dims", [5, 5, 3], "reservoir size 25 is odd"),
             (TEPRE, "ensemble", "dims", [5, 0, 24], "ny must be >= 1, not 0"),
             (MULRE, "ensemble", "member_dims", [5, 5, 5], "reservoir size 125 is odd"),
             (MULRE, "ensemble", "member_dims", [10, -10, 12], "ny must be >= 1"),
-            (MULRE, "ensemble", "d_list", [0, NAN], "distance offset d"),
-            (MULRE, "ensemble", "d_list", [0, INF], "distance offset d"),
+            (MULRE, "ensemble", "d_list", [0, NAN], "d must be a finite number >= 0, not nan"),
+            (MULRE, "ensemble", "d_list", [0, INF], "d must be a finite number >= 0, not inf"),
             (MULRE, "input", "window", 11, "window 11 does not fit"),
             (TEPRE, "preprocessing", "steps", 2, "cannot split 2 steps into 3"),
-            (TEPRE, "connectivity", "lam", NAN, "lam must be positive"),
-            (TEPRE, "connectivity", "lam", INF, "lam must be positive and finite"),
+            (TEPRE, "connectivity", "lam", NAN, "lam must be a finite number > 0, not nan"),
+            (TEPRE, "connectivity", "lam", INF, "lam must be a finite number > 0, not inf"),
             # a bool is not a number here, though Python counts it as one
             (TEPRE, "connectivity", "lam", True, "connectivity section: lam must be a real"),
             (
@@ -83,9 +95,21 @@ class TestLoadTimeChecks:
             ),
             (MULRE, "ensemble", "d_list", [True], "ensemble section: d must be a real number"),
             (TEPRE, "readout", "epochs", 2.5, "epochs must be an integer"),
-            (TEPRE, "readout", "learning_rate", INF, "learning_rate must be positive and finite"),
-            (TEPRE, "readout", "l2", INF, "l2 must be >= 0 and finite"),
-            (TEPRE, "readout", "tolerance", INF, "tolerance must be >= 0 and finite"),
+            (
+                TEPRE,
+                "readout",
+                "learning_rate",
+                INF,
+                "learning_rate must be a finite number > 0, not inf",
+            ),
+            (TEPRE, "readout", "l2", INF, "l2 must be a finite number >= 0, not inf"),
+            (
+                TEPRE,
+                "readout",
+                "tolerance",
+                INF,
+                "tolerance must be a finite number >= 0, not inf",
+            ),
             (TEPRE, "seeds", "input", -1, "input must be >= 0"),
             (TEPRE, None, "output_dir", 5, "output_dir must be a path"),
             # a field its variant or scheme does not read, set off its default
@@ -111,7 +135,7 @@ class TestLoadTimeChecks:
         path = tmp_path / "inf.json"
         path.write_text(json.dumps(data))
         assert "Infinity" in path.read_text()
-        with pytest.raises(ConfigError, match="distance offset d must be finite"):
+        with pytest.raises(ConfigError, match="d must be a finite number >= 0, not inf"):
             load_config(path)
 
     def test_foreign_field_at_default_loads_and_is_not_written(self):

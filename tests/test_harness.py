@@ -980,7 +980,19 @@ class TestCli:
         )
         assert rc == 2
         assert capsys.readouterr().err.startswith(
-            "error: bad ensemble section: distance offset d must be finite and >= 0, not inf"
+            "error: bad ensemble section: d must be a finite number >= 0, not inf"
+        )
+
+    def test_bool_threshold_is_an_error(self, tmp_path, tiny_dataset, capsys):
+        # a bool is a number to Python; loaded as theta it was echoed as true
+        data = to_dict(tiny_config(tiny_dataset))
+        data["neuron"] = {"theta": True}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert '"theta": true' in cfg_path.read_text()
+        assert cli.main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad neuron section: theta must be a real number, not True\n"
         )
 
     @pytest.mark.parametrize(

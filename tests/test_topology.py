@@ -59,7 +59,7 @@ class TestConnectionProbability:
     @pytest.mark.parametrize("d", [math.inf, math.nan, -1.0])
     def test_offset_not_finite_and_nonnegative_rejected(self, d):
         # an infinite offset would give every pair probability 0: no edges
-        with pytest.raises(ConfigError, match="distance offset d must be finite"):
+        with pytest.raises(ConfigError, match=f"^d must be a finite number >= 0, not {d!r}$"):
             ConnectionLaw(d=d)
 
     @pytest.mark.parametrize(
