@@ -21,7 +21,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import eventio
-from .config import Seeds, load_config
+from .config import Seeds, load_config, write_json
 from .datasets import dvsgesture, nmnist, shd
 from .errors import ConfigError, DatasetError, NumericsError
 from .harness import (
@@ -94,8 +94,7 @@ def cmd_sweep(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "sweep.json", "w") as fh:
-            json.dump(result, fh, indent=1)
+        write_json(result, out / "sweep.json")
         with open(out / "sweep.txt", "w") as fh:
             fh.write(sweep_table(result) + "\n")
         print(f"sweep results: {out / 'sweep.json'}")

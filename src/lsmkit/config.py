@@ -57,6 +57,7 @@ length scale.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -80,13 +81,11 @@ FIELDS_READ = {
 
 
 def _check_grid(name: str, dims) -> None:
-    """Three integers; their range is the member grid's to check."""
-    if not (
-        isinstance(dims, (tuple, list))
-        and len(dims) == 3
-        and all(isinstance(n, int) and not isinstance(n, bool) for n in dims)
-    ):
+    """Three counts; the member grid checks their product."""
+    if not (isinstance(dims, (tuple, list)) and len(dims) == 3):
         raise TypeError(f"{name} must be three integers, not {dims!r}")
+    for side, n in zip(("nx", "ny", "nz"), dims):
+        check_int(side, n)
 
 
 def _fields_read(section, kind: str) -> dict:
@@ -296,10 +295,21 @@ def load_config(path) -> ExperimentConfig:
     return replace(cfg, dataset_manifest=str(manifest))
 
 
+def _plain_number(value):
+    """A real number ``json`` cannot write, such as a NumPy one, as one it can."""
+    if isinstance(value, numbers.Real):
+        return int(value) if isinstance(value, numbers.Integral) else float(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def write_json(data, path) -> None:
+    """``data`` as indented JSON, serialized in full before ``path`` is
+    opened, so a value ``json`` cannot write leaves an old file as it was."""
+    Path(path).write_text(json.dumps(data, indent=1, default=_plain_number) + "\n")
+
+
 def save_config(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(to_dict(cfg), fh, indent=1)
-        fh.write("\n")
+    write_json(to_dict(cfg), path)
 
 
 def resolve_data_path(path_str: str, config_dir: Path) -> Path:

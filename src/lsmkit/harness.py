@@ -14,7 +14,6 @@ ever changes the output.
 from __future__ import annotations
 
 import hashlib
-import json
 import multiprocessing
 import platform
 import time
@@ -28,7 +27,9 @@ import scipy
 from scipy import sparse
 
 from . import eventio
-from .config import FIELDS_READ, SECTIONS, ExperimentConfig, _fields_read, _section, to_dict
+from .config import (
+    FIELDS_READ, SECTIONS, ExperimentConfig, _fields_read, _section, to_dict, write_json,
+)
 from .ensemble import (
     DRIVE_BLOCK_STEPS,
     build_tepre,
@@ -384,9 +385,7 @@ class RunReport:
         return asdict(self)
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-            fh.write("\n")
+        write_json(self.to_dict(), path)
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> RunReport:

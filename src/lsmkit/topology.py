@@ -54,7 +54,8 @@ class GridDims:
 
     def __post_init__(self):
         for name in ("nx", "ny", "nz"):
-            check_int(name, getattr(self, name))
+            # held as a plain int, so a side's NumPy type cannot wrap the size
+            object.__setattr__(self, name, int(check_int(name, getattr(self, name))))
         if self.size % 2 != 0:
             raise ConfigError(
                 f"reservoir size {self.size} is odd; need an even E/I split"
@@ -92,15 +93,14 @@ class ConnectionLaw:
             check_real(f"c_table[{key}]", c, above=0, at_most=1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReservoirTopology:
-    """A sampled reservoir: neuron kinds plus the signed sparse edge list."""
+    """A sampled reservoir: neuron kinds plus the signed edges, held only as
+    the (post x pre) CSC matrix the time loop reads (a column per source)."""
 
     dims: GridDims
     signs: np.ndarray  # (N,) of +1 (excitatory) / -1 (inhibitory)
-    src: np.ndarray
-    dst: np.ndarray
-    weight: np.ndarray
+    matrix: sparse.csc_matrix
     seed: int
     law: ConnectionLaw
 
@@ -110,21 +110,33 @@ class ReservoirTopology:
 
     @property
     def n_edges(self) -> int:
-        return self.src.shape[0]
+        return self.matrix.nnz
+
+    @property
+    def src(self) -> np.ndarray:
+        """Each edge's source, ascending: a read-only int64 array, as ``dst``."""
+        src = np.repeat(np.arange(self.size, dtype=np.int64), np.diff(self.matrix.indptr))
+        src.flags.writeable = False
+        return src
+
+    @property
+    def dst(self) -> np.ndarray:
+        """Each edge's target, ascending within its source."""
+        dst = self.matrix.indices.astype(np.int64)
+        dst.flags.writeable = False
+        return dst
+
+    @property
+    def weight(self) -> np.ndarray:
+        """Each edge's weight, a view of the matrix's data."""
+        return self.matrix.data
 
     def inhibitory_indices(self) -> np.ndarray:
         return np.nonzero(self.signs < 0)[0]
 
-    def weight_matrix(self) -> sparse.csr_matrix:
-        """Sparse (post x pre) matrix for the simulation step; memoized."""
-        cached = getattr(self, "_weight_matrix", None)
-        if cached is None:
-            n = self.size
-            cached = sparse.csr_matrix(
-                (self.weight, (self.dst, self.src)), shape=(n, n)
-            )
-            self._weight_matrix = cached
-        return cached
+    def weight_matrix(self) -> sparse.csc_matrix:
+        """The held sparse (post x pre) matrix for the simulation step."""
+        return self.matrix
 
 
 def _law_windows(dims: GridDims, law: ConnectionLaw) -> np.ndarray:
@@ -186,18 +198,6 @@ def _probability_chunks(dims: GridDims, law: ConnectionLaw, signs: np.ndarray):
             yield start, prob
 
 
-def pair_probabilities(
-    dims: GridDims, law: ConnectionLaw, signs: np.ndarray
-) -> np.ndarray:
-    """Edge probabilities of all ordered pairs, ``(N, N)`` (source x target).
-
-    These are the chunks ``build_reservoir`` samples from, stacked.
-    Diagonal entries (self-pairs) are not masked here; the builder discards
-    them after sampling.
-    """
-    return np.concatenate([prob for _, prob in _probability_chunks(dims, law, signs)])
-
-
 def build_reservoir(
     dims: GridDims,
     law: ConnectionLaw,
@@ -218,30 +218,19 @@ def build_reservoir(
     signs[perm[: n // 2]] = 1
     signs[perm[n // 2 :]] = -1
 
-    src_parts: list[np.ndarray] = []
-    dst_parts: list[np.ndarray] = []
+    edges = []  # source * n + target of each edge
     for start, prob in _probability_chunks(dims, law, signs):
         adjacency = rng.random(prob.shape) < prob
         # row r's self-pair sits at flat index start + r * (n + 1)
         adjacency.reshape(-1)[start :: n + 1] = False
         # flat indices of a C-ordered chunk are in row-major order
-        s, d = np.divmod(np.flatnonzero(adjacency), n)
-        s += start
-        src_parts.append(s)
-        dst_parts.append(d)
-
-    src = np.concatenate(src_parts).astype(np.int64, copy=False)
-    dst = np.concatenate(dst_parts).astype(np.int64, copy=False)
+        edges.append(np.flatnonzero(adjacency) + start * n)
+    src, dst = np.divmod(np.concatenate(edges), n)
     weight = params.w_lsm * signs[src].astype(np.float64)
-    return ReservoirTopology(
-        dims=dims,
-        signs=signs,
-        src=src,
-        dst=dst,
-        weight=weight,
-        seed=seed,
-        law=law,
-    )
+    # the edges are source-major, so each source's run is its CSC column
+    indptr = np.searchsorted(src, np.arange(n + 1))
+    matrix = sparse.csc_matrix((weight, dst, indptr), shape=(n, n))
+    return ReservoirTopology(dims=dims, signs=signs, matrix=matrix, seed=seed, law=law)
 
 
 def save_topology(topo: ReservoirTopology, path) -> None:

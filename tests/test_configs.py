@@ -49,7 +49,9 @@ class TestLoadTimeChecks:
         "name, section, key, value, named",
         [
             (TEPRE, "ensemble", "dims", [5, 5], "dims must be three integers"),
-            (TEPRE, "ensemble", "dims", [5, 5, 24.0], "dims must be three integers"),
+            (TEPRE, "ensemble", "dims", [5, 5, 24.0], "nz must be an integer, not 24.0"),
+            (TEPRE, "ensemble", "dims", [5, True, 24], "ny must be an integer, not True"),
+            (MULRE, "ensemble", "member_dims", [20.0, 20, 10], "nx must be an integer, not 20.0"),
             (MULRE, "ensemble", "member_dims", [4, 4], "member_dims must be three"),
             (TEPRE, "preprocessing", "time_window", 2.5, "time_window must be an integer"),
             (TEPRE, "preprocessing", "downscale", 1.5, "downscale must be an integer"),

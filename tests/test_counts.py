@@ -33,7 +33,7 @@ from lsmkit import (
     load_config,
     run_sweep,
 )
-from lsmkit.config import InputConfig
+from lsmkit.config import EnsembleConfig, InputConfig
 from lsmkit.errors import check_real
 from lsmkit.eventio import write_dataset
 from lsmkit.topology import DEFAULT_C_TABLE
@@ -47,6 +47,9 @@ ENTRIES = [
     ("GridDims-nx", lambda v: GridDims(v, 2, 2), "nx", 1),
     ("GridDims-ny", lambda v: GridDims(2, v, 2), "ny", 1),
     ("GridDims-nz", lambda v: GridDims(2, 2, v), "nz", 1),
+    ("EnsembleConfig-dims", lambda v: EnsembleConfig("tepre", dims=(2, 2, v)), "nz", 1),
+    ("EnsembleConfig-member_dims",
+     lambda v: EnsembleConfig("mulre", d_list=(0.0,), member_dims=(2, v, 2)), "ny", 1),
     ("GatingSchedule-steps", lambda v: GatingSchedule(v, 1), "steps", 1),
     ("GatingSchedule-partitions", lambda v: GatingSchedule(4, v), "partitions", 1),
     ("ReceptiveField-window", lambda v: ReceptiveField(v, 4, 4), "window", 1),
@@ -101,6 +104,7 @@ def test_count_rule_at_each_entry(tmp_path, monkeypatch, call, value, error, tex
     "call",
     [
         lambda v: GridDims(v, 2, 2),
+        lambda v: EnsembleConfig("tepre", dims=(v, 5, 24)),
         lambda v: GatingSchedule(v, 1),
         lambda v: ReceptiveField(v, 4, 4),
         lambda v: InputSpec(v, 1.0, 0.5),
@@ -108,8 +112,8 @@ def test_count_rule_at_each_entry(tmp_path, monkeypatch, call, value, error, tex
         lambda v: clip_or_pad(FRAMES, v),
         lambda v: ReadoutConfig(epochs=v),
     ],
-    ids=["GridDims", "GatingSchedule", "ReceptiveField", "InputSpec", "bin_events",
-         "clip_or_pad", "ReadoutConfig"],
+    ids=["GridDims", "EnsembleConfig", "GatingSchedule", "ReceptiveField", "InputSpec",
+         "bin_events", "clip_or_pad", "ReadoutConfig"],
 )
 @pytest.mark.parametrize("value", [np.int64(4), np.int32(4), np.uint8(4)],
                          ids=lambda v: type(v).__name__)

@@ -208,6 +208,32 @@ class TestConfigRoundTrip:
         save_config(cfg, path)
         assert load_config(path) == cfg
 
+    def test_numpy_numbers_saved_as_plain_numbers(self, tiny_dataset, tmp_path):
+        # the NumPy integers and reals the count and real rules accept
+        cfg = tiny_config(
+            tiny_dataset,
+            preprocessing=PreprocessingConfig(time_window=1000, steps=np.int64(60)),
+            connectivity=ConnectivityConfig(lam=np.float32(1.7)),
+            output_dir=str(tmp_path / "run"),
+        )
+        path = tmp_path / "cfg.json"
+        save_config(cfg, path)
+        saved = json.loads(path.read_text())
+        assert saved["preprocessing"]["steps"] == 60
+        assert saved["connectivity"]["lam"] == float(np.float32(1.7))
+        report = run_experiment(cfg)
+        assert json.loads((tmp_path / "run" / "report.json").read_text())["config"] == saved
+        assert run_experiment(load_config(path)).state_hash == report.state_hash
+
+    def test_failed_save_leaves_the_old_file(self, tiny_dataset, tmp_path):
+        report = run_experiment(tiny_config(tiny_dataset))
+        path = tmp_path / "report.json"
+        report.save(path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            replace(report, readout={**report.readout, "bad": object()}).save(path)
+        assert path.read_bytes() == before
+
     def test_mulre_with_standard_input_rejected(self, tiny_dataset):
         with pytest.raises(ConfigError):
             tiny_config(

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -11,17 +13,25 @@ from lsmkit import (
     ConfigError,
     ConnectionLaw,
     GridDims,
+    InputSpec,
     NeuronParams,
+    build_input,
     build_reservoir,
+    run_mulre,
     save_topology,
 )
 from lsmkit import topology
 from lsmkit.config import load_config
 from lsmkit.harness import member_seed
-from lsmkit.topology import pair_probabilities
 
 PARAMS = NeuronParams()
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def pair_probabilities(dims, law, signs):
+    """Edge probabilities of all ordered pairs, ``(N, N)`` (source x target):
+    the chunks ``build_reservoir`` samples from, stacked, self-pairs included."""
+    return np.concatenate([p for _, p in topology._probability_chunks(dims, law, signs)])
 
 
 class TestConnectionProbability:
@@ -89,6 +99,11 @@ class TestGridDims:
     def test_odd_size_rejected(self):
         with pytest.raises(ConfigError):
             GridDims(3, 3, 3)
+
+    def test_numpy_sides_are_held_as_plain_ints(self):
+        # uint8 arithmetic would wrap the size: 4 * 5 * 24 is 480, not 224
+        dims = GridDims(np.uint8(4), np.uint8(5), 24)
+        assert dims.size == 480 and all(type(n) is int for n in (dims.nx, dims.ny, dims.nz))
 
     def test_coordinates_order(self):
         dims = GridDims(2, 3, 1)
@@ -398,3 +413,43 @@ class TestWeightMatrix:
         w = topo.weight_matrix()
         for s, t, wt in zip(topo.src[:50], topo.dst[:50], topo.weight[:50]):
             assert w[t, s] == wt
+
+
+class TestHeldMatrix:
+    """A topology holds its edges only as the matrix the time loop reads."""
+
+    @staticmethod
+    def _member(seed):
+        dims = GridDims(4, 4, 4)
+        topo = build_reservoir(dims, ConnectionLaw(lam=2.0), PARAMS, seed)
+        return topo, build_input(InputSpec(16, 12.0, 0.25), dims, seed + 1)
+
+    def test_weight_write_after_a_run_reaches_the_matrix(self):
+        rates = np.random.default_rng(3).poisson(1.0, size=(60, 16)).astype(float)
+        member = self._member(1)
+        first = run_mulre(rates, [member], PARAMS)[0].counts
+        member[0].weight[:] = 0.0
+        assert not member[0].weight_matrix().data.any()
+        after = run_mulre(rates, [member], PARAMS)[0].counts
+        unconnected = self._member(1)
+        unconnected[0].weight[:] = 0.0
+        assert np.array_equal(after, run_mulre(rates, [unconnected], PARAMS)[0].counts)
+        assert not np.array_equal(after, first)  # the recurrent weights mattered
+
+    def test_edge_lists_and_fields_are_read_only(self):
+        topo = build_reservoir(GridDims(3, 3, 2), ConnectionLaw(lam=5), PARAMS, 13)
+        for edges in (topo.src, topo.dst):
+            with pytest.raises(ValueError, match="read-only"):
+                edges[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            topo.matrix = topo.matrix.copy()
+
+    def test_pickle_round_trip_keeps_matrix_and_edges(self):
+        topo = build_reservoir(GridDims(5, 4, 3), ConnectionLaw(lam=2.0, d=1.0), PARAMS, 7)
+        back = pickle.loads(pickle.dumps(topo))
+        a, b = topo.weight_matrix(), back.weight_matrix()
+        assert a.format == b.format and a.shape == b.shape
+        for name in ("data", "indices", "indptr"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        assert _edges_digest(back) == _edges_digest(topo)
