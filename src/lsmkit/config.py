@@ -19,8 +19,7 @@ in ``SECTIONS`` and ``output_dir``; any other key fails to load.
                         "inter_weight": -1.0}
                     or {"variant": "mulre", "d_list": [0, 4, 6],
                         "member_dims": [10, 10, 12]},
-      "readout":       {"l2": 1e-4, "learning_rate": 0.5, "epochs": 500,
-                        "tolerance": 1e-6},
+      "readout":       {"l2": 1e-4, "epochs": 500, "tolerance": 1e-6},
       "seeds":         {"topology": 1, "input": 2, "training": 3},
       "output_dir":    "runs/example"
     }
@@ -44,8 +43,8 @@ Relative manifest paths resolve against LSMKIT_DATA_ROOT when that
 environment variable is set (with no fallback when the file is missing
 there), else against the config file's directory.
 
-The training seed is reserved and unused: the readout's gradient descent
-starts from zero weights and draws no random numbers.  The readout always
+The training seed is reserved and unused: the readout's L-BFGS fit starts
+from zero weights and draws no random numbers.  The readout always
 trains on each member's spike counts over the full presentation window.
 
 Input weight and density carry no published reference values; the shipped

@@ -289,9 +289,7 @@ def _run_stacked(
     # moves, but on shd-tepre6 it saved up to 15k minor faults and 5% of
     # samples/s per call (getrusage; 4 alternating perfbench pairs)
     drive = chain([next(drive)], drive)
-    weights = sparse.block_diag(
-        [topo.weight_matrix() for topo, _ in members], format="csr"
-    )
+    weights = sparse.block_diag([topo.matrix for topo, _ in members], format="csr")
     links = None
     if inter_links:
         src = np.concatenate([s + offsets[r] for r, (s, _, _) in enumerate(inter_links)])

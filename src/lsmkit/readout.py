@@ -2,7 +2,7 @@
 
 The per-sample state is the concatenation of per-neuron spike counts over
 all ensemble members.  A multinomial logistic regression is trained on
-these states by full-batch gradient descent on cross-entropy plus an L2
+these states by L-BFGS (Liu & Nocedal 1989) on cross-entropy plus an L2
 penalty on the weights (never the biases, so duplicating every sample
 leaves the optimum unchanged).  Features are standardized by their
 training-set maximum because spike counts have a wide dynamic range.
@@ -39,37 +39,26 @@ def extract_state(records: list[SpikeRecord]) -> SampleStateVector:
 @dataclass(frozen=True)
 class ReadoutConfig:
     l2: float = 1e-4
-    learning_rate: float = 0.5
     epochs: int = 500
     tolerance: float = 1e-6
 
     def __post_init__(self):
         check_int("epochs", self.epochs, low=0)
-        # an infinite step never passes the backtracking test, an infinite
-        # tolerance ends the fit at once, an infinite l2 makes the loss NaN
-        check_real("learning_rate", self.learning_rate, above=0)
+        # an infinite tolerance returns the zero start, an infinite l2 a NaN loss
         check_real("l2", self.l2, at_least=0)
         check_real("tolerance", self.tolerance, at_least=0)
 
 
 @dataclass(frozen=True)
 class FitTrace:
-    """How a fit ended: the epochs it ran, the gradient norm at its final
-    parameters, whether that norm fell below the tolerance, the loss there,
-    how often a step was halved, and in how many epochs the step fell below
-    ``MIN_STEP`` and was taken although the loss did not decrease."""
+    """How a fit ended: the L-BFGS iterations it ran, the gradient norm at
+    its final parameters, whether that norm fell below the tolerance, and
+    the loss there."""
 
     epochs: int
     grad_norm: float
     converged: bool
     final_loss: float
-    halvings: int
-    loss_increases: int
-
-
-# A fit halves its step while the loss rises, and takes a step below this
-# one whatever the loss.
-MIN_STEP = 1e-12
 
 
 @dataclass
@@ -142,16 +131,19 @@ def train_readout(
     train: tuple[np.ndarray, np.ndarray],
     config: ReadoutConfig = ReadoutConfig(),
 ) -> ReadoutModel:
-    """Fit the linear readout by deterministic full-batch gradient descent.
+    """Fit the linear readout by L-BFGS from zero parameters.
 
-    Starts from zero parameters (the objective is convex, so the start only
-    fixes the deterministic path).  Stops when the joint gradient norm
-    drops below the tolerance or the epoch budget runs out, and records
-    which in the model's ``fit``.  The step is halved until the loss does
-    not increase or the step falls below ``MIN_STEP``; that step is then
-    taken whatever the loss, so the loss trajectory is non-increasing only
-    when ``fit.loss_increases`` is 0.
+    The objective is convex, so the start only fixes the deterministic
+    path.  The fit stops when the joint gradient norm drops below the
+    tolerance (at once if the zero start meets it) or after ``epochs``
+    iterations; it stops earlier, unconverged, when the line search stalls
+    at machine precision or after SciPy's cap of 15000 loss evaluations.
+    ``fit`` records the iterations run and the loss and gradient norm at
+    the returned parameters.
     """
+    # imported here: scipy.optimize adds ~20 MB RSS to engine workers, which never fit
+    from scipy import optimize
+
     x, y = _labelled(train)
     if not np.isfinite(x).all():
         raise DatasetError("non-finite feature values")
@@ -163,32 +155,46 @@ def train_readout(
     scale = np.where(scale > 0, scale, 1.0)
     xs = x / scale
     y_onehot = (y[:, None] == classes[None, :]).astype(np.float64)
+    k, f = classes.shape[0], x.shape[1]
 
-    w = np.zeros((classes.shape[0], x.shape[1]))
-    b = np.zeros(classes.shape[0])
-    loss, grad_w, grad_b = loss_and_gradients(w, b, xs, y_onehot, config.l2)
-    epochs = halvings = increases = 0
-    while True:
-        gnorm = float(np.sqrt(np.sum(grad_w**2) + np.sum(grad_b**2)))
-        if gnorm < config.tolerance or epochs == config.epochs:
-            break
-        step = config.learning_rate
-        while True:
-            w_new = w - step * grad_w
-            b_new = b - step * grad_b
-            new_loss, new_gw, new_gb = loss_and_gradients(
-                w_new, b_new, xs, y_onehot, config.l2
-            )
-            if new_loss <= loss:
-                break
-            if step < MIN_STEP:
-                increases += 1
-                break
-            step *= 0.5
-            halvings += 1
-        w, b, loss, grad_w, grad_b = w_new, b_new, new_loss, new_gw, new_gb
-        epochs += 1
-    fit = FitTrace(epochs, gnorm, gnorm < config.tolerance, loss, halvings, increases)
+    def unpack(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return theta[: k * f].reshape(k, f), theta[k * f :]
+
+    last = {}  # the point last evaluated, with its loss and joint gradient norm
+
+    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        loss, grad_w, grad_b = loss_and_gradients(*unpack(theta), xs, y_onehot, config.l2)
+        norm = float(np.sqrt(np.sum(grad_w**2) + np.sum(grad_b**2)))
+        last.update(theta=theta.copy(), loss=loss, norm=norm)
+        return loss, np.concatenate([grad_w.ravel(), grad_b])
+
+    def norm_at(theta: np.ndarray) -> float:
+        if not np.array_equal(theta, last["theta"]):
+            objective(theta)
+        return last["norm"]
+
+    # SciPy hands the iterate to a callback whose one parameter has this name
+    def stop_when_converged(intermediate_result) -> None:
+        if norm_at(intermediate_result.x) < config.tolerance:
+            raise StopIteration
+
+    theta, iterations = np.zeros(k * f + k), 0
+    objective(theta)
+    # L-BFGS-B takes one step even at maxiter=0 or from a converged start
+    if config.epochs > 0 and last["norm"] >= config.tolerance:
+        # the tolerance is the only convergence test: SciPy's own are off
+        result = optimize.minimize(
+            objective,
+            theta,
+            method="L-BFGS-B",
+            jac=True,
+            callback=stop_when_converged,
+            options={"maxiter": config.epochs, "gtol": 0, "ftol": 0},
+        )
+        theta, iterations = result.x, result.nit
+    gnorm = norm_at(theta)
+    w, b = unpack(theta)
+    fit = FitTrace(iterations, gnorm, gnorm < config.tolerance, last["loss"])
     return ReadoutModel(weights=w, bias=b, feature_scale=scale, classes=classes, fit=fit)
 
 

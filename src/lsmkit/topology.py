@@ -134,10 +134,6 @@ class ReservoirTopology:
     def inhibitory_indices(self) -> np.ndarray:
         return np.nonzero(self.signs < 0)[0]
 
-    def weight_matrix(self) -> sparse.csc_matrix:
-        """The held sparse (post x pre) matrix for the simulation step."""
-        return self.matrix
-
 
 def _law_windows(dims: GridDims, law: ConnectionLaw) -> np.ndarray:
     """The law's distance factor as read-only ``(nz, ny, nx, nz, ny, nx)``

@@ -248,7 +248,7 @@ class TestCriterion4TepreGating:
             start, end = schedule.intervals[r]
             gated[start:end] = full[start:end]
             solo = simulate_population(
-                topo.weight_matrix(), gated, params,
+                topo.matrix, gated, params,
                 slab=schedule.intervals[r], record_raster=True,
             )
             assert np.array_equal(records[r].raster, solo.raster)

@@ -97,13 +97,7 @@ class TestLoadTimeChecks:
             ),
             (MULRE, "ensemble", "d_list", [True], "ensemble section: d must be a real number"),
             (TEPRE, "readout", "epochs", 2.5, "epochs must be an integer"),
-            (
-                TEPRE,
-                "readout",
-                "learning_rate",
-                INF,
-                "learning_rate must be a finite number > 0, not inf",
-            ),
+            (TEPRE, "readout", "l2", NAN, "l2 must be a finite number >= 0, not nan"),
             (TEPRE, "readout", "l2", INF, "l2 must be a finite number >= 0, not inf"),
             (
                 TEPRE,

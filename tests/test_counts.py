@@ -137,8 +137,10 @@ REAL_ENTRIES = [
     ("ConnectionLaw-c_table",
      lambda v: ConnectionLaw(c_table={**DEFAULT_C_TABLE, "EE": v}),
      "c_table[EE]", " > 0 and <= 1", JUST_ABOVE_ONE),
-    ("ReadoutConfig-learning_rate", lambda v: ReadoutConfig(learning_rate=v),
-     "learning_rate", " > 0", 0),
+    # the last key the check loops over, at the table's other bound
+    ("ConnectionLaw-c_table[II]",
+     lambda v: ConnectionLaw(c_table={**DEFAULT_C_TABLE, "II": v}),
+     "c_table[II]", " > 0 and <= 1", 0),
     ("ReadoutConfig-l2", lambda v: ReadoutConfig(l2=v), "l2", " >= 0", JUST_BELOW_ZERO),
     ("ReadoutConfig-tolerance", lambda v: ReadoutConfig(tolerance=v),
      "tolerance", " >= 0", JUST_BELOW_ZERO),

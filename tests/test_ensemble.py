@@ -83,7 +83,7 @@ class TestMuLRE:
         rates = poisson_rates(60, 16, seed=3)
         ensemble = run_mulre(rates, [(topo, imap)], PARAMS)
         plain = simulate_population(
-            topo.weight_matrix(), drive_through_map(rates, imap), PARAMS
+            topo.matrix, drive_through_map(rates, imap), PARAMS
         )
         assert np.array_equal(ensemble[0].counts, plain.counts)
 
@@ -197,7 +197,7 @@ class TestRunTepre:
         records = run_tepre(rates, members, links, schedule, PARAMS)
         topo, imap = members[0]
         plain = simulate_population(
-            topo.weight_matrix(), drive_through_map(rates, imap), PARAMS
+            topo.matrix, drive_through_map(rates, imap), PARAMS
         )
         assert np.array_equal(records[0].counts, plain.counts)
 
@@ -225,7 +225,7 @@ class TestRunTepre:
             full = drive_through_map(rates, imap)
             gated[start:end] = full[start:end]
             solo = simulate_population(
-                topo.weight_matrix(), gated, PARAMS, record_raster=True
+                topo.matrix, gated, PARAMS, record_raster=True
             )
             assert np.array_equal(records[r].raster, solo.raster)
             assert np.array_equal(records[r].counts, solo.counts)
@@ -290,7 +290,7 @@ class TestRunTepre:
         topo, imap = make_member(GridDims(4, 4, 4), d=0.0, topo_seed=1, input_seed=2)
         drive = drive_through_map(poisson_rates(60, 16, seed=3), imap)
         with pytest.raises(ConfigError, match="does not lie in"):
-            simulate_population(topo.weight_matrix(), drive, PARAMS, slab=slab)
+            simulate_population(topo.matrix, drive, PARAMS, slab=slab)
 
     def test_schedule_partition_mismatch_rejected(self):
         members, links, _, rates = self.build_ensemble(3)
@@ -366,7 +366,7 @@ class TestStackedExactness:
                 if r > 0 and prev[r - 1].any():
                     injected = injected + link_mats[r - 1].dot(prev[r - 1].astype(float))
                     crossings += 1
-                states[r] = lif_step(states[r], injected, topo.weight_matrix(), params)
+                states[r] = lif_step(states[r], injected, topo.matrix, params)
                 counts[r] += states[r].spikes
                 start, end = schedule.intervals[r]
                 if start <= t < end:
@@ -388,7 +388,7 @@ class TestStackedExactness:
         records = run_mulre(rates, members, params, record_raster=True)
         for record, (topo, imap) in zip(records, members):
             solo = simulate_population(
-                topo.weight_matrix(),
+                topo.matrix,
                 drive_through_map(rates, imap),
                 params,
                 record_raster=True,

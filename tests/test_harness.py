@@ -150,7 +150,6 @@ def experiment_configs(draw):
         ensemble=ensemble,
         readout=ReadoutConfig(
             l2=draw(st.floats(0.0, 1.0)),
-            learning_rate=draw(positive),
             epochs=draw(st.integers(0, 1000)),
             tolerance=draw(st.floats(0.0, 1.0)),
         ),
@@ -170,10 +169,12 @@ class TestConfigRoundTrip:
         assert tuple(data["ensemble"]) == FIELDS_READ[cfg.ensemble.variant]
         assert tuple(data["input"]) == FIELDS_READ[cfg.input.scheme]
 
-    @pytest.mark.parametrize("key", ["seed", "backtracking", "state_mode"])
+    @pytest.mark.parametrize("key", ["seed", "backtracking", "state_mode", "learning_rate"])
     def test_retired_readout_keys_rejected(self, tiny_dataset, key):
         data = to_dict(tiny_config(tiny_dataset))
-        data["readout"][key] = {"seed": 0, "backtracking": True, "state_mode": "full"}[key]
+        data["readout"][key] = {
+            "seed": 0, "backtracking": True, "state_mode": "full", "learning_rate": 0.5
+        }[key]
         with pytest.raises(ConfigError, match=f"bad readout section: .*'{key}'"):
             from_dict(data)
 
@@ -698,9 +699,9 @@ class TestGaborBlocks:
 
 
 class TestReadoutReport:
-    def test_shipped_synthetic_readout_does_not_converge(self, tmp_path):
-        # the shipped settings stop at 500 epochs with the gradient norm
-        # near 1e-3, far above the 1e-6 tolerance
+    def test_shipped_synthetic_readout_converges(self, tmp_path):
+        # the shipped settings reach the 1e-6 tolerance well inside the
+        # 500-iteration cap
         manifest = generate_multiphase(
             MultiPhaseParams(n_train=30, n_test=10, seed=3), tmp_path / "data"
         )
@@ -711,12 +712,10 @@ class TestReadoutReport:
         assert (cfg.readout.epochs, cfg.readout.tolerance) == (500, 1e-6)
         run_experiment(cfg)
         saved = json.loads((tmp_path / "run" / "report.json").read_text())
-        assert saved["readout"]["converged"] is False
-        assert saved["readout"]["epochs"] == 500
-        assert saved["readout"]["grad_norm"] > 1e-4
+        assert saved["readout"]["converged"] is True
+        assert saved["readout"]["epochs"] < 500
+        assert saved["readout"]["grad_norm"] < 1e-6
         assert saved["readout"]["final_loss"] > 0
-        assert saved["readout"]["loss_increases"] == 0
-        assert saved["readout"]["halvings"] >= 0
         assert saved["batch"] == 20  # all 40 samples in 2 batches, as B = 37 allows
 
         loose = replace(cfg, readout=replace(cfg.readout, tolerance=1.0), output_dir=None)

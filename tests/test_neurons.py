@@ -227,7 +227,7 @@ class TestBatchedStep:
     def test_batch_equals_column_by_column_runs(self):
         params, steps, batch = self.PARAMS, 150, 5
         topo = build_reservoir(GridDims(4, 4, 3), ConnectionLaw(lam=2.0), params, 21)
-        w = topo.weight_matrix()
+        w = topo.matrix
         drive = np.random.default_rng(6).normal(4.0, 9.0, size=(steps, w.shape[0], batch))
         drive[:, :, 1] = 0.0  # a silent column steps next to spiking ones
         batched = PopulationState.zeros(w.shape[0], batch)
@@ -252,7 +252,7 @@ class TestBatchedStep:
         input as it was."""
         params, steps, batch = self.PARAMS, 150, 5
         topo = build_reservoir(GridDims(4, 4, 3), ConnectionLaw(lam=2.0), params, 21)
-        w = topo.weight_matrix()
+        w = topo.matrix
         drive = np.random.default_rng(7).normal(4.0, 9.0, size=(steps, w.shape[0], batch))
         drive[:, :, 3] = 0.0
         pure = PopulationState.zeros(w.shape[0], batch)

@@ -410,7 +410,7 @@ class TestExport:
 class TestWeightMatrix:
     def test_matrix_orientation(self):
         topo = build_reservoir(GridDims(3, 3, 2), ConnectionLaw(lam=5), PARAMS, 13)
-        w = topo.weight_matrix()
+        w = topo.matrix
         for s, t, wt in zip(topo.src[:50], topo.dst[:50], topo.weight[:50]):
             assert w[t, s] == wt
 
@@ -429,7 +429,7 @@ class TestHeldMatrix:
         member = self._member(1)
         first = run_mulre(rates, [member], PARAMS)[0].counts
         member[0].weight[:] = 0.0
-        assert not member[0].weight_matrix().data.any()
+        assert not member[0].matrix.data.any()
         after = run_mulre(rates, [member], PARAMS)[0].counts
         unconnected = self._member(1)
         unconnected[0].weight[:] = 0.0
@@ -447,7 +447,7 @@ class TestHeldMatrix:
     def test_pickle_round_trip_keeps_matrix_and_edges(self):
         topo = build_reservoir(GridDims(5, 4, 3), ConnectionLaw(lam=2.0, d=1.0), PARAMS, 7)
         back = pickle.loads(pickle.dumps(topo))
-        a, b = topo.weight_matrix(), back.weight_matrix()
+        a, b = topo.matrix, back.matrix
         assert a.format == b.format and a.shape == b.shape
         for name in ("data", "indices", "indptr"):
             x, y = getattr(a, name), getattr(b, name)
