@@ -22,7 +22,9 @@ links; a temporal one gates each member's block to its slab and adds the
 inter-partition links.  The drive is mapped as the loop reaches it, at most
 ``DRIVE_BLOCK_STEPS`` steps at a time, into one block per member that each
 step copies into one step buffer, so a run holds one block's window copy
-and drive however long its slabs are.  A caller may expand each window
+and drive however long its slabs are.  A block of counts is mapped over
+its active inputs only, the ones with a count stored in it, which gives
+the drive of every input byte for byte.  A caller may expand each window
 first, row by row: the harness filters count frames with a Gabor bank that
 way, one block at a time.  The counts are cut per sample and member.
 """
@@ -30,7 +32,6 @@ way, one block at a time.  The counts are cut per sample and member.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -85,7 +86,10 @@ def drive_through_map(rates: np.ndarray, imap: InputMap) -> np.ndarray:
 
     The input-major map walks the inputs in order, one rate row each.  The
     product reads ``rates.T`` as one C-ordered block: F-ordered rates are
-    read in place, any other layout is first copied into that order.
+    read in place, any other layout is first copied into that order.  A
+    count block's window reaches it over the block's active inputs only,
+    with ``imap`` sliced to those columns for the call (see
+    :func:`gated_drive`), so its ``n_edges`` are the edges it multiplies.
     """
     rates = np.asarray(rates, dtype=np.float64)
     if rates.ndim != 2 or rates.shape[1] != imap.n_inputs:
@@ -132,12 +136,21 @@ def gated_drive(samples, members, offsets, slabs, l1=None, expand=None):
     ``DRIVE_BLOCK_STEPS`` steps as the loop reaches them: every member maps
     one input-major copy of the block's rates into its own (neurons, steps,
     B) block, and each step copies each block's column into its member's
-    rows of the one step buffer.  A given ``expand`` turns that (S * B, n)
-    window into the F-ordered (S * B, n_inputs) one the members map, row by
-    row, so that no row depends on the block it falls in.  The window goes
-    once mapped, the blocks before the next window is made; a slab's rows
-    are zeroed as it closes.  A given ``l1[r, b]`` gets the (T,) L1 norm of
-    member r's drive into b.
+    rows of the one step buffer.
+
+    The window holds only the block's active inputs, those stored in any
+    of its rows, and each member maps it through its map's columns of them,
+    sliced for the call: at most 12 bytes (a float64 weight and an int32
+    row) per edge of the map.  An inactive input's terms are its zero rate
+    times a finite weight, ±0.0, and each output's sum starts at +0.0 and
+    adds its other terms in the same ascending input order, so the drive is
+    that of the whole map, byte for byte.  A block whose inputs are all
+    active maps the whole map.  So does one through ``expand``, which turns
+    the (S * B, n) window of every count into the F-ordered (S * B,
+    n_inputs) one the members map, row by row, so that no row depends on
+    the block it falls in.  The window goes once mapped, the blocks before
+    the next window is made; a slab's rows are zeroed as it closes.  A
+    given ``l1[r, b]`` gets the (T,) L1 norm of member r's drive into b.
     """
     batch = len(samples)
     buffer = np.zeros((offsets[-1], batch))
@@ -145,12 +158,14 @@ def gated_drive(samples, members, offsets, slabs, l1=None, expand=None):
         targets = [buffer[offsets[r] : offsets[r + 1]] for r in range(first, last)]
         for lo in range(start, end, DRIVE_BLOCK_STEPS):
             hi = min(lo + DRIVE_BLOCK_STEPS, end)
+            active = None if expand is not None else _active_inputs(samples, lo, hi)
             # rows ordered (step, sample): one mapping call drives the batch
-            window = _window(samples, lo, hi)
+            window = _window(samples, lo, hi, active)
             if expand is not None:
                 window = expand(window)
             blocks = [
-                drive_through_map(window, members[r][1]).T.reshape(-1, hi - lo, batch)
+                drive_through_map(window, _map_of(members[r][1], active))
+                .T.reshape(-1, hi - lo, batch)
                 for r in range(first, last)
             ]
             del window
@@ -181,17 +196,40 @@ def _canonical(sample):
     return sample
 
 
-def _window(samples, start, end) -> np.ndarray:
+def _active_inputs(samples, start, end) -> np.ndarray | None:
+    """The ascending inputs stored in any of B samples' canonical CSR rows
+    [start, end), marked from their column indices alone, or None when
+    that is every input."""
+    active = np.zeros(samples[0].shape[1], dtype=bool)
+    for sample in samples:
+        active[sample.indices[sample.indptr[start] : sample.indptr[end]]] = True
+    return None if active.all() else np.flatnonzero(active)
+
+
+def _window(samples, start, end, active=None) -> np.ndarray:
     """Steps [start, end) of B samples' canonical CSR rates scattered into
-    one F-ordered float64 (S * B, n_inputs) array of zeros, row t * B + b
-    holding step start + t of sample b, so only a window is ever dense."""
+    one F-ordered float64 (S * B, k) array of zeros, row t * B + b holding
+    step start + t of sample b, so only a window is ever dense.  Its k
+    columns are the ascending ``active`` inputs, which hold every stored
+    entry of those rows, or all n inputs when ``active`` is None."""
     batch = len(samples)
-    window = np.zeros(((end - start) * batch, samples[0].shape[1]), order="F")
+    width = samples[0].shape[1] if active is None else active.size
+    window = np.zeros(((end - start) * batch, width), order="F")
     for b, sample in enumerate(samples):
         ptr = sample.indptr[start : end + 1]
         rows = np.repeat(np.arange(b, window.shape[0], batch), np.diff(ptr))
-        window[rows, sample.indices[ptr[0] : ptr[-1]]] = sample.data[ptr[0] : ptr[-1]]
+        columns = sample.indices[ptr[0] : ptr[-1]]
+        if active is not None:
+            columns = np.searchsorted(active, columns)
+        window[rows, columns] = sample.data[ptr[0] : ptr[-1]]
     return window
+
+
+def _map_of(imap: InputMap, active) -> InputMap:
+    """``imap`` over the ascending ``active`` inputs only, or all of it when
+    ``active`` is None.  Slicing copies each kept column as it is stored,
+    so the columns keep the sampler's order."""
+    return imap if active is None else InputMap(imap.matrix[:, active], imap.seed)
 
 
 def simulate_population(
@@ -285,10 +323,6 @@ def _run_stacked(
     else:
         slabs = [(start, end, r, r + 1) for r, (start, end) in enumerate(intervals)]
     drive = gated_drive(samples, members, offsets, slabs, l1, expand)
-    # the first block is mapped before the weights are built: no traced peak
-    # moves, but on shd-tepre6 it saved up to 15k minor faults and 5% of
-    # samples/s per call (getrusage; 4 alternating perfbench pairs)
-    drive = chain([next(drive)], drive)
     weights = sparse.block_diag([topo.matrix for topo, _ in members], format="csr")
     links = None
     if inter_links:

@@ -105,9 +105,18 @@ def preprocess_stream(stream, cfg: ExperimentConfig, n_channels: int) -> sparse.
     ``steps``, one count frame per row; the one form rates are held in.
     Counts are 1-31% nonzero, and the ensemble makes only an open drive
     block's window of them dense.  A Gabor config filters that window, not
-    the sample (see :func:`gabor_window`)."""
+    the sample (see :func:`gabor_window`).  The CSR is built from the flat
+    positions of the frames' nonzero counts, which are in row-major order,
+    so it is canonical, its index arrays chosen as ``sparse.csr_matrix`` of
+    the dense counts chooses them."""
     seq = clip_or_pad(_frames(stream, cfg, n_channels), cfg.preprocessing.steps)
-    return sparse.csr_matrix(seq.flat()).astype(np.float64, copy=False)
+    counts = seq.flat()
+    steps, n = counts.shape
+    flat = counts.ravel()
+    nonzero = np.flatnonzero(flat)
+    indptr = np.searchsorted(nonzero, np.arange(0, flat.size + 1, n))
+    data = flat[nonzero].astype(np.float64)
+    return sparse.csr_matrix((data, nonzero % n, indptr), shape=(steps, n))
 
 
 def gabor_window(window: np.ndarray, frame: tuple[int, int, int]) -> np.ndarray:
@@ -174,7 +183,11 @@ def sample_bytes(cfg: ExperimentConfig, geometry: tuple[int, int, int]) -> int:
     float64 value and an int32 column) for each of at most
     ``RATES_PER_STEP`` nonzero counts per step, or n if fewer, and 4 bytes
     per row pointer.  Denser counts take more, up to 1.5 times their dense
-    bytes."""
+    bytes.  The window is charged at its full width, an upper bound: without
+    a Gabor bank it holds only the block's active inputs.  Each slab
+    member's map sliced to them, at most 12 bytes per edge of the map, is
+    held one member at a time, once per call at any batch size; the model
+    leaves it out."""
     ens, steps = cfg.ensemble, cfg.preprocessing.steps
     n, member = int(np.prod(geometry)), ens.member_grid().size
     if ens.variant == "mulre":  # one slab over T drives every member

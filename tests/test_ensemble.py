@@ -1,9 +1,11 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
 from lsmkit import ensemble as ensemble_module
@@ -659,9 +661,9 @@ class TestStackedExactness:
         assert np.array_equal(doubled.toarray(), rates)
         seen, window = [], ensemble_module._window
 
-        def recording_window(samples, start, end):
+        def recording_window(samples, *block):
             seen.append([sample for sample in samples if sparse.issparse(sample)])
-            return window(samples, start, end)
+            return window(samples, *block)
 
         monkeypatch.setattr(ensemble_module, "_window", recording_window)
         monkeypatch.setattr(ensemble_module, "DRIVE_BLOCK_STEPS", 4)
@@ -690,9 +692,53 @@ def receptive_member(seed, width=10, height=10, channels=18, dims=GridDims(6, 6,
     )
 
 
+# Two members of a drive-map property, whose 7.3 weights make the products
+# inexact: a reordered sum changes low bits of the drive.
+DRAWN_INPUTS, DRAWN_DIMS = 10, GridDims(3, 3, 2)
+DRAWN_MAPS = [
+    build_input(InputSpec(n_inputs=DRAWN_INPUTS, input_weight=7.3, density=0.5), DRAWN_DIMS, s)
+    for s in (41, 42)
+]
+
+
+def _counts_csr(rows):
+    return sparse.csr_matrix(np.asarray(rows, dtype=np.float64))
+
+
+@st.composite
+def count_batches(draw):
+    """B = 1-4 samples of (T, n) count CSR, and the step at which the second
+    member's slab starts, or None when one slab drives both members.  The
+    samples may touch disjoint inputs, a span of steps may be silent in all
+    of them, and the first may fire on every input at one step."""
+    batch, steps = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    disjoint = draw(st.booleans())
+    quiet = sorted(draw(st.lists(st.integers(0, steps), min_size=2, max_size=2)))
+    full = draw(st.none() | st.integers(0, steps - 1))
+    values = st.sampled_from([0, 0, 0, 0, 1, 2, 5])
+    samples = []
+    for b in range(batch):
+        counts = draw(arrays(np.int64, (steps, DRAWN_INPUTS), elements=values))
+        if disjoint:
+            counts[:, np.arange(DRAWN_INPUTS) % batch != b] = 0
+        counts[quiet[0] : quiet[1]] = 0
+        if full is not None and b == 0:
+            counts[full] += 1
+        samples.append(_counts_csr(counts))
+    return samples, draw(st.none() | st.integers(0, steps))
+
+
+DISJOINT_QUIET_FULL = [
+    _counts_csr([[1, 0, 2, 0, 0] + [0] * 5] * 2 + [[0] * 10] * 2 + [[1] * 10] * 2),
+    _counts_csr([[0] * 5 + [0, 5, 0, 1, 1]] * 2 + [[0] * 10] * 2 + [[2] * 10] * 2),
+]
+
+
 class TestDriveMap:
     """The input-major product adds each output's terms in the order a
-    row-major one does, so the drive is bit-identical to it."""
+    row-major one does, so the drive is bit-identical to it; and a count
+    block's drive, mapped over its active inputs only, is that of the whole
+    map."""
 
     def rates(self, n_inputs):
         rng = np.random.default_rng(4)
@@ -757,3 +803,39 @@ class TestDriveMap:
         block_bytes = sum(topo.size for topo, _ in members) * block * 8
         # the window copy and the members' blocks, one of them being mapped
         assert peak < window_bytes + block_bytes + 32 * 1024
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(count_batches(), st.integers(1, 5))
+    # inputs 0-4 for one sample and 5-9 for the other, then a silent block
+    # and one whose every input fires, in one slab and in two
+    @example((DISJOINT_QUIET_FULL, None), 2).via("one slab")
+    @example((DISJOINT_QUIET_FULL, 3), 2).via("two slabs")
+    def test_steps_equal_whole_map_product(self, case, block):
+        """Every step buffer ``gated_drive`` yields for a batch of count
+        samples holds, byte for byte, each driven member's columns of its
+        whole map times the whole window of every step, and zeros for an
+        undriven one."""
+        samples, split = case
+        steps, batch = samples[0].shape[0], len(samples)
+        if split is None:  # one slab drives both members
+            slabs, driven = [(0, steps, 0, 2)], [(0, steps)] * 2
+        else:
+            slabs, driven = [(0, split, 0, 1), (split, steps, 1, 2)], [(0, split), (split, steps)]
+        for imap in DRAWN_MAPS:  # the sampler's column order, not canonical
+            assert not imap.matrix.has_sorted_indices
+        members = [(None, imap) for imap in DRAWN_MAPS]
+        offsets = np.cumsum([0] + [imap.n_reservoir for imap in DRAWN_MAPS])
+        # row t * B + b holds step t of sample b, as in every window
+        full = np.stack([s.toarray() for s in samples], axis=1).reshape(steps * batch, -1)
+        wants = [imap.matrix.dot(full.T) for imap in DRAWN_MAPS]
+        with mock.patch.object(ensemble_module, "DRIVE_BLOCK_STEPS", block):
+            drive = ensemble_module.gated_drive(samples, members, offsets, slabs)
+            for t, buffer in enumerate(drive):
+                for r, want in enumerate(wants):
+                    got = buffer[offsets[r] : offsets[r + 1]]
+                    start, end = driven[r]
+                    step = np.zeros_like(got)
+                    if start <= t < end:
+                        step = np.ascontiguousarray(want[:, t * batch : (t + 1) * batch])
+                    assert got.tobytes() == step.tobytes(), (t, r)
+        assert t == steps - 1

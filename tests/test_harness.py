@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -16,6 +17,7 @@ import scipy
 from hypothesis import given, settings, strategies as st
 
 import lsmkit.cli as cli
+import lsmkit.ensemble as ensemble_module
 import lsmkit.harness as harness
 from lsmkit import (
     ConfigError,
@@ -1285,3 +1287,83 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad {section} section:")
+
+
+# Small synthetic sets for the real-weight twins: events sparse enough that
+# many of a drive block's inputs stay silent.
+TWIN_SETS = {
+    "dvsgesture_rf.json": MultiPhaseParams(
+        n_classes=2, n_phases=3, width=48, height=48, steps_per_phase=100,
+        time_window=20000, hi_rate=0.05, lo_rate=0.002, n_train=2, n_test=2, seed=7,
+    ),
+    "shd_tepre6.json": MultiPhaseParams(
+        n_classes=2, n_phases=4, width=10, height=10, steps_per_phase=250,
+        time_window=1000, hi_rate=0.02, lo_rate=0.002, n_train=2, n_test=2, seed=8,
+    ),
+}
+# SHA-256 of each twin's train and test features, of every step's injected
+# current and of the final v and u, recorded before drive blocks were mapped
+# over their active inputs only (NumPy 2.4.6, SciPy 1.17.1).
+TWIN_PINS = {
+    "dvsgesture_rf.json": {
+        "train": "02305c73a09524130a43c11923e8f9ffbfffc9de02b968b63d25c8c5425826e0",
+        "test": "924d8c166fd629455b9754cdd2389bacadda94a3ffa869a392928268fc43f139",
+        "drive": "7e70878f9c94063efdce7ed36dc6116f5e209fe749fe6667058ab0c1f49a2512",
+        "state": "88fa2a50bb161fd72e02cf1c133d21065fb5512ec46dcce71facb61bae75a4a6",
+    },
+    "shd_tepre6.json": {
+        "train": "52242517f7de28f89599497b5fef47645437c62345bddc8d54ca6222a2957b5b",
+        "test": "7726b11b966042b7b56839198869f419de901779aa2d1d83b39948a894f4e447",
+        "drive": "f14ee8fe034131223fa642ed1282b6db1d3759e59cf1eb91561545c80fe303c1",
+        "state": "cf004b23d3c9b01ee100d3acf18b50ee9e205f7ad57596f4c0a8f7afc165bed7",
+    },
+}
+
+
+class TestRealWeightTwins:
+    """Twins of two shipped count configs with input weight 7.3, ``w_lsm``
+    0.7 and ``inter_weight`` -1.3.  Their drive and state sums are inexact,
+    so a reordered sum changes the drive and state pins, which spike counts
+    alone would hide."""
+
+    CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+    @pytest.mark.parametrize("name", sorted(TWIN_SETS))
+    def test_pinned(self, name, tmp_path, monkeypatch):
+        cfg = load_config(self.CONFIG_DIR / name)
+        cfg = replace(
+            cfg,
+            dataset_manifest=str(generate_multiphase(TWIN_SETS[name], tmp_path)),
+            output_dir=None,
+            input=replace(cfg.input, weight=7.3),
+            neuron=replace(cfg.neuron, w_lsm=0.7),
+        )
+        if cfg.ensemble.variant == "tepre":
+            cfg = replace(cfg, ensemble=replace(cfg.ensemble, inter_weight=-1.3))
+        drive, widths, final = hashlib.sha256(), [], []
+        step, mapped = ensemble_module.lif_step, ensemble_module.drive_through_map
+
+        def recording_step(state, injected, *args, **kwargs):
+            drive.update(np.ascontiguousarray(injected).tobytes())
+            final[:] = [step(state, injected, *args, **kwargs)]
+            return final[0]
+
+        def recording_map(rates, imap):
+            widths.append(imap.n_inputs)
+            return mapped(rates, imap)
+
+        monkeypatch.setattr(ensemble_module, "lif_step", recording_step)
+        monkeypatch.setattr(ensemble_module, "drive_through_map", recording_map)
+        report = run_experiment(cfg)
+        assert report.batch == 4  # one call: the final state is the whole run's
+        got = {
+            "train": report.state_hash["train"],
+            "test": report.state_hash["test"],
+            "drive": drive.hexdigest(),
+            "state": hashlib.sha256(final[0].v.tobytes() + final[0].u.tobytes()).hexdigest(),
+        }
+        assert got == TWIN_PINS[name]
+        # some blocks map their members' maps over fewer than all inputs
+        full = math.prod(frame_geometry(cfg, load_manifest(cfg.dataset_manifest)))
+        assert min(widths) < full and max(widths) <= full
+

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy import signal
+from scipy import signal, sparse
 
 from lsmkit import (
     ConfigError,
@@ -25,6 +25,7 @@ from lsmkit.eventio import (
     write_csv_events,
     write_events,
 )
+import lsmkit.harness as harness
 from lsmkit.gabor import N_KERNELS, WAVELENGTHS, build_bank
 from lsmkit.harness import (
     Manifest,
@@ -288,6 +289,55 @@ def brute_force_correlate(frame, kernel):
                         acc += frame[yy, xx] * kernel[dy, dx]
             out[y, x] = acc
     return out
+
+
+class TestCountCsr:
+    """``preprocess_stream`` builds its CSR from the clipped or padded
+    frames' nonzero counts: the matrix ``sparse.csr_matrix`` makes of them,
+    array for array.  The front end's stages are still called through
+    ``lsmkit.harness``, where the benchmark hooks them."""
+
+    @pytest.mark.parametrize("factor", [1, 2])
+    @pytest.mark.parametrize("merge", [False, True])
+    @pytest.mark.parametrize(
+        "kind, steps, events", [("empty", 5, 0), ("clipped", 5, 200), ("padded", 40, 200)]
+    )
+    def test_equals_csr_of_frames(self, monkeypatch, kind, steps, events, merge, factor):
+        rng = np.random.default_rng(steps + events)
+        stream = EventStream(
+            t=np.sort(rng.integers(0, 12_000, events)), x=rng.integers(0, 8, events),
+            y=rng.integers(0, 6, events), p=rng.integers(0, 2, events), width=8, height=6,
+        )
+        cfg = ExperimentConfig(
+            dataset_manifest="unused",
+            preprocessing=PreprocessingConfig(
+                time_window=1000, downscale=factor, merge_polarities=merge, steps=steps,
+            ),
+        )
+        calls, fixed = [], []
+        for name in ("bin_events", "downscale", "clip_or_pad"):
+            def called(*args, _name=name, _stage=getattr(harness, name), **kwargs):
+                calls.append(_name)
+                out = _stage(*args, **kwargs)
+                if _name == "clip_or_pad":
+                    fixed.append((args[0].steps, out))
+                return out
+
+            monkeypatch.setattr(harness, name, called)
+        rates = preprocess_stream(stream, cfg, 2)
+        assert sorted(calls) == ["bin_events", "clip_or_pad", "downscale"]
+        binned, frames = fixed[0]
+        span = (stream.t[-1] - stream.t[0]) // 1000 + 1 if events else 0  # steps it covers
+        assert {"empty": span == 0, "clipped": span > steps, "padded": span < steps}[kind]
+        assert binned == min(span, steps)  # late events are cut before binning
+        want = sparse.csr_matrix(frames.flat()).astype(np.float64)
+        assert rates.format == "csr" and rates.shape == (steps, want.shape[1])
+        assert rates.has_canonical_format
+        for name in ("data", "indices", "indptr"):
+            got, expected = getattr(rates, name), getattr(want, name)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+        assert rates.indices.dtype == np.int32
+        assert (rates.nnz > 0) == (events > 0)
 
 
 class TestGaborBank:
