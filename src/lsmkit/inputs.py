@@ -30,12 +30,20 @@ def check_density(density: float) -> None:
 
 
 def check_window(window: int, dims: GridDims) -> None:
-    """A receptive window must fit the grid's (x, y) extent; also checked
-    at config load."""
+    """A receptive window must fit the grid's (x, y) extent, and its
+    smallest pool must hold a +/- pair; also checked at config load.
+    Pixel (0, 0) anchors at column (0, 0), where the window keeps
+    ceil(window / 2) columns along x and along y, the fewest of any pixel."""
     if window > dims.nx or window > dims.ny:
         raise ConfigError(
             f"window {window} does not fit inside the "
             f"{dims.nx}x{dims.ny} reservoir extent"
+        )
+    corner = ((window + 1) // 2) ** 2 * dims.nz
+    if corner < 2:
+        raise ConfigError(
+            f"window {window} leaves pixel (0, 0) a pool of {corner} neuron on the "
+            f"{dims.nx}x{dims.ny}x{dims.nz} reservoir, too few for a +/- pair"
         )
 
 
@@ -120,51 +128,45 @@ class InputMap:
         return self.matrix.data
 
 
-def _signed_split(
-    targets: np.ndarray, weight_mag: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Assign +/- weight to a shuffled half/half split of the targets."""
-    k = targets.shape[0]
-    rng.shuffle(targets)
-    weights = np.empty(k, dtype=np.float64)
-    weights[: k // 2] = weight_mag
-    weights[k // 2 :] = -weight_mag
-    return weights
-
-
-def anchor_of(px: int, py: int, field: ReceptiveField, dims: GridDims) -> tuple[int, int]:
-    """Reservoir (x, y) column a pixel anchors to; monotone in px and py."""
+def anchor_of(px, py, field: ReceptiveField, dims: GridDims):
+    """Reservoir (x, y) column a pixel anchors to; monotone in px and py.
+    Takes ints, or integer arrays of pixels."""
     ax = (px * dims.nx) // field.input_width
     ay = (py * dims.ny) // field.input_height
     return ax, ay
 
 
-def window_pool(
-    px: int, py: int, field: ReceptiveField, dims: GridDims
-) -> np.ndarray:
-    """Linear indices of all neurons in the clipped window, across all z."""
-    ax, ay = anchor_of(px, py, field, dims)
-    half = field.window // 2
-    x_lo = max(0, ax - half)
-    x_hi = min(dims.nx - 1, ax - half + field.window - 1)
-    y_lo = max(0, ay - half)
-    y_hi = min(dims.ny - 1, ay - half + field.window - 1)
-    xs = np.arange(x_lo, x_hi + 1)
-    ys = np.arange(y_lo, y_hi + 1)
-    zs = np.arange(dims.nz)
-    cols = (xs[None, :] + dims.nx * ys[:, None]).ravel()
-    return (cols[None, :] + (dims.nx * dims.ny) * zs[:, None]).ravel()
-
-
 def _pool_fanout(density: float, pool_size: int) -> int:
-    """Pool-relative fan-out: round, force even, clamp to [2, even pool]."""
-    even_pool = pool_size - (pool_size % 2)
-    if even_pool < 2:
-        raise ConfigError(f"pool of {pool_size} neurons cannot host a +/- pair")
+    """Pool-relative fan-out: round, force even, clamp to [2, even pool].
+    Every pool holds at least 2 neurons: a grid's size is even, and
+    :func:`check_window` refuses a window whose smallest pool is smaller."""
     k = int(np.rint(density * pool_size))
     if k % 2 != 0:
         k -= 1
-    return min(max(k, 2), even_pool)
+    return min(max(k, 2), pool_size - (pool_size % 2))
+
+
+def _window_pools(field: ReceptiveField, dims: GridDims):
+    """Each input's clipped window as its pool size, and as the ``start``
+    into ``table`` and the ``base`` neuron that make its pool-local index
+    ``l`` reservoir neuron ``base + table[start + l]``; returned as
+    ``(size, start, base, table)``.  ``l`` runs over x, then y, then z, one
+    table serves every window of its shape, and channels share their
+    pixel's window."""
+    pixel = np.arange(field.input_width * field.input_height)
+    ax, ay = anchor_of(pixel % field.input_width, pixel // field.input_width, field, dims)
+    half = field.window // 2
+    x_lo, y_lo = np.maximum(ax - half, 0), np.maximum(ay - half, 0)
+    wx = np.minimum(ax - half + field.window, dims.nx) - x_lo
+    wy = np.minimum(ay - half + field.window, dims.ny) - y_lo
+    shapes, shape_of = np.unique(wy * (dims.nx + 1) + wx, return_inverse=True)
+    tables = []
+    for h, w in (divmod(shape, dims.nx + 1) for shape in shapes.tolist()):
+        cols = (np.arange(w)[None, :] + dims.nx * np.arange(h)[:, None]).ravel()
+        tables.append((cols[None, :] + dims.nx * dims.ny * np.arange(dims.nz)[:, None]).ravel())
+    starts = np.cumsum([0] + [t.size for t in tables[:-1]])
+    per_pixel = (wx * wy * dims.nz, starts[shape_of], x_lo + dims.nx * y_lo)
+    return *(np.tile(a, field.channels) for a in per_pixel), np.concatenate(tables)
 
 
 def build_input(spec: InputSpec, dims: GridDims, seed: int) -> InputMap:
@@ -175,31 +177,44 @@ def build_input(spec: InputSpec, dims: GridDims, seed: int) -> InputMap:
     shifts the window.  The fan-out is forced even (rounded down) with a
     floor of 2 and capped at the pool, so the equal sign split holds for
     every density and it stays comparable across window sizes even though
-    pools shrink at the image border.
+    pools shrink at the image border.  Each input's first k // 2 targets
+    are positive.
+
+    Only the draws run once per input, in input order: ``rng.choice`` of
+    k pool-local indices, then ``rng.shuffle`` of them.  Both read one
+    ``Generator``'s sequential stream, whose draws NumPy cannot make in
+    bulk and reproduce.  Everything else is computed in bulk; shuffling
+    the local indices before mapping them into the pool draws what
+    shuffling the mapped targets would, as a shuffle's draws depend only
+    on the length.
     """
     if spec.scheme == STANDARD:
-        pools = [np.arange(dims.size)]
-        pool_of = np.zeros(spec.n_inputs, dtype=np.int64)
+        pool_size = np.full(spec.n_inputs, dims.size)
     else:
-        field = spec.field
-        check_window(field.window, dims)
-        width, plane = field.input_width, field.input_width * field.input_height
-        pools = [window_pool(p % width, p // width, field, dims) for p in range(plane)]
-        pool_of = np.arange(spec.n_inputs, dtype=np.int64) % plane
-    fanouts = np.array([_pool_fanout(spec.density, pool.size) for pool in pools])
-    ends = np.cumsum(fanouts[pool_of]).tolist()
-    res_idx = np.empty(ends[-1], dtype=np.int64)
-    weights = np.empty(ends[-1], dtype=np.float64)
+        check_window(spec.field.window, dims)
+        pool_size, start, base, table = _window_pools(spec.field, dims)
+    sizes, size_of = np.unique(pool_size, return_inverse=True)
+    fanout = np.array([_pool_fanout(spec.density, size) for size in sizes.tolist()])[size_of]
+    ends = np.cumsum(fanout)
+    targets = np.empty(ends[-1], dtype=np.int64)
     rng = np.random.default_rng(seed)
-    start = 0
-    for p, end in zip(pool_of.tolist(), ends):
-        pool = pools[p]
-        targets = pool[rng.choice(pool.size, size=end - start, replace=False)]
-        weights[start:end] = _signed_split(targets, spec.input_weight, rng)
-        res_idx[start:end] = targets
-        start = end
+    choice, shuffle = rng.choice, rng.shuffle
+    lo = 0
+    for pool, hi in zip(pool_size.tolist(), ends.tolist()):
+        drawn = choice(pool, size=hi - lo, replace=False)
+        shuffle(drawn)
+        targets[lo:hi] = drawn
+        lo = hi
+    if spec.scheme != STANDARD:
+        # at most one edge-length temporary beside the targets at a time
+        targets += np.repeat(start, fanout)
+        targets = table[targets]
+        targets += np.repeat(base, fanout)
+    signs = np.array([spec.input_weight, -spec.input_weight], dtype=np.float64)
+    weights = np.repeat(np.tile(signs, spec.n_inputs), np.repeat(fanout // 2, 2))
     matrix = sparse.csc_matrix(
-        (weights, res_idx, [0, *ends]), shape=(dims.size, spec.n_inputs)
+        (weights, targets, np.concatenate(([0], ends))),
+        shape=(dims.size, spec.n_inputs),
     )
     return InputMap(matrix=matrix, seed=seed)
 

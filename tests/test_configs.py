@@ -116,11 +116,24 @@ class TestLoadTimeChecks:
             (TEPRE, "ensemble", "d_list", [0, 4], "d_list does not apply to tepre"),
             (TEPRE, "ensemble", "member_dims", [5, 5, 8], "member_dims does not apply"),
             (TEPRE, "input", "window", 11, "window does not apply to standard"),
+            # several fields at once: a window whose corner pool of one column
+            # of one neuron cannot hold a +/- pair
+            (
+                "dvsgesture_rf.json",
+                None,
+                None,
+                {"input": {"window": 2}, "ensemble": {"member_dims": [20, 20, 1]}},
+                "window 2 leaves pixel",
+            ),
         ],
     )
     def test_broken_value_rejected(self, name, section, key, value, named):
         data = json.loads((CONFIG_DIR / name).read_text())
-        (data if section is None else data[section])[key] = value
+        if key is None:
+            for sec, fields in value.items():
+                data[sec].update(fields)
+        else:
+            (data if section is None else data[section])[key] = value
         with pytest.raises(ConfigError, match=named):
             from_dict(data)
 

@@ -119,10 +119,13 @@ def experiment_configs(draw):
         ensemble = EnsembleConfig(
             variant="mulre",
             d_list=tuple(draw(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=4))),
-            member_dims=draw(grids),
+            # a one-neuron-deep grid takes a window of 3 or more
+            member_dims=draw(grids.filter(lambda g: g[2] > 1 or min(g[:2]) >= 3)),
         )
-        # the receptive window fits the member grid
-        window = draw(st.integers(1, min(ensemble.member_dims[:2])))
+        # the receptive window fits the member grid, and its corner pool,
+        # ceil(window / 2) ** 2 columns, holds a +/- pair
+        nx, ny, nz = ensemble.member_dims
+        window = draw(st.integers(1 if nz > 1 else 3, min(nx, ny)))
         input_fields = {"scheme": "receptive_field", "window": window}
     return ExperimentConfig(
         dataset_manifest=draw(st.text("abc/._-", min_size=1, max_size=20)),
