@@ -27,6 +27,12 @@ its active inputs only, the ones with a count stored in it, which gives
 the drive of every input byte for byte.  A caller may expand each window
 first, row by row: the harness filters count frames with a Gabor bank that
 way, one block at a time.  The counts are cut per sample and member.
+
+The recurrent and link matrices are held as CSC, and each step's sums over
+the previous spikes are :func:`~lsmkit.neurons.fired_sum`, which adds up
+only the fired columns when firing is sparse and gives the whole product's
+bytes either way.  Every weight is checked to be finite before the first
+step, since a gathered sum reads a weight only once its source fires.
 """
 
 from __future__ import annotations
@@ -36,9 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigError, check_int, check_real
+from .errors import ConfigError, NumericsError, check_int, check_real
 from .inputs import InputMap
-from .neurons import NeuronParams, PopulationState, lif_step
+from .neurons import NeuronParams, PopulationState, fired_sum, lif_step
 from .topology import ReservoirTopology
 
 
@@ -246,7 +252,8 @@ def simulate_population(
     or (T, N, B) for B samples stepped together, whose record's arrays then
     keep the trailing batch axis.  ``slab``, a part of [0, T], additionally
     counts spikes inside it.  The (T, N[, B]) uint8 raster is held only with
-    ``record_raster``.
+    ``record_raster``.  ``weights`` is converted to CSC once, if it is not,
+    and a non-finite weight raises ``NumericsError`` before the first step.
     """
     steps = drive.shape[0]
     if slab is not None and not 0 <= slab[0] <= slab[1] <= steps:
@@ -264,7 +271,13 @@ def _loop(weights, drive, shape, params, links, bounds, record_raster):
     current, not to the recurrent sum, so a stacked ensemble sums in the same
     order as its members stepped one by one.  The one state is stepped in
     place.  Returns the counts after t steps, keyed by t, for t = T and each
-    t in ``bounds``, and the ``shape`` raster if ``record_raster``."""
+    t in ``bounds``, and the ``shape`` raster if ``record_raster``.
+
+    Both matrices are read as CSC, converted once if they are not, and
+    every stored weight is checked before the first step: :func:`fired_sum`
+    reads a weight only once its source fires, so a non-finite one would
+    otherwise pass unseen until then."""
+    weights, links = (None if m is None else _finite_csc(m) for m in (weights, links))
     state = PopulationState.zeros(*shape[1:])
     counts = np.zeros(shape[1:], dtype=np.int64)
     raster = np.zeros(shape, dtype=np.uint8) if record_raster else None
@@ -272,14 +285,23 @@ def _loop(weights, drive, shape, params, links, bounds, record_raster):
     for t, injected in enumerate(drive):
         if t in bounds:
             at[t] = counts.copy()
-        if links is not None and state.spikes.any():
-            injected = injected + links.dot(state.spikes.astype(np.float64))
+        linked = None if links is None else fired_sum(links, state.spikes)
+        if linked is not None:
+            injected = injected + linked
         lif_step(state, injected, weights, params, out=state)
         counts += state.spikes
         if raster is not None:
             raster[t] = state.spikes
     at[shape[0]] = counts
     return at, raster
+
+
+def _finite_csc(matrix):
+    """``matrix`` as CSC, itself if it is one, once its weights are checked."""
+    matrix = matrix.tocsc()
+    if not np.isfinite(matrix.data).all():
+        raise NumericsError("non-finite weight")
+    return matrix
 
 
 def _run_stacked(
@@ -323,13 +345,13 @@ def _run_stacked(
     else:
         slabs = [(start, end, r, r + 1) for r, (start, end) in enumerate(intervals)]
     drive = gated_drive(samples, members, offsets, slabs, l1, expand)
-    weights = sparse.block_diag([topo.matrix for topo, _ in members], format="csr")
+    weights = sparse.block_diag([topo.matrix for topo, _ in members], format="csc")
     links = None
     if inter_links:
         src = np.concatenate([s + offsets[r] for r, (s, _, _) in enumerate(inter_links)])
         dst = np.concatenate([d + offsets[r + 1] for r, (_, d, _) in enumerate(inter_links)])
         weight = np.concatenate([w for _, _, w in inter_links])
-        links = sparse.csr_matrix((weight, (dst, src)), shape=(n, n))
+        links = sparse.csc_matrix((weight, (dst, src)), shape=(n, n))
     bounds = () if intervals is None else [start for start, _ in intervals]
     at, raster = _loop(
         weights, drive, (steps, n, batch), params, links, bounds, record_raster

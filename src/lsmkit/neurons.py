@@ -16,6 +16,13 @@ vector stored in the state is always the previous step's output.  There is
 no refractory period and no lower clamp on v.  Every operation acts on a
 column exactly as on a lone (N,) state, so a batch column is bit-identical
 to that sample stepped alone.
+
+``W @ spikes_prev`` is :func:`fired_sum`: when at most 1/``SPARSE_FIRING``
+of the (neuron, sample) pairs fired it adds up only the fired columns of
+the CSC matrix, and otherwise it takes the whole product.  Either way each
+output adds its fired weights in ascending presynaptic order from +0.0,
+and every term the sparse path skips is a finite weight times 0, so the
+two give the same bytes and the rule moves only the time.
 """
 
 from __future__ import annotations
@@ -26,6 +33,14 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, NumericsError, check_real
+
+
+# A step gathers only the fired columns when at most 1/SPARSE_FIRING of its
+# (neuron, sample) pairs fired, and takes the whole product otherwise.  A
+# gathered term costs about 12 stored multiply-adds; the fired fractions of
+# the shipped configs' stand-ins are about 1/178 (shd), 1/21 (synthetic),
+# 1/14 (dvs) and 1/2.4 (nmnist).  Both paths give the same bytes.
+SPARSE_FIRING = 32
 
 
 @dataclass(frozen=True)
@@ -83,6 +98,37 @@ class PopulationState:
         return self.v.shape[0]
 
 
+def fired_sum(matrix: sparse.spmatrix, spikes: np.ndarray) -> np.ndarray | None:
+    """``matrix @ spikes`` as float64, or None when nothing fired.
+
+    ``matrix`` is a (post x pre) CSC matrix and ``spikes`` the 0/1 uint8
+    or bool spikes of its presynaptic neurons, of shape (pre,) or (pre, B);
+    the sum has shape (post,) or (post, B).  When more than
+    1/``SPARSE_FIRING`` of the (neuron, sample) pairs fired it is the whole
+    product.  Otherwise the fired columns' stored terms, gathered in
+    ascending presynaptic order, go through one ``np.bincount``, so each
+    output adds its fired weights in that order from +0.0, as a sorted-row
+    CSR product does.  The terms it skips are finite weights times 0, ±0.0,
+    which leave a sum from +0.0 as it is, so both paths give the same bytes.
+    """
+    fired = np.count_nonzero(spikes)
+    if fired == 0:
+        return None
+    if fired * SPARSE_FIRING > spikes.size:
+        return matrix.dot(spikes.astype(np.float64))
+    batch = 1 if spikes.ndim == 1 else spikes.shape[1]
+    pre, sample = np.divmod(np.flatnonzero(spikes.view(bool)), batch)
+    stops = matrix.indptr[pre + 1]
+    lengths = stops - matrix.indptr[pre]
+    ends = np.add.accumulate(lengths)  # of each column's run of terms
+    # each fired column's stored terms, one column after the other
+    terms = np.arange(ends[-1]) + np.repeat(stops - ends, lengths)
+    outputs = matrix.indices[terms] * batch + np.repeat(sample, lengths)
+    summed = np.bincount(outputs, matrix.data[terms], minlength=matrix.shape[0] * batch)
+    # a bincount over no terms (fired neurons without out-edges) is int64
+    return summed.astype(np.float64, copy=False).reshape(matrix.shape[0], *spikes.shape[1:])
+
+
 def lif_step(
     state: PopulationState,
     injected: np.ndarray,
@@ -99,7 +145,10 @@ def lif_step(
             scaled by 1/tau_u inside the trace update like any synaptic
             arrival.
         recurrent_weights: sparse (post x pre) weight matrix, or None for an
-            unconnected population.  The builder never produces self-edges.
+            unconnected population.  A CSC matrix is read in place; any
+            other is converted for the step.  Its sum over the previous
+            spikes is :func:`fired_sum`.  The builder never produces
+            self-edges.
         params: shared neuron constants.
         out: state of the same shape to write the next state into, which
             may be ``state`` itself; by default a new one, so ``state`` is
@@ -114,7 +163,10 @@ def lif_step(
         NumericsError: the new potential is not finite.  A non-finite trace
             makes it so in the same step, and a non-finite potential stays
             so, so a non-finite state or drive is caught in the step it
-            enters.
+            enters.  A non-finite weight is caught in the step after its
+            source fires, or earlier in a whole product, where it meets a
+            silent source as ``inf * 0``; the time loop checks every weight
+            before its first step.
     """
     n = state.size
     injected = np.asarray(injected, dtype=np.float64)
@@ -122,21 +174,23 @@ def lif_step(
         raise ConfigError(
             f"injected drive has shape {injected.shape}, state has {state.v.shape}"
         )
-    if recurrent_weights is not None and recurrent_weights.shape != (n, n):
-        raise ConfigError(
-            f"weight matrix {recurrent_weights.shape} does not match population {n}"
-        )
+    if recurrent_weights is not None:
+        if recurrent_weights.shape != (n, n):
+            raise ConfigError(
+                f"weight matrix {recurrent_weights.shape} does not match population {n}"
+            )
+        recurrent_weights = recurrent_weights.tocsc()  # a CSC matrix is returned as it is
     if out is None:
         out = PopulationState.zeros(*state.v.shape)
     elif out.v.shape != state.v.shape:
         raise ConfigError(f"out state has shape {out.v.shape}, state has {state.v.shape}")
 
     # read before ``out``, which may be ``state``, is written
-    if recurrent_weights is not None and state.spikes.any():
-        arriving = recurrent_weights.dot(state.spikes.astype(np.float64))
-        arriving += injected
-    else:
+    arriving = None if recurrent_weights is None else fired_sum(recurrent_weights, state.spikes)
+    if arriving is None:
         arriving = injected
+    else:
+        arriving += injected
 
     u, v = out.u, out.v
     np.multiply(state.u, 1.0 - params.dt / params.tau_u, out=u)

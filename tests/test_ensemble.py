@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
 from lsmkit import ensemble as ensemble_module
+from lsmkit import neurons as neurons_module
 from lsmkit import (
     ConfigError,
     NumericsError,
@@ -434,6 +435,91 @@ class TestStackedExactness:
                     assert got.drive_l1.tobytes() == want.drive_l1.tobytes()
                 else:
                     assert got.slab_counts is None and want.slab_counts is None
+
+    def tepre(self, steps):
+        members = self.members(3)
+        links = build_tepre([t for t, _ in members], 0.08, -0.37, seed=7)
+        return members, links, equal_split_schedule(steps, len(members))
+
+    def test_sample_alone_and_in_a_loud_batch_match(self, monkeypatch):
+        """A quiet sample, whose recurrent and link sums gather its fired
+        columns when it steps alone, gives the same record inside a batch
+        whose loud sample makes those sums whole products."""
+        params, steps = self.PARAMS, 96
+        members, links, schedule = self.tepre(steps)
+        quiet, loud = 0.3 * self.rates(steps), 3.0 * self.rates(steps)[::-1]
+        paths, original = set(), neurons_module.fired_sum
+
+        def logged(matrix, spikes):  # (B, whole product) of each sum the quiet sample fed
+            if spikes[:, 0].any():
+                whole = np.count_nonzero(spikes) * neurons_module.SPARSE_FIRING > spikes.size
+                paths.add((spikes.shape[1], bool(whole)))
+            return original(matrix, spikes)
+
+        monkeypatch.setattr(neurons_module, "fired_sum", logged)
+        monkeypatch.setattr(ensemble_module, "fired_sum", logged)
+
+        def run(rates):
+            return run_tepre(
+                rates, members, links, schedule, params,
+                record_raster=True, record_drive=True,
+            )
+
+        alone, batched = run(quiet), run([quiet, loud])[0]
+        assert (1, False) in paths and (2, True) in paths
+        for got, want in zip(batched, alone):
+            assert want.counts.sum() > 0
+            assert np.array_equal(got.counts, want.counts)
+            assert np.array_equal(got.slab_counts, want.slab_counts)
+            assert np.array_equal(got.raster, want.raster)
+            assert got.drive_l1.tobytes() == want.drive_l1.tobytes()
+
+    @pytest.mark.parametrize("where", ["recurrent", "link", "population"])
+    def test_non_finite_weight_of_a_silent_source_rejected(self, where, monkeypatch):
+        """A non-finite weight raises before the first step, also one whose
+        source never fires, which a gathered sum would never read."""
+        steps = 96
+        members, links, schedule = self.tepre(steps)
+        rates = 0.3 * self.rates(steps)
+        records = run_tepre(rates, members, links, schedule, self.PARAMS)
+        topo = members[0][0]
+        silent = records[0].counts == 0
+        if where == "link":
+            src, _, weight = links[0]
+            weight[np.flatnonzero(silent[src])[0]] = np.inf
+        else:
+            source = np.flatnonzero(silent & (np.diff(topo.matrix.indptr) > 0))[0]
+            topo.weight[topo.matrix.indptr[source]] = np.inf
+        steps_taken = []
+        monkeypatch.setattr(neurons_module, "SPARSE_FIRING", 1)  # every sum gathers
+        monkeypatch.setattr(
+            ensemble_module, "lif_step", lambda *args, **kwargs: steps_taken.append(1)
+        )
+        with pytest.raises(NumericsError, match="non-finite weight"):
+            if where == "population":
+                drive = drive_through_map(rates, members[0][1])
+                simulate_population(topo.matrix.tocsr(), drive, self.PARAMS)
+            else:
+                run_tepre(rates, members, links, schedule, self.PARAMS)
+        assert not steps_taken
+
+    def test_population_weights_converted_once(self, monkeypatch):
+        """``simulate_population`` converts CSR weights to CSC once, not per
+        step, and steps as with the CSC matrix itself."""
+        topo, imap = self.members(1)[0]
+        drive = drive_through_map(self.rates(80), imap)
+        want = simulate_population(topo.matrix, drive, self.PARAMS, record_raster=True)
+        seen, step = [], ensemble_module.lif_step
+
+        def recording(state, injected, weights, *args, **kwargs):
+            seen.append(weights)
+            return step(state, injected, weights, *args, **kwargs)
+
+        monkeypatch.setattr(ensemble_module, "lif_step", recording)
+        got = simulate_population(topo.matrix.tocsr(), drive, self.PARAMS, record_raster=True)
+        assert len(seen) == 80 and seen[0].format == "csc"
+        assert all(weights is seen[0] for weights in seen)
+        assert want.counts.sum() > 0 and np.array_equal(got.raster, want.raster)
 
     def test_raster_is_held_only_when_recorded(self):
         """Spikes are counted as the loop runs: without ``record_raster`` a

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import lsmkit.cli as cli
 import lsmkit.ensemble as ensemble_module
 import lsmkit.harness as harness
+import lsmkit.neurons as neurons_module
 from lsmkit import (
     ConfigError,
     ConnectivityConfig,
@@ -1327,12 +1328,20 @@ class TestRealWeightTwins:
     """Twins of two shipped count configs with input weight 7.3, ``w_lsm``
     0.7 and ``inter_weight`` -1.3.  Their drive and state sums are inexact,
     so a reordered sum changes the drive and state pins, which spike counts
-    alone would hide."""
+    alone would hide.  The pins hold with every recurrent and link sum
+    gathered from the fired columns, with every one a whole product, and
+    with the shipped rule choosing per sum."""
 
     CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
+    @pytest.mark.parametrize(
+        "sparse_firing",
+        [1, neurons_module.SPARSE_FIRING, 10**9],
+        ids=["gather", "shipped", "whole"],
+    )
     @pytest.mark.parametrize("name", sorted(TWIN_SETS))
-    def test_pinned(self, name, tmp_path, monkeypatch):
+    def test_pinned(self, name, sparse_firing, tmp_path, monkeypatch):
+        monkeypatch.setattr(neurons_module, "SPARSE_FIRING", sparse_firing)
         cfg = load_config(self.CONFIG_DIR / name)
         cfg = replace(
             cfg,

@@ -1,9 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 
+from lsmkit import neurons as neurons_module
 from lsmkit import (
     ConfigError,
     ConnectionLaw,
@@ -14,6 +17,7 @@ from lsmkit import (
     build_reservoir,
     lif_step,
 )
+from lsmkit.neurons import fired_sum
 
 
 def iterate_lif_oracle(steps, drive, tau_v=16.0, tau_u=16.0, theta=20.0, u0=0.0):
@@ -278,3 +282,68 @@ class TestBatchedStep:
     def test_drive_shape_must_match_batch(self):
         with pytest.raises(ConfigError, match="injected drive has shape"):
             lif_step(PopulationState.zeros(3, 4), np.zeros((3, 2)), None, NeuronParams())
+
+
+@st.composite
+def fired_cases(draw):
+    """A (post x pre) CSC matrix of inexact weights (multiples of 0.7 and
+    -1.3), built from COO entries in shuffled order, some of its columns
+    empty, and 0/1 spikes of shape (pre,) or (pre, B), of which a fraction
+    on either side of 1/``SPARSE_FIRING`` fired."""
+    n_post, n_pre = draw(st.integers(1, 40)), draw(st.integers(1, 200))
+    batch = draw(st.sampled_from([None, 1, 3, 8]))
+    density = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    fraction = draw(st.sampled_from([0.0, 1 / 128, 1 / 64, 1 / 16, 1 / 2, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    post, pre = np.nonzero(rng.random((n_post, n_pre)) < density)
+    weight = rng.integers(1, 10, post.size) * rng.choice([0.7, -1.3], post.size)
+    order = rng.permutation(post.size)
+    matrix = sparse.csc_matrix(
+        (weight[order], (post[order], pre[order])), shape=(n_post, n_pre)
+    )
+    shape = (n_pre,) if batch is None else (n_pre, batch)
+    spikes = np.zeros(shape, dtype=np.uint8)
+    count = math.ceil(fraction * spikes.size)
+    spikes.flat[rng.choice(spikes.size, count, replace=False)] = 1
+    return matrix, spikes
+
+
+# one fired neuron of 64, whose column is empty: the sum gathers no term
+NO_OUT_EDGES = (
+    sparse.csc_matrix(([0.7, -1.3], ([0, 2], [0, 0])), shape=(3, 64)),
+    np.eye(1, 64, 5, dtype=np.uint8)[0],
+)
+
+
+class TestFiredSum:
+    """The fired-column sum equals a sorted-row CSR product byte for byte,
+    on either side of the rule and with the sparse path forced."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(fired_cases())
+    @example(NO_OUT_EDGES)
+    @example((NO_OUT_EDGES[0], NO_OUT_EDGES[1][:, None].repeat(2, axis=1)))
+    def test_equals_whole_product(self, case):
+        matrix, spikes = case
+        assert matrix.has_canonical_format
+        want = sparse.csr_matrix(matrix).dot(spikes.astype(np.float64))
+        for rule in (neurons_module.SPARSE_FIRING, 1):  # as shipped; always gather
+            with mock.patch.object(neurons_module, "SPARSE_FIRING", rule):
+                got = fired_sum(matrix, spikes)
+            if not spikes.any():
+                assert got is None
+            else:
+                assert got.dtype == np.float64 and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_rule_reads_the_fired_fraction(self):
+        """At most 1/``SPARSE_FIRING`` of the pairs fired gathers; more
+        takes the whole product."""
+        matrix = sparse.csc_matrix(np.full((4, 64), 0.7))
+        spikes = np.zeros(64, dtype=np.uint8)
+        most = 64 // neurons_module.SPARSE_FIRING
+        for fired, whole in ((most, False), (most + 1, True)):
+            spikes[:fired] = 1
+            with mock.patch.object(type(matrix), "dot", side_effect=matrix.dot) as dot:
+                fired_sum(matrix, spikes)
+            assert dot.called == whole
