@@ -21,18 +21,23 @@ multi-length-scale ensemble is that population with ungated drive and no
 links; a temporal one gates each member's block to its slab and adds the
 inter-partition links.  The drive is mapped as the loop reaches it, at most
 ``DRIVE_BLOCK_STEPS`` steps at a time, into one block per member that each
-step copies into one step buffer, so a run holds one block's window copy
-and drive however long its slabs are.  A block of counts is mapped over
-its active inputs only, the ones with a count stored in it, which gives
-the drive of every input byte for byte.  A caller may expand each window
-first, row by row: the harness filters count frames with a Gabor bank that
-way, one block at a time.  The counts are cut per sample and member.
+step copies into one step buffer, so a run holds one block's windows and
+drive however long its slabs are.  Each sample's block of counts is mapped
+over its own active inputs only, the ones with a count stored in it, and
+the samples whose inputs are all active share one whole-map product; this
+gives the drive of every input byte for byte.  A caller may expand each
+window first, row by row: the harness filters count frames with a Gabor
+bank that way, one block at a time.  The counts are cut per sample and
+member.
 
-The recurrent and link matrices are held as CSC, and each step's sums over
-the previous spikes are :func:`~lsmkit.neurons.fired_sum`, which adds up
-only the fired columns when firing is sparse and gives the whole product's
-bytes either way.  Every weight is checked to be finite before the first
-step, since a gathered sum reads a weight only once its source fires.
+The recurrent weights, with the inter-partition links stacked below them,
+are held as one CSC matrix, and each step's sum of it over the previous
+spikes is one :func:`~lsmkit.neurons.fired_sum`: its top rows are the
+recurrent current, its bottom rows the link current.  It adds up only the
+fired columns when firing is sparse, and gives the whole product's bytes
+either way; the spike counts then add the same fired pairs.  Every weight
+is checked to be finite before the first step, since a gathered sum reads
+a weight only once its source fires.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from scipy import sparse
 
 from .errors import ConfigError, NumericsError, check_int, check_real
 from .inputs import InputMap
-from .neurons import NeuronParams, PopulationState, fired_sum, lif_step
+from .neurons import NeuronParams, PopulationState, fired_pairs, fired_sum, lif_step
 from .topology import ReservoirTopology
 
 
@@ -140,41 +145,53 @@ def gated_drive(samples, members, offsets, slabs, l1=None, expand=None):
     canonical CSR), through their input maps and are driven only inside
     [start, end).  A slab's drive is mapped in blocks of at most
     ``DRIVE_BLOCK_STEPS`` steps as the loop reaches them: every member maps
-    one input-major copy of the block's rates into its own (neurons, steps,
-    B) block, and each step copies each block's column into its member's
-    rows of the one step buffer.
+    each input-major window of the block's rates into its own (neurons,
+    steps, B) block, and each step copies each block's column into its
+    member's rows of the one step buffer.
 
-    The window holds only the block's active inputs, those stored in any
-    of its rows, and each member maps it through its map's columns of them,
-    sliced for the call: at most 12 bytes (a float64 weight and an int32
-    row) per edge of the map.  An inactive input's terms are its zero rate
-    times a finite weight, ±0.0, and each output's sum starts at +0.0 and
-    adds its other terms in the same ascending input order, so the drive is
-    that of the whole map, byte for byte.  A block whose inputs are all
-    active maps the whole map.  So does one through ``expand``, which turns
-    the (S * B, n) window of every count into the F-ordered (S * B,
-    n_inputs) one the members map, row by row, so that no row depends on
-    the block it falls in.  The window goes once mapped, the blocks before
-    the next window is made; a slab's rows are zeroed as it closes.  A
-    given ``l1[r, b]`` gets the (T,) L1 norm of member r's drive into b.
+    A block of counts is mapped one group of samples at a time
+    (:func:`_sample_groups`): each sample with an input silent in the block
+    alone, over its own active inputs, those stored in its rows, and the
+    samples whose inputs are all active together, over every input.  A
+    group's window holds only its inputs, and each member maps it through
+    its map's columns of them, sliced for the call: at most 12 bytes (a
+    float64 weight and an int32 row) per edge of the map.  An inactive
+    input's terms are its zero rate times a finite weight, ±0.0, and each
+    output's sum starts at +0.0 and adds its other terms in the same
+    ascending input order, so the drive is that of the whole map, byte for
+    byte.  A block through ``expand``, which turns the (S * B, n) window of
+    every count into the F-ordered (S * B, n_inputs) one the members map,
+    row by row, so that no row depends on the block it falls in, is one
+    group over every input.  One group of every sample maps straight into
+    the members' blocks; otherwise each group's product is copied into its
+    samples' columns of them and dropped.  Each window goes once mapped,
+    the blocks before the next block is mapped; a slab's rows are zeroed as
+    it closes.  A given ``l1[r, b]`` gets the (T,) L1 norm of member r's
+    drive into b.
     """
     batch = len(samples)
     buffer = np.zeros((offsets[-1], batch))
+    everyone = list(range(batch))
     for start, end, first, last in slabs:
         targets = [buffer[offsets[r] : offsets[r + 1]] for r in range(first, last)]
         for lo in range(start, end, DRIVE_BLOCK_STEPS):
             hi = min(lo + DRIVE_BLOCK_STEPS, end)
-            active = None if expand is not None else _active_inputs(samples, lo, hi)
-            # rows ordered (step, sample): one mapping call drives the batch
-            window = _window(samples, lo, hi, active)
-            if expand is not None:
-                window = expand(window)
-            blocks = [
-                drive_through_map(window, _map_of(members[r][1], active))
-                .T.reshape(-1, hi - lo, batch)
-                for r in range(first, last)
-            ]
-            del window
+            groups = [(everyone, None)] if expand is not None else _sample_groups(samples, lo, hi)
+            alone = len(groups) == 1  # then its group is every sample, in order
+            blocks = [None if alone else np.empty((len(t), hi - lo, batch)) for t in targets]
+            for group, active in groups:
+                # rows ordered (step, sample): one mapping call drives the group
+                window = _window([samples[b] for b in group], lo, hi, active)
+                if expand is not None:
+                    window = expand(window)
+                for i in range(last - first):
+                    imap = _map_of(members[first + i][1], active)
+                    mapped = drive_through_map(window, imap).T.reshape(-1, hi - lo, len(group))
+                    if alone:
+                        blocks[i] = mapped
+                    else:
+                        blocks[i][:, :, group] = mapped
+                del window, mapped
             if l1 is not None:  # each step's norm summed over a contiguous row
                 for r in range(first, last):
                     l1[r, :, lo:hi] = np.abs(
@@ -202,14 +219,21 @@ def _canonical(sample):
     return sample
 
 
-def _active_inputs(samples, start, end) -> np.ndarray | None:
-    """The ascending inputs stored in any of B samples' canonical CSR rows
-    [start, end), marked from their column indices alone, or None when
-    that is every input."""
-    active = np.zeros(samples[0].shape[1], dtype=bool)
-    for sample in samples:
+def _sample_groups(samples, start, end) -> list[tuple[list[int], np.ndarray | None]]:
+    """How B samples' canonical CSR rows [start, end) are mapped: as
+    (samples, ascending active inputs) groups, one per sample with an input
+    not stored in those rows, marked from its column indices alone, and
+    first, if any sample has every input stored, one (samples, None) group
+    of all such samples."""
+    whole, groups = [], []
+    for b, sample in enumerate(samples):
+        active = np.zeros(sample.shape[1], dtype=bool)
         active[sample.indices[sample.indptr[start] : sample.indptr[end]]] = True
-    return None if active.all() else np.flatnonzero(active)
+        if active.all():
+            whole.append(b)
+        else:
+            groups.append(([b], np.flatnonzero(active)))
+    return ([(whole, None)] if whole else []) + groups
 
 
 def _window(samples, start, end, active=None) -> np.ndarray:
@@ -253,7 +277,8 @@ def simulate_population(
     keep the trailing batch axis.  ``slab``, a part of [0, T], additionally
     counts spikes inside it.  The (T, N[, B]) uint8 raster is held only with
     ``record_raster``.  ``weights`` is converted to CSC once, if it is not,
-    and a non-finite weight raises ``NumericsError`` before the first step.
+    a mis-shaped one raises ``ConfigError`` and a non-finite weight
+    ``NumericsError``, both before the first step.
     """
     steps = drive.shape[0]
     if slab is not None and not 0 <= slab[0] <= slab[1] <= steps:
@@ -264,41 +289,62 @@ def simulate_population(
 
 
 def _loop(weights, drive, shape, params, links, bounds, record_raster):
-    """The one time loop.  A zero state of ``shape[1:]`` steps through the
-    ``shape[0]`` = T currents ``drive`` yields, adding its spikes to int64
-    running counts.  Spikes through the optional (N x N) ``links``, like
-    recurrent ones, arrive one step later; they are added to the injected
-    current, not to the recurrent sum, so a stacked ensemble sums in the same
-    order as its members stepped one by one.  The one state is stepped in
-    place.  Returns the counts after t steps, keyed by t, for t = T and each
-    t in ``bounds``, and the ``shape`` raster if ``record_raster``.
+    """The one time loop.  A zero state of ``shape[1:]`` = (N[, B]) steps
+    through the ``shape[0]`` = T currents ``drive`` yields, adding its spikes
+    to int64 running counts.  Spikes through the optional (N x N) ``links``,
+    like recurrent ones, arrive one step later; they are added to the
+    injected current, not to the recurrent sum, so a stacked ensemble sums
+    in the same order as its members stepped one by one.  The one state is
+    stepped in place.  Returns the counts after t steps, keyed by t, for
+    t = T and each t in ``bounds``, and the ``shape`` raster if
+    ``record_raster``.
 
-    Both matrices are read as CSC, converted once if they are not, and
-    every stored weight is checked before the first step: :func:`fired_sum`
-    reads a weight only once its source fires, so a non-finite one would
-    otherwise pass unseen until then."""
-    weights, links = (None if m is None else _finite_csc(m) for m in (weights, links))
+    The (N x N) ``weights``, None for an unconnected population, and the
+    links below them make one CSC matrix, built and checked once per call:
+    its shape, and every stored weight's finiteness, since :func:`fired_sum`
+    reads a weight only once its source fires.  Each step takes one
+    :func:`fired_sum` of it over the previous spikes, whose rows [:N] are
+    the recurrent sum and rows [N:] the link sum.  The same
+    :func:`fired_pairs` add those spikes to the counts, one step late; the
+    last step's spikes are added after the loop."""
+    n = shape[1]
+    matrix = _stacked(weights, links, n)
     state = PopulationState.zeros(*shape[1:])
     counts = np.zeros(shape[1:], dtype=np.int64)
+    flat_counts = counts.reshape(-1)  # a view: the spikes' flat order
     raster = np.zeros(shape, dtype=np.uint8) if record_raster else None
     at = {}
     for t, injected in enumerate(drive):
+        pairs = fired_pairs(state.spikes)
+        if pairs is None:
+            counts += state.spikes
+        else:  # each fired pair once
+            flat_counts[pairs] += 1
         if t in bounds:
             at[t] = counts.copy()
-        linked = None if links is None else fired_sum(links, state.spikes)
-        if linked is not None:
-            injected = injected + linked
-        lif_step(state, injected, weights, params, out=state)
-        counts += state.spikes
+        summed = None if matrix is None else fired_sum(matrix, state.spikes, pairs)
+        recurrent = None if summed is None else summed[:n]
+        if summed is not None and links is not None:
+            injected = injected + summed[n:]
+        lif_step(state, injected, recurrent, params, out=state)
         if raster is not None:
             raster[t] = state.spikes
+    counts += state.spikes
     at[shape[0]] = counts
     return at, raster
 
 
-def _finite_csc(matrix):
-    """``matrix`` as CSC, itself if it is one, once its weights are checked."""
-    matrix = matrix.tocsc()
+def _stacked(weights, links, n):
+    """The (N x N) ``weights`` with the (N x N) ``links``, if any, below
+    them, as one CSC matrix whose shape and weights are checked, or None
+    for an unconnected population, which has no links."""
+    if weights is None:
+        return None
+    blocks = [weights] if links is None else [weights, links]
+    for m in blocks:
+        if m.shape != (n, n):
+            raise ConfigError(f"weight matrix {m.shape} does not match population {n}")
+    matrix = blocks[0].tocsc() if len(blocks) == 1 else sparse.vstack(blocks, format="csc")
     if not np.isfinite(matrix.data).all():
         raise NumericsError("non-finite weight")
     return matrix

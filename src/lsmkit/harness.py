@@ -184,10 +184,15 @@ def sample_bytes(cfg: ExperimentConfig, geometry: tuple[int, int, int]) -> int:
     ``RATES_PER_STEP`` nonzero counts per step, or n if fewer, and 4 bytes
     per row pointer.  Denser counts take more, up to 1.5 times their dense
     bytes.  The window is charged at its full width, an upper bound: without
-    a Gabor bank it holds only the block's active inputs.  Each slab
-    member's map sliced to them, at most 12 bytes per edge of the map, is
-    held one member at a time, once per call at any batch size; the model
-    leaves it out."""
+    a Gabor bank a block is mapped one group of samples at a time, each
+    sample over its own active inputs or, with the others whose inputs are
+    all active, over every input, so the windows held at once are at most
+    the charged one.  What the model leaves out is held for one member and
+    one group at a time: the member's map sliced to the group's inputs, at
+    most 12 bytes per edge of the map, once per call at any batch size;
+    and, when a block's samples fall into more than one group, the group's
+    product before it is copied into the member's drive, at most as large
+    as that drive."""
     ens, steps = cfg.ensemble, cfg.preprocessing.steps
     n, member = int(np.prod(geometry)), ens.member_grid().size
     if ens.variant == "mulre":  # one slab over T drives every member

@@ -17,12 +17,15 @@ no refractory period and no lower clamp on v.  Every operation acts on a
 column exactly as on a lone (N,) state, so a batch column is bit-identical
 to that sample stepped alone.
 
-``W @ spikes_prev`` is :func:`fired_sum`: when at most 1/``SPARSE_FIRING``
-of the (neuron, sample) pairs fired it adds up only the fired columns of
-the CSC matrix, and otherwise it takes the whole product.  Either way each
-output adds its fired weights in ascending presynaptic order from +0.0,
-and every term the sparse path skips is a finite weight times 0, so the
-two give the same bytes and the rule moves only the time.
+The caller hands :func:`lif_step` the recurrent current ``W @ spikes_prev``,
+as the time loop does with :func:`fired_sum` over its previous spikes.
+:func:`fired_pairs` is the rule: when at most 1/``SPARSE_FIRING`` of the
+(neuron, sample) pairs fired it lists them, and :func:`fired_sum` then adds
+up only their columns of the CSC matrix; otherwise it takes the whole
+product.  Either way each output adds its fired weights in ascending
+presynaptic order from +0.0, and every term the sparse path skips is a
+finite weight times 0, so the two give the same bytes and the rule moves
+only the time.
 """
 
 from __future__ import annotations
@@ -98,26 +101,43 @@ class PopulationState:
         return self.v.shape[0]
 
 
-def fired_sum(matrix: sparse.spmatrix, spikes: np.ndarray) -> np.ndarray | None:
+def fired_pairs(spikes: np.ndarray) -> np.ndarray | None:
+    """The ascending flat indices of the fired (neuron, sample) pairs of the
+    0/1 uint8 or bool ``spikes``, of shape (pre,) or C-ordered (pre, B), when
+    at most 1/``SPARSE_FIRING`` of them fired (an empty array when none
+    did), or None when more did.  A sum or a count over the spikes reads these pairs
+    when they are given, and the whole spikes otherwise."""
+    fired = np.count_nonzero(spikes)
+    if fired * SPARSE_FIRING > spikes.size:
+        return None
+    if fired == 0:
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(spikes.view(bool))
+
+
+def fired_sum(
+    matrix: sparse.spmatrix, spikes: np.ndarray, pairs: np.ndarray | None
+) -> np.ndarray | None:
     """``matrix @ spikes`` as float64, or None when nothing fired.
 
-    ``matrix`` is a (post x pre) CSC matrix and ``spikes`` the 0/1 uint8
-    or bool spikes of its presynaptic neurons, of shape (pre,) or (pre, B);
-    the sum has shape (post,) or (post, B).  When more than
-    1/``SPARSE_FIRING`` of the (neuron, sample) pairs fired it is the whole
-    product.  Otherwise the fired columns' stored terms, gathered in
-    ascending presynaptic order, go through one ``np.bincount``, so each
-    output adds its fired weights in that order from +0.0, as a sorted-row
-    CSR product does.  The terms it skips are finite weights times 0, ±0.0,
-    which leave a sum from +0.0 as it is, so both paths give the same bytes.
+    ``matrix`` is a (post x pre) CSC matrix, ``spikes`` the 0/1 uint8 or
+    bool spikes of its presynaptic neurons, of shape (pre,) or (pre, B), and
+    ``pairs`` their :func:`fired_pairs`; the sum has shape (post,) or
+    (post, B).  With ``pairs`` None it is the whole product.  Otherwise the
+    fired columns' stored terms, gathered in ascending presynaptic order, go
+    through one ``np.bincount``, so each output adds its fired weights in
+    that order from +0.0, as a sorted-row CSR product does.  The terms it
+    skips are finite weights times 0, ±0.0, which leave a sum from +0.0 as
+    it is, so both paths give the same bytes.  Stacking several matrices of
+    one presynaptic population, one below the other, sums each over the
+    same spikes with one gather and gives each its own rows' bytes.
     """
-    fired = np.count_nonzero(spikes)
-    if fired == 0:
-        return None
-    if fired * SPARSE_FIRING > spikes.size:
+    if pairs is None:
         return matrix.dot(spikes.astype(np.float64))
+    if pairs.size == 0:
+        return None
     batch = 1 if spikes.ndim == 1 else spikes.shape[1]
-    pre, sample = np.divmod(np.flatnonzero(spikes.view(bool)), batch)
+    pre, sample = np.divmod(pairs, batch)
     stops = matrix.indptr[pre + 1]
     lengths = stops - matrix.indptr[pre]
     ends = np.add.accumulate(lengths)  # of each column's run of terms
@@ -132,7 +152,7 @@ def fired_sum(matrix: sparse.spmatrix, spikes: np.ndarray) -> np.ndarray | None:
 def lif_step(
     state: PopulationState,
     injected: np.ndarray,
-    recurrent_weights: sparse.spmatrix | None,
+    recurrent: np.ndarray | None,
     params: NeuronParams,
     out: PopulationState | None = None,
 ) -> PopulationState:
@@ -144,11 +164,11 @@ def lif_step(
         injected: pre-weighted external drive of the state's shape; it is
             scaled by 1/tau_u inside the trace update like any synaptic
             arrival.
-        recurrent_weights: sparse (post x pre) weight matrix, or None for an
-            unconnected population.  A CSC matrix is read in place; any
-            other is converted for the step.  Its sum over the previous
-            spikes is :func:`fired_sum`.  The builder never produces
-            self-edges.
+        recurrent: the recurrent current of the state's shape, the weights'
+            sum over ``state.spikes`` (as :func:`fired_sum` gives it), or
+            None for an unconnected population or a step after no spike.
+            It is added to ``injected`` before the trace update, and neither
+            is written.
         params: shared neuron constants.
         out: state of the same shape to write the next state into, which
             may be ``state`` itself; by default a new one, so ``state`` is
@@ -161,37 +181,25 @@ def lif_step(
 
     Raises:
         NumericsError: the new potential is not finite.  A non-finite trace
-            makes it so in the same step, and a non-finite potential stays
-            so, so a non-finite state or drive is caught in the step it
-            enters.  A non-finite weight is caught in the step after its
-            source fires, or earlier in a whole product, where it meets a
-            silent source as ``inf * 0``; the time loop checks every weight
-            before its first step.
+            or current makes it so in the same step, and a non-finite
+            potential stays so, so a non-finite state, drive or current is
+            caught in the step it enters.
     """
-    n = state.size
     injected = np.asarray(injected, dtype=np.float64)
     if injected.shape != state.v.shape:
         raise ConfigError(
             f"injected drive has shape {injected.shape}, state has {state.v.shape}"
         )
-    if recurrent_weights is not None:
-        if recurrent_weights.shape != (n, n):
-            raise ConfigError(
-                f"weight matrix {recurrent_weights.shape} does not match population {n}"
-            )
-        recurrent_weights = recurrent_weights.tocsc()  # a CSC matrix is returned as it is
+    if recurrent is not None and recurrent.shape != state.v.shape:
+        raise ConfigError(
+            f"recurrent current has shape {recurrent.shape}, state has {state.v.shape}"
+        )
     if out is None:
         out = PopulationState.zeros(*state.v.shape)
     elif out.v.shape != state.v.shape:
         raise ConfigError(f"out state has shape {out.v.shape}, state has {state.v.shape}")
 
-    # read before ``out``, which may be ``state``, is written
-    arriving = None if recurrent_weights is None else fired_sum(recurrent_weights, state.spikes)
-    if arriving is None:
-        arriving = injected
-    else:
-        arriving += injected
-
+    arriving = injected if recurrent is None else recurrent + injected
     u, v = out.u, out.v
     np.multiply(state.u, 1.0 - params.dt / params.tau_u, out=u)
     u += arriving / params.tau_u

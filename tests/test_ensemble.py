@@ -369,7 +369,8 @@ class TestStackedExactness:
                 if r > 0 and prev[r - 1].any():
                     injected = injected + link_mats[r - 1].dot(prev[r - 1].astype(float))
                     crossings += 1
-                states[r] = lif_step(states[r], injected, topo.matrix, params)
+                current = topo.matrix.tocsr().dot(prev[r].astype(float)) if prev[r].any() else None
+                states[r] = lif_step(states[r], injected, current, params)
                 counts[r] += states[r].spikes
                 start, end = schedule.intervals[r]
                 if start <= t < end:
@@ -436,6 +437,74 @@ class TestStackedExactness:
                 else:
                     assert got.slab_counts is None and want.slab_counts is None
 
+    @pytest.mark.parametrize(
+        "sparse_firing",
+        [1, neurons_module.SPARSE_FIRING, 10**9],
+        ids=["gather", "shipped", "whole"],
+    )
+    def test_sums_of_many_magnitudes_match_separate_sums(self, sparse_firing, monkeypatch):
+        """Recurrent and link weights spread over three decades round
+        differently when summed in another order.  A batch's potential and
+        trace after every step still equal, byte for byte, a reference that
+        takes each partition's recurrent sum and its link sum apart, as
+        sorted-row CSR products of the previous spikes: with every sum
+        gathered, as shipped, and with every sum a whole product."""
+        params, steps = self.PARAMS, 96
+        members, links, schedule = self.tepre(steps)
+        rng = np.random.default_rng(19)
+        for topo, _ in members:
+            data = topo.matrix.data
+            data[:] = np.sign(data) * 0.7 * 10 ** rng.uniform(-1.5, 1.5, data.size)
+        for _, _, weight in links:
+            weight[:] = -1.3 * 10 ** rng.uniform(-1.5, 1.5, weight.size)
+        samples = [self.rates(steps), 0.6 * self.rates(steps)[::-1]]
+        got, step, summed, paths = [], ensemble_module.lif_step, ensemble_module.fired_sum, set()
+
+        def recording_step(state, *args, **kwargs):
+            out = step(state, *args, **kwargs)
+            got.append(out.v.tobytes() + out.u.tobytes())
+            return out
+
+        def recording_sum(matrix, spikes, pairs):  # whether a step after a spike is whole
+            if spikes.any():
+                paths.add(pairs is None)
+            return summed(matrix, spikes, pairs)
+
+        monkeypatch.setattr(neurons_module, "SPARSE_FIRING", sparse_firing)
+        monkeypatch.setattr(ensemble_module, "lif_step", recording_step)
+        monkeypatch.setattr(ensemble_module, "fired_sum", recording_sum)
+        records = run_tepre(samples, members, links, schedule, params)
+        assert paths == {1: {False}, 10**9: {True}}.get(sparse_firing, {False, True})
+
+        drives = []
+        for r, (topo, imap) in enumerate(members):
+            start, end = schedule.intervals[r]
+            gated = np.zeros((steps, topo.size, len(samples)))
+            for b, rates in enumerate(samples):
+                gated[start:end, :, b] = drive_through_map(rates, imap)[start:end]
+            drives.append(gated)
+        weights = [topo.matrix.tocsr() for topo, _ in members]
+        link_mats = [
+            sparse.csr_matrix((w, (d, src)), shape=(members[r + 1][0].size, members[r][0].size))
+            for r, (src, d, w) in enumerate(links)
+        ]
+        states = [PopulationState.zeros(t.size, len(samples)) for t, _ in members]
+        for t in range(steps):
+            prev = [state.spikes.astype(float) for state in states]
+            for r in range(len(members)):
+                injected = drives[r][t]
+                if r > 0 and prev[r - 1].any():
+                    injected = injected + link_mats[r - 1].dot(prev[r - 1])
+                current = weights[r].dot(prev[r]) if prev[r].any() else None
+                states[r] = lif_step(states[r], injected, current, params)
+            want = np.concatenate([s.v for s in states]).tobytes() + np.concatenate(
+                [s.u for s in states]
+            ).tobytes()
+            assert got[t] == want, t
+        assert len(got) == steps
+        for sample in records:
+            assert all(record.counts.sum() > 0 for record in sample)
+
     def tepre(self, steps):
         members = self.members(3)
         links = build_tepre([t for t, _ in members], 0.08, -0.37, seed=7)
@@ -450,11 +519,10 @@ class TestStackedExactness:
         quiet, loud = 0.3 * self.rates(steps), 3.0 * self.rates(steps)[::-1]
         paths, original = set(), neurons_module.fired_sum
 
-        def logged(matrix, spikes):  # (B, whole product) of each sum the quiet sample fed
+        def logged(matrix, spikes, pairs):  # (B, whole product) of each sum the quiet sample fed
             if spikes[:, 0].any():
-                whole = np.count_nonzero(spikes) * neurons_module.SPARSE_FIRING > spikes.size
-                paths.add((spikes.shape[1], bool(whole)))
-            return original(matrix, spikes)
+                paths.add((spikes.shape[1], pairs is None))
+            return original(matrix, spikes, pairs)
 
         monkeypatch.setattr(neurons_module, "fired_sum", logged)
         monkeypatch.setattr(ensemble_module, "fired_sum", logged)
@@ -505,21 +573,38 @@ class TestStackedExactness:
 
     def test_population_weights_converted_once(self, monkeypatch):
         """``simulate_population`` converts CSR weights to CSC once, not per
-        step, and steps as with the CSC matrix itself."""
+        step: every step's one sum reads the same CSC matrix, and the run
+        steps as with the CSC matrix itself."""
         topo, imap = self.members(1)[0]
         drive = drive_through_map(self.rates(80), imap)
         want = simulate_population(topo.matrix, drive, self.PARAMS, record_raster=True)
-        seen, step = [], ensemble_module.lif_step
+        seen, summed = [], ensemble_module.fired_sum
 
-        def recording(state, injected, weights, *args, **kwargs):
-            seen.append(weights)
-            return step(state, injected, weights, *args, **kwargs)
+        def recording(matrix, *args):
+            seen.append(matrix)
+            return summed(matrix, *args)
 
-        monkeypatch.setattr(ensemble_module, "lif_step", recording)
+        monkeypatch.setattr(ensemble_module, "fired_sum", recording)
         got = simulate_population(topo.matrix.tocsr(), drive, self.PARAMS, record_raster=True)
         assert len(seen) == 80 and seen[0].format == "csc"
-        assert all(weights is seen[0] for weights in seen)
+        assert all(matrix is seen[0] for matrix in seen)
         assert want.counts.sum() > 0 and np.array_equal(got.raster, want.raster)
+
+    @pytest.mark.parametrize("shape", [(47, 47), (48, 47), (47, 48)])
+    def test_mis_shaped_population_weights_rejected(self, shape, monkeypatch):
+        """Weights that are not (N x N) for the drive's N neurons raise
+        ``ConfigError`` before the first step."""
+        _, imap = self.members(1)[0]
+        drive = drive_through_map(self.rates(20), imap)
+        assert drive.shape[1] == 48
+        steps_taken = []
+        monkeypatch.setattr(
+            ensemble_module, "lif_step", lambda *args, **kwargs: steps_taken.append(1)
+        )
+        weights = sparse.random(*shape, density=0.1, random_state=3, format="csr")
+        with pytest.raises(ConfigError, match=rf"weight matrix \({shape[0]}, {shape[1]}\)"):
+            simulate_population(weights, drive, self.PARAMS)
+        assert not steps_taken
 
     def test_raster_is_held_only_when_recorded(self):
         """Spikes are counted as the loop runs: without ``record_raster`` a
@@ -900,7 +985,9 @@ class TestDriveMap:
         """Every step buffer ``gated_drive`` yields for a batch of count
         samples holds, byte for byte, each driven member's columns of its
         whole map times the whole window of every step, and zeros for an
-        undriven one."""
+        undriven one.  Each block is mapped one group of samples at a time:
+        first the samples whose every input is active in it, over every
+        input, then each other sample alone, over its own active inputs."""
         samples, split = case
         steps, batch = samples[0].shape[0], len(samples)
         if split is None:  # one slab drives both members
@@ -911,10 +998,34 @@ class TestDriveMap:
             assert not imap.matrix.has_sorted_indices
         members = [(None, imap) for imap in DRAWN_MAPS]
         offsets = np.cumsum([0] + [imap.n_reservoir for imap in DRAWN_MAPS])
+        dense = [s.toarray() for s in samples]
         # row t * B + b holds step t of sample b, as in every window
-        full = np.stack([s.toarray() for s in samples], axis=1).reshape(steps * batch, -1)
+        full = np.stack(dense, axis=1).reshape(steps * batch, -1)
         wants = [imap.matrix.dot(full.T) for imap in DRAWN_MAPS]
-        with mock.patch.object(ensemble_module, "DRIVE_BLOCK_STEPS", block):
+        calls, mapped = [], ensemble_module.drive_through_map
+
+        def recording(rates, imap):
+            calls.append((rates.tobytes(), rates.shape, imap.matrix.toarray().tobytes()))
+            return mapped(rates, imap)
+
+        expected = []  # each call: the group's window over its inputs, and the map's columns
+        for start, end, first, last in slabs:
+            for lo in range(start, end, block):
+                hi = min(lo + block, end)
+                active = [np.flatnonzero(d[lo:hi].any(axis=0)) for d in dense]
+                whole = [b for b in range(batch) if active[b].size == DRAWN_INPUTS]
+                groups = ([(whole, np.arange(DRAWN_INPUTS))] if whole else []) + [
+                    ([b], active[b]) for b in range(batch) if b not in whole
+                ]
+                for group, inputs in groups:
+                    window = np.stack([dense[b][lo:hi][:, inputs] for b in group], axis=1)
+                    window = window.reshape((hi - lo) * len(group), inputs.size)
+                    for imap in DRAWN_MAPS[first:last]:
+                        columns = imap.matrix.toarray()[:, inputs]
+                        expected.append((window.tobytes(), window.shape, columns.tobytes()))
+        with mock.patch.object(ensemble_module, "DRIVE_BLOCK_STEPS", block), mock.patch.object(
+            ensemble_module, "drive_through_map", recording
+        ):
             drive = ensemble_module.gated_drive(samples, members, offsets, slabs)
             for t, buffer in enumerate(drive):
                 for r, want in enumerate(wants):
@@ -925,3 +1036,4 @@ class TestDriveMap:
                         step = np.ascontiguousarray(want[:, t * batch : (t + 1) * batch])
                     assert got.tobytes() == step.tobytes(), (t, r)
         assert t == steps - 1
+        assert calls == expected

@@ -17,7 +17,13 @@ from lsmkit import (
     build_reservoir,
     lif_step,
 )
-from lsmkit.neurons import fired_sum
+from lsmkit.neurons import fired_pairs, fired_sum
+
+
+def recurrent(weights, state):
+    """The current ``weights`` send over ``state``'s spikes, as the time loop
+    hands it to ``lif_step``."""
+    return fired_sum(weights.tocsc(), state.spikes, fired_pairs(state.spikes))
 
 
 def iterate_lif_oracle(steps, drive, tau_v=16.0, tau_u=16.0, theta=20.0, u0=0.0):
@@ -121,7 +127,7 @@ class TestLifStep:
         st = lif_step(st, np.array([25.0 * params.tau_u, 0.0]), None, params)
         assert st.spikes.tolist() == [1, 0]
         assert st.u[1] == 0.0
-        nxt = lif_step(st, np.zeros(2), w, params)
+        nxt = lif_step(st, np.zeros(2), recurrent(w, st), params)
         assert nxt.u[1] == 3.0 / params.tau_u
 
     def test_self_connection_ignored_by_builder_contract(self):
@@ -129,15 +135,15 @@ class TestLifStep:
         params = NeuronParams()
         w = sparse.csr_matrix((2, 2))
         st = PopulationState(np.array([25.0, 0.0]), np.zeros(2), np.array([1, 0]))
-        nxt = lif_step(st, np.zeros(2), w, params)
+        nxt = lif_step(st, np.zeros(2), recurrent(w, st), params)
         assert nxt.u[0] == 0.0
 
     def test_length_mismatch_rejected(self):
         st = PopulationState.zeros(3)
         with pytest.raises(ConfigError):
             lif_step(st, np.zeros(2), None, NeuronParams())
-        with pytest.raises(ConfigError):
-            lif_step(st, np.zeros(3), sparse.csr_matrix((2, 2)), NeuronParams())
+        with pytest.raises(ConfigError, match="recurrent current has shape"):
+            lif_step(st, np.zeros(3), np.zeros(2), NeuronParams())
 
     def test_non_finite_state_rejected(self):
         st = PopulationState(np.array([np.nan]), np.array([0.0]))
@@ -163,7 +169,7 @@ class TestLifStep:
             st = PopulationState.zeros(50)
             out = []
             for t in range(40):
-                st = lif_step(st, drive[t], w, params)
+                st = lif_step(st, drive[t], recurrent(w, st), params)
                 out.append((st.v.copy(), st.u.copy(), st.spikes.copy()))
             return out
 
@@ -238,9 +244,9 @@ class TestBatchedStep:
         singles = [PopulationState.zeros(w.shape[0]) for _ in range(batch)]
         spikes = np.zeros(batch, dtype=np.int64)
         for t in range(steps):
-            batched = lif_step(batched, drive[t], w, params)
+            batched = lif_step(batched, drive[t], recurrent(w, batched), params)
             singles = [
-                lif_step(single, drive[t, :, b], w, params)
+                lif_step(single, drive[t, :, b], recurrent(w, single), params)
                 for b, single in enumerate(singles)
             ]
             for b, single in enumerate(singles):
@@ -263,11 +269,12 @@ class TestBatchedStep:
         in_place = PopulationState.zeros(w.shape[0], batch)
         for t in range(steps):
             before = (pure.v.copy(), pure.u.copy(), pure.spikes.copy())
-            nxt = lif_step(pure, drive[t], w, params)
+            nxt = lif_step(pure, drive[t], recurrent(w, pure), params)
             for kept, now in zip(before, (pure.v, pure.u, pure.spikes)):
                 assert kept.tobytes() == now.tobytes()
             pure = nxt
-            assert lif_step(in_place, drive[t], w, params, out=in_place) is in_place
+            current = recurrent(w, in_place)
+            assert lif_step(in_place, drive[t], current, params, out=in_place) is in_place
             assert in_place.v.tobytes() == pure.v.tobytes()
             assert in_place.u.tobytes() == pure.u.tobytes()
             assert in_place.spikes.tobytes() == pure.spikes.tobytes()
@@ -324,26 +331,38 @@ class TestFiredSum:
     @example(NO_OUT_EDGES)
     @example((NO_OUT_EDGES[0], NO_OUT_EDGES[1][:, None].repeat(2, axis=1)))
     def test_equals_whole_product(self, case):
+        """Also for the matrix with its rows reversed stacked below it, whose
+        sum is each one's sum, one above the other."""
         matrix, spikes = case
         assert matrix.has_canonical_format
+        below = sparse.csc_matrix(matrix[::-1])
+        stacked = sparse.vstack([matrix, below], format="csc")
         want = sparse.csr_matrix(matrix).dot(spikes.astype(np.float64))
+        want_below = sparse.csr_matrix(below).dot(spikes.astype(np.float64))
         for rule in (neurons_module.SPARSE_FIRING, 1):  # as shipped; always gather
             with mock.patch.object(neurons_module, "SPARSE_FIRING", rule):
-                got = fired_sum(matrix, spikes)
+                pairs = fired_pairs(spikes)
+            if pairs is not None:  # the fired pairs, ascending
+                assert np.array_equal(pairs, np.flatnonzero(spikes))
+            got = fired_sum(matrix, spikes, pairs)
+            both = fired_sum(stacked, spikes, pairs)
             if not spikes.any():
-                assert got is None
+                assert got is None and both is None
             else:
                 assert got.dtype == np.float64 and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+                assert both.tobytes() == np.concatenate([want, want_below]).tobytes()
 
     def test_rule_reads_the_fired_fraction(self):
-        """At most 1/``SPARSE_FIRING`` of the pairs fired gathers; more
-        takes the whole product."""
+        """At most 1/``SPARSE_FIRING`` of the pairs fired lists them, and the
+        sum gathers them; more takes the whole product."""
         matrix = sparse.csc_matrix(np.full((4, 64), 0.7))
         spikes = np.zeros(64, dtype=np.uint8)
         most = 64 // neurons_module.SPARSE_FIRING
         for fired, whole in ((most, False), (most + 1, True)):
             spikes[:fired] = 1
+            pairs = fired_pairs(spikes)
+            assert (pairs is None) == whole
             with mock.patch.object(type(matrix), "dot", side_effect=matrix.dot) as dot:
-                fired_sum(matrix, spikes)
+                fired_sum(matrix, spikes, pairs)
             assert dot.called == whole
