@@ -309,6 +309,39 @@ class TestRunExperiment:
         assert serial.state_hash == parallel.state_hash
         assert serial.test_accuracy == parallel.test_accuracy
 
+    def test_pool_parent_holds_the_features_once(self, tmp_path):
+        """At ``threads`` > 1 the parent copies each batch's vectors into
+        the features as the batch comes back: its peak is the features, a
+        few batches and the pool's own bookkeeping, not every sample's
+        vector held a second time."""
+        params = MultiPhaseParams(
+            n_classes=3, n_phases=3, width=6, height=6, steps_per_phase=4,
+            n_train=159, n_test=1, seed=5,
+        )
+        manifest_path = generate_multiphase(params, tmp_path)
+        cfg = tiny_config(
+            manifest_path,
+            preprocessing=PreprocessingConfig(time_window=1000, steps=12),
+            ensemble=EnsembleConfig(variant="tepre", partitions=1, dims=(20, 20, 10)),
+        )
+        manifest = load_manifest(manifest_path)
+        engine = build_members(cfg, manifest)
+        files = manifest.train + manifest.test
+        tracemalloc.start()
+        try:
+            features, labels = harness._run_split(files, engine, 2, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert features.shape == (160, 4000)
+        # 5.1 MB of features in 160 batches of 32 KB; the slack covers the
+        # pool's bookkeeping and the engine's 0.7 MB pickle, which each
+        # worker is sent as it spawns; every vector held twice would add
+        # another 5.1 MB
+        assert peak <= features.nbytes + 2 * 2**20
+        serial = harness._run_split(files, engine, 1, 1)
+        assert np.array_equal(features, serial[0]) and np.array_equal(labels, serial[1])
+
     def test_artifacts_written(self, tiny_dataset, tmp_path):
         cfg = tiny_config(tiny_dataset, output_dir=str(tmp_path / "run"))
         report = run_experiment(cfg)

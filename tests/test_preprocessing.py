@@ -339,6 +339,28 @@ class TestCountCsr:
         assert rates.indices.dtype == np.int32
         assert (rates.nnz > 0) == (events > 0)
 
+    def test_whole_counts_are_scanned(self):
+        # in step 0, 256 events at (x=1, y=0, p=0) and 65,536 at (x=3, y=2,
+        # p=1): counts whose low byte, and low 16 bits, are zero; 3 more in
+        # step 1, and steps 2-4 are padding
+        where = [(0, 1, 0, 0)] * 256 + [(0, 3, 2, 1)] * 65_536 + [(1000, 2, 1, 0)] * 3
+        t, x, y, p = np.array(where, dtype=np.int64).T
+        stream = EventStream(t=t, x=x, y=y, p=p, width=4, height=3)
+        cfg = ExperimentConfig(
+            dataset_manifest="unused",
+            preprocessing=PreprocessingConfig(
+                time_window=1000, merge_polarities=False, steps=5,
+            ),
+        )
+        counts = np.zeros((5, 2, 3, 4), dtype=np.int64)  # (step, channel, y, x)
+        counts[0, 0, 0, 1], counts[0, 1, 2, 3], counts[1, 0, 1, 2] = 256, 65_536, 3
+        rates = preprocess_stream(stream, cfg, 2)
+        assert rates[0, 1] == 256.0 and rates[0, 12 + 2 * 4 + 3] == 65_536.0
+        want = sparse.csr_matrix(counts.reshape(5, -1)).astype(np.float64)
+        for name in ("data", "indices", "indptr"):
+            got, expected = getattr(rates, name), getattr(want, name)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+
 
 class TestGaborBank:
     def test_bank_has_18_kernels(self):
