@@ -304,7 +304,12 @@ def _loop(weights, drive, shape, params, links, bounds, record_raster):
     its shape, and every stored weight's finiteness, since :func:`fired_sum`
     reads a weight only once its source fires.  Each step takes one
     :func:`fired_sum` of it over the previous spikes, whose rows [:N] are
-    the recurrent sum and rows [N:] the link sum.  The same
+    the recurrent sum and rows [N:] the link sum.  The step's current is
+    added into the link rows in place, and :func:`lif_step` uses the
+    recurrent rows as its scratch, so a step makes no (N[, B]) array
+    beyond that sum (after a step with no spike there is no sum, and
+    :func:`lif_step` makes its one scratch); ``drive``'s arrays are only
+    read.  The same
     :func:`fired_pairs` add those spikes to the counts, one step late; the
     last step's spikes are added after the loop."""
     n = shape[1]
@@ -325,7 +330,7 @@ def _loop(weights, drive, shape, params, links, bounds, record_raster):
         summed = None if matrix is None else fired_sum(matrix, state.spikes, pairs)
         recurrent = None if summed is None else summed[:n]
         if summed is not None and links is not None:
-            injected = injected + summed[n:]
+            injected = np.add(summed[n:], injected, out=summed[n:])
         lif_step(state, injected, recurrent, params, out=state)
         if raster is not None:
             raster[t] = state.spikes

@@ -17,6 +17,14 @@ no refractory period and no lower clamp on v.  Every operation acts on a
 column exactly as on a lone (N,) state, so a batch column is bit-identical
 to that sample stepped alone.
 
+A step writes u and v in place in the state it is given as ``out`` and
+the spikes through a bool view of its spike flags.  Its one scratch array
+is the recurrent current it is handed, into which it adds the drive,
+divides by tau_u and later puts u' * dt (a step without a recurrent
+current makes one fresh array for this).  Each float operation is the
+formula's, in its order, so the bytes are those of the formula above
+evaluated one operation at a time into fresh arrays.
+
 The caller hands :func:`lif_step` the recurrent current ``W @ spikes_prev``,
 as the time loop does with :func:`fired_sum` over its previous spikes.
 :func:`fired_pairs` is the rule: when at most 1/``SPARSE_FIRING`` of the
@@ -163,12 +171,15 @@ def lif_step(
             holds the spikes emitted at that step.
         injected: pre-weighted external drive of the state's shape; it is
             scaled by 1/tau_u inside the trace update like any synaptic
-            arrival.
+            arrival.  It is only read, never written.
         recurrent: the recurrent current of the state's shape, the weights'
             sum over ``state.spikes`` (as :func:`fired_sum` gives it), or
             None for an unconnected population or a step after no spike.
-            It is added to ``injected`` before the trace update, and neither
-            is written.
+            It is added to ``injected`` before the trace update.  A float64
+            ``recurrent`` is the step's scratch and is overwritten, so hand
+            it a sum no one reads afterwards, as the time loop's own fresh
+            :func:`fired_sum` is; it must not share memory with
+            ``injected`` or the states.
         params: shared neuron constants.
         out: state of the same shape to write the next state into, which
             may be ``state`` itself; by default a new one, so ``state`` is
@@ -183,31 +194,38 @@ def lif_step(
         NumericsError: the new potential is not finite.  A non-finite trace
             or current makes it so in the same step, and a non-finite
             potential stays so, so a non-finite state, drive or current is
-            caught in the step it enters.
+            caught in the step it enters.  ``out`` is then partly written.
     """
     injected = np.asarray(injected, dtype=np.float64)
     if injected.shape != state.v.shape:
         raise ConfigError(
             f"injected drive has shape {injected.shape}, state has {state.v.shape}"
         )
-    if recurrent is not None and recurrent.shape != state.v.shape:
-        raise ConfigError(
-            f"recurrent current has shape {recurrent.shape}, state has {state.v.shape}"
-        )
+    if recurrent is not None:
+        recurrent = np.asarray(recurrent, dtype=np.float64)
+        if recurrent.shape != state.v.shape:
+            raise ConfigError(
+                f"recurrent current has shape {recurrent.shape}, state has {state.v.shape}"
+            )
     if out is None:
         out = PopulationState.zeros(*state.v.shape)
     elif out.v.shape != state.v.shape:
         raise ConfigError(f"out state has shape {out.v.shape}, state has {state.v.shape}")
 
-    arriving = injected if recurrent is None else recurrent + injected
+    # one (N[, B]) scratch: the arriving current, then u' * dt
+    if recurrent is None:
+        scratch = injected / params.tau_u
+    else:
+        scratch = np.add(recurrent, injected, out=recurrent)
+        scratch /= params.tau_u
     u, v = out.u, out.v
     np.multiply(state.u, 1.0 - params.dt / params.tau_u, out=u)
-    u += arriving / params.tau_u
+    u += scratch
     np.multiply(state.v, 1.0 - params.dt / params.tau_v, out=v)
-    v += u * params.dt
-    if not np.isfinite(v).all():
+    v += np.multiply(u, params.dt, out=scratch)
+    spikes = out.spikes.view(bool)
+    if not np.isfinite(v, out=spikes).all():
         raise NumericsError("non-finite membrane state")
-    spikes = v >= params.theta
+    np.greater_equal(v, params.theta, out=spikes)
     np.subtract(v, params.theta, out=v, where=spikes)
-    out.spikes[...] = spikes
     return out

@@ -16,6 +16,7 @@ from lsmkit import (
     PopulationState,
     build_reservoir,
     lif_step,
+    simulate_population,
 )
 from lsmkit.neurons import fired_pairs, fired_sum
 
@@ -289,6 +290,80 @@ class TestBatchedStep:
     def test_drive_shape_must_match_batch(self):
         with pytest.raises(ConfigError, match="injected drive has shape"):
             lif_step(PopulationState.zeros(3, 4), np.zeros((3, 2)), None, NeuronParams())
+
+
+def formula_step(v, u, injected, current, params):
+    """One step of the neurons module docstring's formula, one Python float
+    at a time: the bytes a step must give."""
+    dt, tau_u, tau_v, theta = params.dt, params.tau_u, params.tau_v, params.theta
+    arriving = injected if current is None else [c + i for c, i in zip(current, injected)]
+    u_next = [x * (1 - dt / tau_u) + a / tau_u for x, a in zip(u, arriving)]
+    v_next = [x * (1 - dt / tau_v) + y * dt for x, y in zip(v, u_next)]
+    spikes = [x >= theta for x in v_next]
+    return [x - theta if s else x for x, s in zip(v_next, spikes)], u_next, spikes
+
+
+def spread(rng, shape):
+    """Inexact values of either sign over nine decades, 1e-3 to 1e6."""
+    return rng.choice([-1.0, 1.0], shape) * rng.random(shape) * 10.0 ** rng.integers(-3, 7, shape)
+
+
+@st.composite
+def step_cases(draw):
+    """Inexact constants at dt 1.0 or 0.5, an (N,) or (N, B) state, and
+    drives and recurrent currents (or None) for a few steps."""
+    params = NeuronParams(
+        tau_v=draw(st.sampled_from([3.7, 12.3, 16.0, 20.9])),
+        tau_u=draw(st.sampled_from([2.9, 12.3, 16.0, 31.7])),
+        theta=draw(st.sampled_from([0.3, 20.0, 7e4])),
+        dt=draw(st.sampled_from([1.0, 0.5])),
+    )
+    n = draw(st.integers(1, 30))
+    shape = (n,) if draw(st.booleans()) else (n, draw(st.integers(1, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = PopulationState(spread(rng, shape), spread(rng, shape), rng.random(shape) < 0.5)
+    steps = draw(st.integers(1, 4))
+    drives = spread(rng, (steps, *shape))
+    currents = [spread(rng, shape) if draw(st.booleans()) else None for _ in range(steps)]
+    return params, state, drives, currents
+
+
+class TestStepFormula:
+    """A step gives the module docstring's formula byte for byte, and reads
+    its drive without writing it."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(step_cases(), st.booleans())
+    def test_equals_docstring_formula(self, case, in_place):
+        params, state, drives, currents = case
+        for injected, current in zip(drives, currents):
+            flat = [a.reshape(-1).tolist() for a in (state.v, state.u, injected)]
+            rec = None if current is None else current.reshape(-1).tolist()
+            v, u, spikes = formula_step(*flat, rec, params)
+            state = lif_step(state, injected, current, params, out=state if in_place else None)
+            assert state.v.reshape(-1).tobytes() == np.array(v).tobytes()
+            assert state.u.reshape(-1).tobytes() == np.array(u).tobytes()
+            assert state.spikes.reshape(-1).tolist() == spikes
+
+    @pytest.mark.parametrize("shape", [(6,), (6, 3)])
+    @pytest.mark.parametrize("connected", [False, True])
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_never_writes_injected(self, shape, connected, in_place):
+        """A read-only drive row steps, with and without ``out=state``, and
+        keeps its bytes; so does a whole drive through the time loop."""
+        rng = np.random.default_rng(4)
+        drive = spread(rng, (5, *shape))
+        kept = drive.tobytes()
+        drive.flags.writeable = False
+        state = PopulationState.zeros(*shape)
+        for injected in drive:
+            current = spread(rng, shape) if connected else None
+            out = state if in_place else None
+            state = lif_step(state, injected, current, NeuronParams(), out=out)
+        assert drive.tobytes() == kept
+        weights = sparse.csc_matrix(np.full((6, 6), 0.7)) if connected else None
+        simulate_population(weights, drive, NeuronParams())
+        assert drive.tobytes() == kept
 
 
 @st.composite
