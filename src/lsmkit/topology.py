@@ -22,8 +22,12 @@ two neurons, so a build evaluates it once, as a kernel over the
 ``(2nz-1) x (2ny-1) x (2nx-1)`` offsets (about 8 N values, not N**2).  Each
 source neuron's row of probabilities is a strided ``(nz, ny, nx)`` window of
 that kernel, times its kind factor.  Sources are taken in chunks of whole
-x-lines (whole z-planes when a plane fits in ``CHUNK_ROWS``), so a chunk's
-windows are one strided view that is multiplied straight into the chunk.
+x-lines (whole z-planes when a plane fits), so a chunk's windows are one
+strided view that is multiplied straight into the chunk.  A chunk's float64
+probabilities are sized to ``CHUNK_BYTES`` (never less than one x-line), so
+the gather, the product, the draw, the compare and the edge scan each pass
+over a chunk that is still in cache; the sampled stream is the same for any
+budget.
 """
 
 from __future__ import annotations
@@ -40,10 +44,10 @@ INH = "I"
 
 DEFAULT_C_TABLE = {"EE": 0.2, "EI": 0.1, "IE": 0.05, "II": 0.3}
 
-# Source rows whose pair probabilities are held at once (a chunk is never
-# less than one x-line); this bounds peak memory only, the sampled stream is
-# identical for any value.
-CHUNK_ROWS = 512
+# Bytes of float64 pair probabilities one chunk may hold (a chunk is never
+# less than one x-line): small enough that each pass over a chunk stays in
+# cache.  The sampled stream is identical for any value.
+CHUNK_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -164,8 +168,8 @@ def _law_windows(dims: GridDims, law: ConnectionLaw) -> np.ndarray:
 def _probability_chunks(dims: GridDims, law: ConnectionLaw, signs: np.ndarray):
     """``(start, prob)`` for each chunk of source rows, in row order.
 
-    A chunk is a run of whole z-planes when one plane fits in
-    ``CHUNK_ROWS`` rows, else a run of whole x-lines of one plane (at least
+    A chunk is a run of whole z-planes when one plane's probabilities fit
+    in ``CHUNK_BYTES``, else a run of whole x-lines of one plane (at least
     one line).  ``prob`` is a fresh ``(rows, N)`` array: each source row's
     kind factor times its window of the law's distance factor.
     """
@@ -180,8 +184,9 @@ def _probability_chunks(dims: GridDims, law: ConnectionLaw, signs: np.ndarray):
     )
     exc = (signs > 0).astype(np.intp)
     c_rows = c_by_kind[:, exc]  # row 0 for an inhibitory source, 1 excitatory
-    lines = min(ny, max(1, CHUNK_ROWS // nx))
-    planes = max(1, CHUNK_ROWS // (nx * ny))  # more than one only if lines == ny
+    rows = CHUNK_BYTES // (8 * n)  # a row holds n float64 probabilities
+    lines = min(ny, max(1, rows // nx))
+    planes = max(1, rows // (nx * ny))  # more than one only if lines == ny
     for z0 in range(0, dims.nz, planes):
         z1 = min(z0 + planes, dims.nz)
         for y0 in range(0, ny, lines):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import pickle
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -125,14 +126,55 @@ class TestBuildReservoir:
         assert np.array_equal(a.dst, b.dst)
         assert np.array_equal(a.weight, b.weight)
 
-    def test_chunking_does_not_change_the_stream(self, monkeypatch):
+    # on a 4x4x4 grid a row is 512 bytes, an x-line 2,048 and a z-plane 8,192
+    @pytest.mark.parametrize(
+        "budget, chunks",
+        [
+            (8, 16),  # below one x-line: the one-line floor
+            (4_096, 8),  # two x-lines
+            (16_384, 2),  # two z-planes
+            (2**18, 1),  # the whole reservoir
+        ],
+    )
+    def test_chunking_does_not_change_the_stream(self, monkeypatch, budget, chunks):
         dims = GridDims(4, 4, 4)
         law = ConnectionLaw()
-        monkeypatch.setattr(topology, "CHUNK_ROWS", 7)
-        a = build_reservoir(dims, law, PARAMS, seed=3)
-        monkeypatch.setattr(topology, "CHUNK_ROWS", 64)
-        b = build_reservoir(dims, law, PARAMS, seed=3)
-        assert np.array_equal(a.src, b.src) and np.array_equal(a.dst, b.dst)
+        params = NeuronParams(w_lsm=0.7)
+        monkeypatch.setattr(topology, "CHUNK_BYTES", budget)
+        signs = np.resize(np.array([1, -1], dtype=np.int8), dims.size)
+        assert len(list(topology._probability_chunks(dims, law, signs))) == chunks
+        topo = build_reservoir(dims, law, params, seed=3)
+        got = (topo.signs, topo.src, topo.dst, topo.weight)
+        for a, b in zip(got, _reference_build(dims, law, params, 3)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+    def test_chunks_tile_each_shipped_grid_within_budget(self, name):
+        cfg = load_config(CONFIG_DIR / name)
+        dims = cfg.ensemble.member_grid()
+        n = dims.size
+        signs = np.resize(np.array([1, -1], dtype=np.int8), n)
+        law = ConnectionLaw(lam=cfg.connectivity.lam)
+        bound = max(topology.CHUNK_BYTES, 8 * n * dims.nx)
+        stop = 0
+        for start, prob in topology._probability_chunks(dims, law, signs):
+            assert start == stop and prob.shape[1] == n and prob.nbytes <= bound
+            assert len(prob) % dims.nx == 0  # whole x-lines
+            stop = start + len(prob)
+        assert stop == n
+
+    def test_sampler_memory_stays_near_one_chunk(self):
+        # dvs-rf's grid: one z-plane of probabilities is 12.8 MB, one x-line
+        # 640 KB; the build's peak is a few chunk-sized arrays, not a plane's
+        dims = GridDims(20, 20, 10)
+        build_reservoir(GridDims(2, 1, 1), ConnectionLaw(), PARAMS, 0)  # warm up
+        tracemalloc.start()
+        try:
+            build_reservoir(dims, ConnectionLaw(), PARAMS, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_half_and_half_kinds(self):
         dims = GridDims(4, 4, 2)
@@ -286,25 +328,27 @@ class TestExactReference:
         sides=st.tuples(*[st.integers(1, 7)] * 3).filter(
             lambda s: math.prod(s) % 2 == 0
         ),
-        chunk_rows=st.integers(1, 60),
+        chunk_bytes=st.integers(1, 2**16),
         lam=st.floats(0.05, 20),
         d=st.floats(0, 12),
         c=st.lists(st.floats(1e-3, 1), min_size=4, max_size=4),
         w_lsm=st.floats(-8, 8),
         seed=st.integers(0, 2**32 - 1),
     )
-    # nx = 1; nz = 1 with an integer c_table; one x-line over CHUNK_ROWS; two neurons
-    @example((1, 4, 3), 512, 2.0, 0.0, [0.2, 0.1, 0.05, 0.3], 1.0, 1)
-    @example((5, 4, 1), 512, 3.0, 2.0, [1, 1, 1, 1], 2.5, 2)
-    @example((6, 2, 3), 4, 1.5, 1.0, [0.9, 0.5, 0.7, 1.0], 1.0, 3)
-    @example((1, 1, 2), 512, 2.0, 0.0, [1, 1, 1, 1], 1.0, 4)
-    def test_bytes_equal_reference(self, sides, chunk_rows, lam, d, c, w_lsm, seed):
+    # nx = 1, whole reservoir; nz = 1 with an integer c_table, two-line
+    # chunks; one x-line over the budget; two-plane chunks; two neurons
+    @example((1, 4, 3), 2**18, 2.0, 0.0, [0.2, 0.1, 0.05, 0.3], 1.0, 1)
+    @example((5, 4, 1), 1_600, 3.0, 2.0, [1, 1, 1, 1], 2.5, 2)
+    @example((6, 2, 3), 8, 1.5, 1.0, [0.9, 0.5, 0.7, 1.0], 1.0, 3)
+    @example((6, 2, 3), 6_912, 0.8, 3.0, [0.6, 0.2, 0.4, 0.9], -1.5, 5)
+    @example((1, 1, 2), 2**18, 2.0, 0.0, [1, 1, 1, 1], 1.0, 4)
+    def test_bytes_equal_reference(self, sides, chunk_bytes, lam, d, c, w_lsm, seed):
         dims = GridDims(*sides)
         law = ConnectionLaw(lam=lam, d=d, c_table=dict(zip(("EE", "EI", "IE", "II"), c)))
         params = NeuronParams(w_lsm=w_lsm)
         with pytest.MonkeyPatch.context() as mp:
-            # below nx, a chunk is one x-line of more than CHUNK_ROWS rows
-            mp.setattr(topology, "CHUNK_ROWS", chunk_rows)
+            # below one x-line's bytes, a chunk is one x-line over the budget
+            mp.setattr(topology, "CHUNK_BYTES", chunk_bytes)
             topo = build_reservoir(dims, law, params, seed)
         got = (topo.signs, topo.src, topo.dst, topo.weight)
         for a, b in zip(got, _reference_build(dims, law, params, seed)):
